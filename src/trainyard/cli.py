@@ -541,6 +541,9 @@ def main(argv: list[str] | None = None) -> int:
         # Every domain error in the package is a ValueError subclass.
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (RecursionError, MemoryError) as exc:
+        print(f"error: input too large to compute ({type(exc).__name__})", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

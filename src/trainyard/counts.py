@@ -25,6 +25,7 @@ from math import comb
 from typing import Sequence, Union
 
 from .rodset import RodSet, format_rodset
+from .series import char_terms, series_mul, series_quotient
 
 DEFAULT_ENUMERATION_CAP = 10**6
 
@@ -123,34 +124,14 @@ def source_to_json(rods: RodSource) -> dict:
 
 
 def train_counts(rods: RodSource, n_max: int) -> list:
-    """Net train counts F(0..n_max) for a rod set or rod source."""
+    """Net train counts F(0..n_max) for a rod set or rod source: the series 1 / (1 - C)."""
     if n_max < 0:
         raise CountsError("count horizon must be >= 0")
-    counts = [0] * (n_max + 1)
-    counts[0] = 1
     if isinstance(rods, RodSet):
-        pairs = rods.pairs
-        for n in range(1, n_max + 1):
-            acc = 0
-            for k, m in pairs:
-                if k > n:
-                    break
-                c = counts[n - k]
-                if c:
-                    acc += m * c
-            counts[n] = acc
+        den = char_terms(rods)
     else:
-        mults = source_mults_upto(rods, n_max)
-        for n in range(1, n_max + 1):
-            acc = 0
-            for k in range(1, n + 1):
-                m = mults[k]
-                if m:
-                    c = counts[n - k]
-                    if c:
-                        acc += m * c
-            counts[n] = acc
-    return counts
+        den = [(0, 1)] + [(k, -m) for k, m in enumerate(rods.mults_upto(n_max)) if m]
+    return series_quotient([1], den, n_max)
 
 
 def discrepancies(r: RodSource, s: RodSource, n_max: int) -> list:
@@ -173,16 +154,9 @@ def sequence_discrepancies(values: Sequence[int], s: RodSource) -> list:
     if not values or values[0] != 1:
         raise CountsError("a net train count sequence must start with F(0) = 1")
     n_max = len(values) - 1
-    mults = source_mults_upto(s, n_max)
-    out = []
-    for n in range(1, n_max + 1):
-        acc = values[n]
-        for k in range(1, n + 1):
-            m = mults[k]
-            if m and values[n - k]:
-                acc -= m * values[n - k]
-        out.append(acc)
-    return out
+    char_s = [-m for m in source_mults_upto(s, n_max)]
+    char_s[0] = 1
+    return series_mul(char_s, values, n_max)[1:]
 
 
 @dataclass(frozen=True)
@@ -217,28 +191,33 @@ def enumerate_trains(
     if total > cap:
         raise CountsError(f"{total} trains of length {n} exceed the enumeration cap {cap}")
 
-    pairs = rods.pairs
-    net = 0
-    listing: list | None = [] if collect else None
-    stack: list = []
-
-    def walk(remaining: int, sign: int) -> None:
-        nonlocal net
-        if remaining == 0:
-            net += sign
-            if listing is not None:
-                listing.append(tuple(stack))
-            return
-        for k, m in pairs:
-            if k > remaining:
+    # Colored rods in walk order; fits[r] holds those no longer than r.
+    rods_in_order = [
+        (k, color, 1 if m > 0 else -1) for k, m in rods.pairs for color in range(1, abs(m) + 1)
+    ]
+    top = rods.max_length or 0
+    fits = [[rod for rod in rods_in_order if rod[0] <= r] for r in range(top + 1)]
+    net = 1 if n == 0 else 0
+    listing: list | None = ([()] if n == 0 else []) if collect else None
+    # A frame per rod placed: rods still to try, length left, sign so far.
+    # A rod that completes the train is tallied without a frame.
+    train: list = []
+    frames = [(iter(fits[min(n, top)]), n, 1)]
+    while frames:
+        walk, remaining, sign = frames[-1]
+        for rod in walk:
+            left = remaining - rod[0]
+            if left:
+                train.append(rod)
+                frames.append((iter(fits[left if left < top else top]), left, sign * rod[2]))
                 break
-            rod_sign = 1 if m > 0 else -1
-            for color in range(1, abs(m) + 1):
-                stack.append((k, color, rod_sign))
-                walk(remaining - k, sign * rod_sign)
-                stack.pop()
-
-    walk(n, 1)
+            net += sign * rod[2]
+            if listing is not None:
+                listing.append((*train, rod))
+        else:
+            frames.pop()
+            if train:
+                train.pop()
     return EnumerationResult(net=net, total=total, trains=tuple(listing) if collect else None)
 
 

@@ -43,7 +43,8 @@ from .counts import (
     train_counts,
 )
 from .rodset import RodSet, concat, negate, union
-from .series import char_poly, poly_divexact, poly_mul, poly_trim, series_mul
+from .series import char_poly, char_terms, nonzero_terms, poly_divexact, poly_trim
+from .series import series_mul, series_quotient
 
 DEFAULT_HORIZON = 64
 
@@ -82,13 +83,18 @@ class Expansion:
         }
 
 
-def _one_plus_poly(q: RodSet) -> list:
-    """The polynomial 1 + C(x, q) of a finite rod set."""
-    out = [0] * ((q.max_length or 0) + 1)
-    out[0] = 1
-    for k, m in q.pairs:
-        out[k] = m
-    return poly_trim(out)
+def _one_plus_terms(q: RodSet) -> tuple:
+    """The nonzero terms of the polynomial 1 + C(x, q) of a finite rod set."""
+    return ((0, 1),) + q.pairs
+
+
+def _product(p_terms, q_terms) -> dict:
+    """Nonzero terms of the product of two polynomials given by their nonzero terms."""
+    out: dict = {}
+    for i, a in p_terms:
+        for j, b in q_terms:
+            out[i + j] = out.get(i + j, 0) + a * b
+    return {k: c for k, c in out.items() if c}
 
 
 def _negate_source(rods: RodSource) -> RodSource:
@@ -104,14 +110,11 @@ def _negate_source(rods: RodSource) -> RodSource:
 def _identity_holds(r: RodSource, q: RodSource, s: RodSource, horizon: int) -> bool:
     """Check (1 - C_S) = (1 - C_R)(1 + C_Q): exact for finite triples, else to the horizon."""
     if isinstance(r, RodSet) and isinstance(q, RodSet) and isinstance(s, RodSet):
-        return poly_mul(char_poly(r), _one_plus_poly(q)) == char_poly(s)
-    cr = source_mults_upto(r, horizon)
-    cq = source_mults_upto(q, horizon)
-    cs = source_mults_upto(s, horizon)
-    char_r = [1] + [-c for c in cr[1:]]
-    one_plus_q = [1] + list(cq[1:])
-    char_s = [1] + [-c for c in cs[1:]]
-    return series_mul(char_r, one_plus_q, horizon) == char_s
+        # Over the rod pairs only, so long rods never densify.
+        return _product(char_terms(r), _one_plus_terms(q)) == dict(char_terms(s))
+    cr, cq, cs = (source_mults_upto(x, horizon) for x in (r, q, s))
+    product = series_mul([1] + [-c for c in cr[1:]], [1] + cq[1:], horizon)
+    return product == [1] + [-c for c in cs[1:]]
 
 
 def _verified(r, q, s, horizon, q_finite, trailing_zeros=None, r_finite=True) -> Expansion:
@@ -124,15 +127,6 @@ def expand(r: RodSet, q: RodSet, horizon: int = DEFAULT_HORIZON) -> Expansion:
     """Expand finite r by finite q: S = r + anti(q) + q.r, exact at all degrees."""
     s = union(r, union(negate(q), concat(q, r)))
     return _verified(r, q, s, horizon, q_finite=True)
-
-
-def _trailing_zero_run(values: Sequence[int]) -> int:
-    run = 0
-    for v in reversed(values):
-        if v:
-            break
-        run += 1
-    return run
 
 
 def solve_Q(r: RodSource, s: RodSource, horizon: int | None = None) -> Expansion:
@@ -156,9 +150,7 @@ def solve_Q(r: RodSource, s: RodSource, horizon: int | None = None) -> Expansion
         if max_s >= max_r:
             d = discrepancies(r, s, max_s)
             if all(d[n - 1] == 0 for n in range(max_s - max_r + 1, max_s + 1)):
-                q = RodSet.from_mults(
-                    {n: d[n - 1] for n in range(1, max_s - max_r + 1) if d[n - 1]}
-                )
+                q = RodSet(tuple((n, d[n - 1]) for n in range(1, max_s - max_r + 1) if d[n - 1]))
                 return _verified(r, q, s, h, q_finite=True)
         prefix = discrepancies(r, s, h)
         return _verified(r, PrefixRods(tuple(prefix)), s, h, q_finite=False)
@@ -169,7 +161,7 @@ def solve_Q(r: RodSource, s: RodSource, horizon: int | None = None) -> Expansion
         s,
         h,
         q_finite=None,
-        trailing_zeros=_trailing_zero_run(prefix),
+        trailing_zeros=len(prefix) - len(poly_trim(prefix)),
     )
 
 
@@ -205,7 +197,7 @@ def dual(q: RodSource, horizon: int | None = None) -> RodSet | PrefixRods:
         window = q.max_length
         if h > window and all(c == 0 for c in body[-window:]):
             cand = RodSet.from_mults({n: c for n, c in enumerate(body, 1) if c})
-            if poly_mul(_one_plus_poly(q), _one_plus_poly(cand)) == [1]:
+            if _product(_one_plus_terms(q), _one_plus_terms(cand)) == {0: 1}:
                 return cand
         return PrefixRods(tuple(body))
     if isinstance(q, TrainsOf):
@@ -254,21 +246,14 @@ def compose(q_pr: RodSet, q_rs: RodSet) -> RodSet:
 def rodset_from_counts(seq: Sequence[int]) -> RodSet:
     """The unique rod multiplicities whose train counts reproduce seq[0..N].
 
-    Inverts the count recursion term by term: every power series with
-    constant term 1 is the train count series of exactly one rod set.
+    The rod generating function is C = 1 - 1/F: every power series F
+    with constant term 1 is the train count series of exactly one rod set.
     The result is exact through length N and silent beyond it.
     """
     if not seq or seq[0] != 1:
         raise ExpansionError("a net train count sequence must start with F(0) = 1")
-    n_max = len(seq) - 1
-    mults = [0] * (n_max + 1)
-    for n in range(1, n_max + 1):
-        acc = seq[n]
-        for k in range(1, n):
-            if mults[k] and seq[n - k]:
-                acc -= mults[k] * seq[n - k]
-        mults[n] = acc
-    return RodSet.from_mults({k: m for k, m in enumerate(mults) if k >= 1 and m})
+    inverse = series_quotient([1], nonzero_terms(seq), len(seq) - 1)
+    return RodSet.from_mults({k: -c for k, c in enumerate(inverse) if k >= 1 and c})
 
 
 def expand_minimal(r: RodSet) -> tuple[RodSet, RodSet]:

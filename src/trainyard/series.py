@@ -2,7 +2,9 @@
 
 A polynomial is a plain Python list of ints in ascending degree order
 with no trailing zeros; the zero polynomial is ``[]``.  Everything here
-is exact: no floats, no modular shortcuts.
+is exact: no floats.  The one series kernel, :func:`series_quotient`,
+takes an optional modulus for callers that scan residues and confirm
+every match with exact integers.
 
 The polynomial of interest for a rod set R is its characteristic
 polynomial 1 - C(x, R), where C is the rod generating function
@@ -44,25 +46,18 @@ def poly_add(p: Poly, q: Poly) -> Poly:
 
 
 def poly_mul(p: Poly, q: Poly) -> Poly:
-    """Exact product of two polynomials."""
-    if not p or not q:
-        return []
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                if b:
-                    out[i + j] += a * b
-    return poly_trim(out)
+    """Exact product of two polynomials, touching only nonzero terms of each."""
+    return poly_trim(series_mul(p, q, len(p) + len(q) - 2)) if p and q else []
 
 
 def poly_divexact(p: Poly, q: Poly) -> Poly | None:
     """Exact quotient p / q over the integers, or None when q does not divide p.
 
-    Two strategies: when q has unit constant term the quotient is found
-    by the ascending (power-series) recurrence in integer arithmetic;
-    otherwise classical descending long division runs over exact
-    rationals and the result must come out integral with remainder zero.
+    Two strategies: when q has unit constant term the quotient is the
+    power series p/q truncated at the expected degree, accepted only if
+    multiplying back reproduces p; otherwise classical descending long
+    division runs over exact rationals and the result must come out
+    integral with remainder zero.
     """
     q = poly_trim(list(q))
     p = poly_trim(list(p))
@@ -74,15 +69,7 @@ def poly_divexact(p: Poly, q: Poly) -> Poly | None:
         return None
     m = len(p) - len(q)  # expected quotient degree
     if abs(q[0]) == 1:
-        q0 = q[0]
-        h = [0] * (m + 1)
-        for i in range(m + 1):
-            acc = p[i] if i < len(p) else 0
-            lo = max(0, i - len(q) + 1)
-            for j in range(lo, i):
-                if h[j]:
-                    acc -= h[j] * q[i - j]
-            h[i] = acc * q0  # q0 is its own inverse
+        h = series_quotient(p, nonzero_terms(q), m)
         return poly_trim(h) if poly_mul(q, h) == p else None
     rem = [Fraction(c) for c in p]
     quo = [Fraction(0)] * (m + 1)
@@ -119,37 +106,68 @@ def poly_text(p: Poly) -> str:
     return " ".join(parts)
 
 
+def nonzero_terms(p: Poly) -> list:
+    """The (degree, coefficient) pairs of p's nonzero coefficients, ascending."""
+    return [(k, c) for k, c in enumerate(p) if c]
+
+
+def series_quotient(num: Poly, den_terms: list, n_terms: int, modulus: int | None = None) -> list:
+    """Coefficients 0..n_terms of the power series num / den, by the recurrence
+
+        out[n] = (num[n] - sum over k >= 1 of d_k * out[n - k]) * d_0.
+
+    ``den_terms`` lists den's nonzero (degree, coefficient) pairs in
+    ascending degree, starting with (0, +-1) so that the recurrence stays
+    in the integers.  Each nonzero coefficient, once final, is pushed into
+    the ones it feeds, so the work is (nonzero outputs) x (divisor terms).
+    With ``modulus`` every coefficient is reduced into [0, modulus).
+    """
+    if not den_terms or den_terms[0][0] != 0 or den_terms[0][1] not in (1, -1):
+        raise SeriesError("series division needs a divisor with constant term +1 or -1")
+    if den_terms[0][1] == 1:
+        terms = den_terms[1:]
+        out = list(num[:n_terms + 1])
+    else:  # dividing by -den instead keeps the unit +1
+        terms = [(k, -c) for k, c in den_terms[1:]]
+        out = [-c for c in num[:n_terms + 1]]
+    out += [0] * (n_terms + 1 - len(out))
+    for n in range(n_terms + 1):
+        v = out[n]
+        if modulus:
+            v = out[n] = v % modulus
+        if v:
+            for k, c in terms:
+                j = n + k
+                if j > n_terms:
+                    break
+                if c == 1:
+                    out[j] -= v
+                elif c == -1:
+                    out[j] += v
+                else:
+                    out[j] -= c * v
+    return out
+
+
 def series_inverse(p: Poly, n_terms: int) -> list:
     """Coefficients 0..n_terms of the reciprocal power series 1/p.
 
     Requires constant term +1 or -1 (the only invertible constants over
-    the integers).  The forward recurrence is exact.
+    the integers).
     """
-    if not p or p[0] not in (1, -1):
-        raise SeriesError("series inverse needs constant term +1 or -1")
-    p0 = p[0]
-    inv = [0] * (n_terms + 1)
-    inv[0] = p0
-    for i in range(1, n_terms + 1):
-        acc = 0
-        for j in range(max(0, i - len(p) + 1), i):
-            c = p[i - j]
-            if c and inv[j]:
-                acc += c * inv[j]
-        inv[i] = -p0 * acc
-    return inv
+    return series_quotient([1], nonzero_terms(p), n_terms)
 
 
 def series_mul(p: Poly, q: Poly, n_terms: int) -> list:
-    """Coefficients 0..n_terms of the product p*q."""
+    """Coefficients 0..n_terms of the product p*q, over nonzero terms of each."""
     out = [0] * (n_terms + 1)
-    for i, a in enumerate(p):
-        if a and i <= n_terms:
-            for j, b in enumerate(q):
+    q_terms = nonzero_terms(q[:n_terms + 1])
+    for i, a in enumerate(p[:n_terms + 1]):
+        if a:
+            for j, b in q_terms:
                 if i + j > n_terms:
                     break
-                if b:
-                    out[i + j] += a * b
+                out[i + j] += a * b
     return out
 
 
@@ -161,6 +179,11 @@ def char_poly(rods: RodSet) -> Poly:
     for k, m in rods.pairs:
         out[k] = -m
     return poly_trim(out)
+
+
+def char_terms(rods: RodSet) -> list:
+    """The nonzero (degree, coefficient) terms of char_poly(rods), built without densifying."""
+    return [(0, 1)] + [(k, -m) for k, m in rods.pairs]
 
 
 def rodset_from_char_poly(p: Poly) -> RodSet:

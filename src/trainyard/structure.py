@@ -22,19 +22,21 @@ Four families of questions about a finite rod set R:
 * **Borwein trinomials** — which trinomials 1 ∓ x^a ∓ x^b does
   char_poly([1,-2]) (resp. [-1,-2]) divide?  Exactly the signed pairs
   in four residue classes mod 6 (resp. one class mod 3); the
-  classification is computed by exact division and cross-checked
-  against the two-rod scan.
+  classification reduces every power x^a modulo the characteristic
+  polynomial once, tests each trinomial on those residues, and is
+  cross-checked against the two-rod scan.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .counts import train_counts
 from .expansion import expand, solve_Q
 from .rodset import RodSet, format_rodset
-from .series import char_poly, cyclotomic, euler_phi, poly_divexact
+from .series import char_poly, char_terms, cyclotomic, euler_phi, poly_divexact, series_quotient
 
 _WINDOW_PRIME = (1 << 61) - 1
 
@@ -81,15 +83,7 @@ def window_period_scan(rods: RodSet, horizon: int) -> int | None:
     if horizon < 1:
         raise StructureError("horizon must be at least 1")
     w = rods.max_length
-    pairs = rods.pairs
-    seq = [0] * (horizon + w)
-    seq[0] = 1
-    for n in range(1, horizon + w):
-        acc = 0
-        for k, m in pairs:
-            if k <= n:
-                acc += m * seq[n - k]
-        seq[n] = acc % _WINDOW_PRIME
+    seq = series_quotient([1], char_terms(rods), horizon + w - 1, modulus=_WINDOW_PRIME)
     first = seq[0]
     init = seq[:w]
     for p in range(1, horizon + 1):
@@ -98,6 +92,12 @@ def window_period_scan(rods: RodSet, horizon: int) -> int | None:
             if exact[p:p + w] == exact[:w]:
                 return p
     return None
+
+
+@lru_cache(maxsize=64)
+def _cyclotomic_orders(top: int) -> tuple[int, ...]:
+    """The orders d <= 2 * top^2 with phi(d) <= top, ascending."""
+    return tuple(d for d in range(1, 2 * top * top + 1) if euler_phi(d) <= top)
 
 
 def detect_period(rods: RodSet) -> PeriodReport:
@@ -119,9 +119,7 @@ def detect_period(rods: RodSet) -> PeriodReport:
     top = rods.max_length
     residual = char_poly(rods)
     factors: list[int] = []
-    for d in range(1, 2 * top * top + 1):
-        if euler_phi(d) > top:
-            continue
+    for d in _cyclotomic_orders(top):
         quotient = poly_divexact(residual, cyclotomic(d))
         if quotient is not None:
             residual = quotient
@@ -443,6 +441,21 @@ class BorweinTable:
     unclassified: tuple
 
 
+def _power_residues(char: list, bound: int) -> list[tuple[int, ...]]:
+    """x^a mod char for a = 0..bound: each is x times the last, its top term
+    reduced by char, whose leading coefficient must be +-1."""
+    lead = char[-1]
+    residue = [1] + [0] * (len(char) - 2)
+    table = [tuple(residue)]
+    for _ in range(bound):
+        top = residue[-1]
+        residue = [0] + residue[:-1]
+        if top:
+            residue = [c - top * lead * d for c, d in zip(residue, char)]
+        table.append(tuple(residue))
+    return table
+
+
 def borwein_classify(bound: int) -> BorweinTable:
     """Classify all signed trinomials 1 - sa*x^a - sb*x^b, a < b <= bound.
 
@@ -455,42 +468,33 @@ def borwein_classify(bound: int) -> BorweinTable:
     """
     if bound < 2:
         raise StructureError("bound must be at least 2")
-    char_pos = char_poly(_BORWEIN_POS)
-    char_neg = char_poly(_BORWEIN_NEG)
-    classes: dict = {label: [] for label in _POS_CLASSES.values()}
-    classes.update({label: [] for label in _NEG_CLASS.values()})
+    classes: dict = {}
     unclassified: list = []
-    pos_pairs, neg_pairs = set(), set()
-    for b in range(2, bound + 1):
-        for a in range(1, b):
-            for sa in (1, -1):
-                for sb in (1, -1):
-                    tri = [0] * (b + 1)
-                    tri[0], tri[a], tri[b] = 1, -sa, -sb
-                    pair = (sa * a, sb * b)
-                    if poly_divexact(tri, char_pos) is not None:
-                        pos_pairs.add(pair)
-                        key = tuple(sorted(((a % 6, sa), (b % 6, sb))))
-                        label = _POS_CLASSES.get(key)
+    for base, modulus, known in ((_BORWEIN_POS, 6, _POS_CLASSES), (_BORWEIN_NEG, 3, _NEG_CLASS)):
+        classes.update({label: [] for label in known.values()})
+        residues = _power_residues(char_poly(base), bound)
+        found = set()
+        for b in range(2, bound + 1):
+            for a in range(1, b):
+                for sa in (1, -1):
+                    for sb in (1, -1):
+                        # char(base) divides 1 - sa*x^a - sb*x^b iff its residue vanishes
+                        terms = zip(residues[0], residues[a], residues[b])
+                        if any(u - sa * v - sb * w for u, v, w in terms):
+                            continue
+                        pair = (sa * a, sb * b)
+                        found.add(pair)
+                        label = known.get(tuple(sorted(((a % modulus, sa), (b % modulus, sb)))))
                         if label is None:
-                            unclassified.append(("[1,-2]", pair))
+                            unclassified.append((format_rodset(base), pair))
                         else:
                             classes[label].append(pair)
-                    if poly_divexact(tri, char_neg) is not None:
-                        neg_pairs.add(pair)
-                        key = tuple(sorted(((a % 3, sa), (b % 3, sb))))
-                        label = _NEG_CLASS.get(key)
-                        if label is None:
-                            unclassified.append(("[-1,-2]", pair))
-                        else:
-                            classes[label].append(pair)
-    for base, expected in ((_BORWEIN_POS, pos_pairs), (_BORWEIN_NEG, neg_pairs)):
         scanned = {
             (h.mult_a * h.a, h.mult_b * h.b)
             for h in scan_two_expansions(base, bound, include_trivial=True)
             if abs(h.mult_a) == 1 and abs(h.mult_b) == 1
         }
-        assert scanned == expected, "trinomial division and the scan disagree; bug"
+        assert scanned == found, "trinomial residues and the scan disagree; bug"
     return BorweinTable(
         bound,
         {label: tuple(pairs) for label, pairs in classes.items()},

@@ -169,6 +169,19 @@ def test_domain_errors_exit_one(run):
         assert err.startswith("error: ") and fragment in err, f"wrong message for {argv}"
 
 
+def test_long_walks_and_resource_exhaustion_keep_the_contract(run, monkeypatch):
+    assert run(["enumerate", "[1]", "1500"]) == (0, "net=1 total=1\n", "")
+    for exc in (RecursionError, MemoryError):
+
+        def exhausted(*args, **kwargs):
+            raise exc()
+
+        monkeypatch.setattr(cli, "enumerate_trains", exhausted)
+        code, out, err = run(["enumerate", "[1,2]", "5"])
+        assert code == 1 and out == ""
+        assert err == f"error: input too large to compute ({exc.__name__})\n"
+
+
 def test_usage_errors_exit_two(run, capsys):
     for argv in [[], ["frobnicate"], ["scan1", "[1,2]"], ["lucas", "3", "2", "x"]]:
         with pytest.raises(SystemExit) as info:

@@ -172,6 +172,13 @@ def test_enumerate_cap_and_validation():
     assert enumerate_trains(parse_rodset("[1^2]"), 7).total == 128
 
 
+def test_enumerate_long_single_rod_walk():
+    # A walk as deep as the train is long: 1200 rods of length 1.
+    assert enumerate_trains(parse_rodset("[1]"), 1200) == EnumerationResult(net=1, total=1)
+    listed = enumerate_trains(parse_rodset("[-1]"), 1201, collect=True)
+    assert listed.net == -1 and listed.trains == (((1, 1, -1),) * 1201,)
+
+
 def test_binomial_count_regression():
     assert binomial_count(parse_rodset("[3,5]"), 70) == 63862
 

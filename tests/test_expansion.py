@@ -30,6 +30,7 @@ from trainyard import (
     train_counts,
     union,
 )
+from trainyard.expansion import _identity_holds
 
 from conftest import random_rodset
 
@@ -43,6 +44,17 @@ def test_expand_regression():
     got = expand(parse_rodset("[1,2]"), parse_rodset("[2]"))
     assert got.s == parse_rodset("[1,3,4]")
     assert got.q_finite is True and got.identity_checked is True
+
+
+def test_expand_long_rod_stays_sparse():
+    r, q = parse_rodset("[1,2]"), parse_rodset("[100000000]")
+    got = expand(r, q)
+    assert got.s == parse_rodset("[1,2,-100000000,100000001,100000002]")
+    assert got.identity_checked is True
+    assert _identity_holds(r, q, got.s, 64)
+    assert not _identity_holds(r, q, parse_rodset("[1,2,-100000000,100000001,100000003]"), 64)
+    # A dense witness would need a list of 10^9 coefficients here.
+    assert expand(r, parse_rodset("[1000000000]")).s.max_length == 1000000002
 
 
 def test_expand_edges():
