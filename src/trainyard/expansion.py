@@ -44,7 +44,7 @@ from .counts import (
 )
 from .rodset import RodSet, concat, negate, union
 from .series import char_poly, char_terms, nonzero_terms, poly_divexact, poly_trim
-from .series import series_mul, series_quotient
+from .series import series_mul, series_quotient, sparse_mul
 
 DEFAULT_HORIZON = 64
 
@@ -88,15 +88,6 @@ def _one_plus_terms(q: RodSet) -> tuple:
     return ((0, 1),) + q.pairs
 
 
-def _product(p_terms, q_terms) -> dict:
-    """Nonzero terms of the product of two polynomials given by their nonzero terms."""
-    out: dict = {}
-    for i, a in p_terms:
-        for j, b in q_terms:
-            out[i + j] = out.get(i + j, 0) + a * b
-    return {k: c for k, c in out.items() if c}
-
-
 def _negate_source(rods: RodSource) -> RodSource:
     if isinstance(rods, RodSet):
         return negate(rods)
@@ -111,7 +102,7 @@ def _identity_holds(r: RodSource, q: RodSource, s: RodSource, horizon: int) -> b
     """Check (1 - C_S) = (1 - C_R)(1 + C_Q): exact for finite triples, else to the horizon."""
     if isinstance(r, RodSet) and isinstance(q, RodSet) and isinstance(s, RodSet):
         # Over the rod pairs only, so long rods never densify.
-        return _product(char_terms(r), _one_plus_terms(q)) == dict(char_terms(s))
+        return sparse_mul(char_terms(r), _one_plus_terms(q)) == dict(char_terms(s))
     cr, cq, cs = (source_mults_upto(x, horizon) for x in (r, q, s))
     product = series_mul([1] + [-c for c in cr[1:]], [1] + cq[1:], horizon)
     return product == [1] + [-c for c in cs[1:]]
@@ -197,7 +188,7 @@ def dual(q: RodSource, horizon: int | None = None) -> RodSet | PrefixRods:
         window = q.max_length
         if h > window and all(c == 0 for c in body[-window:]):
             cand = RodSet.from_mults({n: c for n, c in enumerate(body, 1) if c})
-            if _product(_one_plus_terms(q), _one_plus_terms(cand)) == {0: 1}:
+            if sparse_mul(_one_plus_terms(q), _one_plus_terms(cand)) == {0: 1}:
                 return cand
         return PrefixRods(tuple(body))
     if isinstance(q, TrainsOf):

@@ -171,6 +171,16 @@ def series_mul(p: Poly, q: Poly, n_terms: int) -> list:
     return out
 
 
+def sparse_mul(p_terms, q_terms) -> dict:
+    """The product of two polynomials given by their nonzero (degree, coeff)
+    terms, as a {degree: coeff} map of its nonzero terms; no degree is densified."""
+    out: dict = {}
+    for i, a in p_terms:
+        for j, b in q_terms:
+            out[i + j] = out.get(i + j, 0) + a * b
+    return {k: c for k, c in out.items() if c}
+
+
 def char_poly(rods: RodSet) -> Poly:
     """Characteristic polynomial 1 - C(x, R) of a finite rod set."""
     top = rods.max_length
