@@ -187,22 +187,34 @@ def enumerate_trains(
     if n < 0:
         raise CountsError("train length must be >= 0")
     abs_rods = RodSet(tuple((k, abs(m)) for k, m in rods.pairs))
-    total = train_counts(abs_rods, n)[n]
+    counts = train_counts(abs_rods, n)
+    total = counts[n]
     if total > cap:
         raise CountsError(f"{total} trains of length {n} exceed the enumeration cap {cap}")
 
-    # Colored rods in walk order; fits[r] holds those no longer than r.
+    # Colored rods in walk order, keeping those that start some train of
+    # length n (any rod of a train can be moved to its front).  Each starts
+    # at least one of the total trains, so there are at most cap of them.
     rods_in_order = [
-        (k, color, 1 if m > 0 else -1) for k, m in rods.pairs for color in range(1, abs(m) + 1)
+        (k, color, 1 if m > 0 else -1)
+        for k, m in rods.pairs
+        if k <= n and counts[n - k]
+        for color in range(1, abs(m) + 1)
     ]
-    top = rods.max_length or 0
-    fits = [[rod for rod in rods_in_order if rod[0] <= r] for r in range(top + 1)]
+    # fits[r] holds the rods no longer than r; lengths with the same rods share a list.
+    top = rods_in_order[-1][0] if rods_in_order else 0
+    fits: list = []
+    fitting: list = []
+    for r in range(top + 1):
+        if len(fitting) < len(rods_in_order) and rods_in_order[len(fitting)][0] <= r:
+            fitting = [rod for rod in rods_in_order if rod[0] <= r]
+        fits.append(fitting)
     net = 1 if n == 0 else 0
     listing: list | None = ([()] if n == 0 else []) if collect else None
     # A frame per rod placed: rods still to try, length left, sign so far.
     # A rod that completes the train is tallied without a frame.
     train: list = []
-    frames = [(iter(fits[min(n, top)]), n, 1)]
+    frames = [(iter(rods_in_order), n, 1)]
     while frames:
         walk, remaining, sign = frames[-1]
         for rod in walk:

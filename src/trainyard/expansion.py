@@ -141,8 +141,9 @@ def solve_Q(r: RodSource, s: RodSource, horizon: int | None = None) -> Expansion
         if max_s >= max_r:
             d = discrepancies(r, s, max_s)
             if all(d[n - 1] == 0 for n in range(max_s - max_r + 1, max_s + 1)):
-                # Built from a list: a tuple grown from a generator keeps slack.
-                q = RodSet(tuple([(n, d[n - 1]) for n in range(1, max_s - max_r + 1) if d[n - 1]]))
+                q = RodSet.from_mults(
+                    {n: d[n - 1] for n in range(1, max_s - max_r + 1) if d[n - 1]}
+                )
                 return _verified(r, q, s, h, q_finite=True)
         prefix = discrepancies(r, s, h)
         return _verified(r, PrefixRods(tuple(prefix)), s, h, q_finite=False)

@@ -140,12 +140,7 @@ def series_quotient(num: Poly, den_terms: list, n_terms: int, modulus: int | Non
                 j = n + k
                 if j > n_terms:
                     break
-                if c == 1:
-                    out[j] -= v
-                elif c == -1:
-                    out[j] += v
-                else:
-                    out[j] -= c * v
+                out[j] -= c * v
     return out
 
 

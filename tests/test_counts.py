@@ -179,6 +179,18 @@ def test_enumerate_long_single_rod_walk():
     assert listed.net == -1 and listed.trains == (((1, 1, -1),) * 1201,)
 
 
+def test_enumerate_skips_rods_in_no_train():
+    # Rods in no train of length n take no memory or time, however long
+    # they are or however many colors they have.
+    assert enumerate_trains(parse_rodset("[1,1000000000]"), 3) == EnumerationResult(net=1, total=1)
+    assert enumerate_trains(parse_rodset("[2,1000000000]"), 3) == EnumerationResult(net=0, total=0)
+    assert enumerate_trains(parse_rodset("[2^1000000000,-3]"), 3) == EnumerationResult(
+        net=-1, total=1
+    )
+    both = enumerate_trains(parse_rodset("[1,-2,1000000000]"), 0, collect=True)
+    assert both == EnumerationResult(net=1, total=1, trains=((),))
+
+
 def test_binomial_count_regression():
     assert binomial_count(parse_rodset("[3,5]"), 70) == 63862
 
