@@ -192,9 +192,8 @@ def enumerate_trains(
     if total > cap:
         raise CountsError(f"{total} trains of length {n} exceed the enumeration cap {cap}")
 
-    # Colored rods in walk order, keeping those that start some train of
-    # length n (any rod of a train can be moved to its front).  Each starts
-    # at least one of the total trains, so there are at most cap of them.
+    # Colored rods in walk order that start some train of length n (any rod of a
+    # train can move to its front); each starts trains of its own, so total bounds them.
     rods_in_order = [
         (k, color, 1 if m > 0 else -1)
         for k, m in rods.pairs
@@ -202,13 +201,11 @@ def enumerate_trains(
         for color in range(1, abs(m) + 1)
     ]
     # fits[r] holds the rods no longer than r; lengths with the same rods share a list.
-    top = rods_in_order[-1][0] if rods_in_order else 0
-    fits: list = []
-    fitting: list = []
-    for r in range(top + 1):
-        if len(fitting) < len(rods_in_order) and rods_in_order[len(fitting)][0] <= r:
-            fitting = [rod for rod in rods_in_order if rod[0] <= r]
-        fits.append(fitting)
+    cuts = {rod[0]: i + 1 for i, rod in enumerate(rods_in_order)}
+    top = max(cuts, default=0)
+    fits: list = [[]]
+    for r in range(1, top + 1):
+        fits.append(rods_in_order[:cuts[r]] if r in cuts else fits[-1])
     net = 1 if n == 0 else 0
     listing: list | None = ([()] if n == 0 else []) if collect else None
     # A frame per rod placed: rods still to try, length left, sign so far.

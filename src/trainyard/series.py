@@ -2,9 +2,8 @@
 
 A polynomial is a plain Python list of ints in ascending degree order
 with no trailing zeros; the zero polynomial is ``[]``.  Everything here
-is exact: no floats.  The one series kernel, :func:`series_quotient`,
-takes an optional modulus for callers that scan residues and confirm
-every match with exact integers.
+is exact: no floats; the modulus :func:`series_quotient` takes is for
+residue scans that confirm every match with exact integers.
 
 The polynomial of interest for a rod set R is its characteristic
 polynomial 1 - C(x, R), where C is the rod generating function
@@ -167,8 +166,7 @@ def series_mul(p: Poly, q: Poly, n_terms: int) -> list:
 
 
 def sparse_mul(p_terms, q_terms) -> dict:
-    """The product of two polynomials given by their nonzero (degree, coeff)
-    terms, as a {degree: coeff} map of its nonzero terms; no degree is densified."""
+    """Product of two nonzero-term lists as a {degree: coeff} map, never densified."""
     out: dict = {}
     for i, a in p_terms:
         for j, b in q_terms:
