@@ -21,6 +21,7 @@ import sys
 from .counts import (
     ArithmeticRods,
     DEFAULT_ENUMERATION_CAP,
+    PrefixRods,
     RodSource,
     TrainsOf,
     binomial_count,
@@ -124,13 +125,9 @@ def _emit_json(obj) -> int:
     return 0
 
 
-def _render_source(src: RodSource) -> str:
+def _render_source(src: RodSet | PrefixRods) -> str:
     if isinstance(src, RodSet):
         return format_rodset(src)
-    if isinstance(src, ArithmeticRods):
-        return f"arith({src.first},{src.step},{'+' if src.sign == 1 else '-'})"
-    if isinstance(src, TrainsOf):
-        return f"trains({format_rodset(src.base)},{'+' if src.sign == 1 else '-'})"
     return "counts:" + ",".join(str(m) for m in src.mults)
 
 

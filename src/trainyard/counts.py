@@ -15,7 +15,13 @@ the recursion.
 
 Rod sources generalize finite rod sets to the infinite families the
 algebra produces: arithmetic progressions, the trains-of-a-set family,
-and rod sets known only by a multiplicity prefix.
+and rod sets known only by a multiplicity prefix.  The first two are
+rational: their rod generating function is a quotient C = N/D of
+polynomials with D(0) = 1, and a finite set is N = C, D = 1.  Every
+operation on a source is then one series division over the nonzero
+terms of N and D: multiplicities are N/D, train counts 1/(1 - C) =
+D/(D - N), a recurrence as deep as D - N has terms.  A prefix source
+reads as N = its prefix, D = 1, through its horizon only.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from math import comb
 from typing import Sequence, Union
 
 from .rodset import RodSet, format_rodset
-from .series import char_terms, series_mul, series_quotient
+from .series import char_terms, nonzero_terms, series_mul, series_quotient, sparse_add
 
 DEFAULT_ENUMERATION_CAP = 10**6
 
@@ -46,11 +52,9 @@ class ArithmeticRods:
         if self.first < 1 or self.step < 1 or self.sign not in (1, -1):
             raise CountsError("arithmetic rods need first >= 1, step >= 1, sign +-1")
 
-    def mults_upto(self, n: int) -> list:
-        out = [0] * (n + 1)
-        for k in range(self.first, n + 1, self.step):
-            out[k] = self.sign
-        return out
+    def fraction(self) -> tuple:
+        """C = sign * x^first / (1 - x^step), as the nonzero terms of N and D."""
+        return ((self.first, self.sign),), ((0, 1), (self.step, -1))
 
     def to_json(self) -> dict:
         return {"kind": "arith", "first": self.first, "step": self.step, "sign": self.sign}
@@ -71,11 +75,9 @@ class TrainsOf:
         if self.sign not in (1, -1):
             raise CountsError("trains-of source sign must be +-1")
 
-    def mults_upto(self, n: int) -> list:
-        base_counts = train_counts(self.base, n)
-        out = [self.sign * c for c in base_counts]
-        out[0] = 0  # the empty train is not a rod
-        return out
+    def fraction(self) -> tuple:
+        """C = sign * (1/char(base) - 1) = sign * C(base) / char(base), as terms of N and D."""
+        return tuple((k, self.sign * m) for k, m in self.base.pairs), char_terms(self.base)
 
     def to_json(self) -> dict:
         return {"kind": "trains", "base": format_rodset(self.base), "sign": self.sign}
@@ -106,15 +108,34 @@ class PrefixRods:
 RodSource = Union[RodSet, ArithmeticRods, TrainsOf, PrefixRods]
 
 
-def source_mults_upto(rods: RodSource, n: int) -> list:
-    """Multiplicities m(0..n) of a rod source as a dense list (m(0) is always 0)."""
+def _fraction(rods: RodSource, n: int) -> tuple:
+    """C(x, rods) = N/D through degree n, as the nonzero (degree, coeff) terms of N and D.
+
+    N and D are coprime and D(0) = 1.
+    """
     if isinstance(rods, RodSet):
-        out = [0] * (n + 1)
-        for k, m in rods.pairs:
-            if k <= n:
-                out[k] = m
-        return out
-    return rods.mults_upto(n)
+        return rods.pairs, ((0, 1),)
+    if isinstance(rods, PrefixRods):
+        return nonzero_terms(rods.mults_upto(n)), ((0, 1),)
+    return rods.fraction()
+
+
+def _quotient(num_terms, den_terms, n: int) -> list:
+    """Coefficients 0..n of the series num/den, both given by nonzero terms in ascending degree.
+
+    den(0) = 1, so a den with no other term leaves num as it is.
+    """
+    num = [0] * (n + 1)
+    for k, c in num_terms:
+        if k > n:
+            break
+        num[k] = c
+    return series_quotient(num, den_terms, n) if len(den_terms) > 1 else num
+
+
+def source_mults_upto(rods: RodSource, n: int) -> list:
+    """Multiplicities m(0..n) of a rod source as a dense list (m(0) is always 0): N/D."""
+    return _quotient(*_fraction(rods, n), n)
 
 
 def source_to_json(rods: RodSource) -> dict:
@@ -124,14 +145,11 @@ def source_to_json(rods: RodSource) -> dict:
 
 
 def train_counts(rods: RodSource, n_max: int) -> list:
-    """Net train counts F(0..n_max) for a rod set or rod source: the series 1 / (1 - C)."""
+    """Net train counts F(0..n_max) for a rod set or rod source: 1/(1 - C) = D/(D - N)."""
     if n_max < 0:
         raise CountsError("count horizon must be >= 0")
-    if isinstance(rods, RodSet):
-        den = char_terms(rods)
-    else:
-        den = [(0, 1)] + [(k, -m) for k, m in enumerate(rods.mults_upto(n_max)) if m]
-    return series_quotient([1], den, n_max)
+    num, den = _fraction(rods, n_max)
+    return _quotient(den, sparse_add(den, [(k, -c) for k, c in num]), n_max)
 
 
 def discrepancies(r: RodSource, s: RodSource, n_max: int) -> list:

@@ -32,19 +32,18 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .counts import (
-    ArithmeticRods,
-    CountsError,
     PrefixRods,
     RodSource,
-    TrainsOf,
+    _fraction,
+    _quotient,
     discrepancies,
     source_mults_upto,
     source_to_json,
     train_counts,
 )
 from .rodset import RodSet, concat, negate, union
-from .series import char_poly, char_terms, nonzero_terms, poly_divexact, poly_trim
-from .series import series_mul, series_quotient, sparse_mul
+from .series import char_terms, nonzero_terms, poly_trim, series_mul, series_quotient
+from .series import sparse_add, sparse_mul
 
 DEFAULT_HORIZON = 64
 
@@ -88,13 +87,9 @@ def _one_plus_terms(q: RodSet) -> tuple:
     return ((0, 1),) + q.pairs
 
 
-def _negate_source(rods: RodSource) -> RodSource:
+def _negate_source(rods: RodSet | PrefixRods) -> RodSet | PrefixRods:
     if isinstance(rods, RodSet):
         return negate(rods)
-    if isinstance(rods, ArithmeticRods):
-        return ArithmeticRods(rods.first, rods.step, -rods.sign)
-    if isinstance(rods, TrainsOf):
-        return TrainsOf(rods.base, -rods.sign)
     return PrefixRods(tuple(-m for m in rods.mults))
 
 
@@ -178,57 +173,21 @@ def solve_R(q: RodSet, s: RodSource, horizon: int | None = None) -> Expansion:
 def dual(q: RodSource, horizon: int | None = None) -> RodSet | PrefixRods:
     """The dual rod set Q*: count(n, Q*) = F(n, anti(Q)), inverting 1 + C(x, Q).
 
-    Reported finite only on exact grounds: a trailing window of zero
-    counts plus a polynomial identity proving nothing reappears.  For a
-    rod set known only by prefix the answer stays a prefix.
+    With C(x, Q) = N/D the dual's series is 1 + C(x, Q*) = D/(D + N).
+    Q* is finite exactly when D + N divides D, and since N and D are
+    coprime that happens only when D + N = 1, so Q* = D - 1.  Otherwise,
+    and for a rod set known only by prefix, the answer is the prefix
+    through the horizon, DEFAULT_HORIZON unless given.  So a nonempty
+    finite Q never has a finite dual.
     """
-    if isinstance(q, RodSet):
-        if not q.pairs:
-            return RodSet()
-        h = max(DEFAULT_HORIZON, 2 * q.max_length + 16) if horizon is None else horizon
-        body = train_counts(negate(q), h)[1:]
-        window = q.max_length
-        if h > window and all(c == 0 for c in body[-window:]):
-            cand = RodSet.from_mults({n: c for n, c in enumerate(body, 1) if c})
-            if sparse_mul(_one_plus_terms(q), _one_plus_terms(cand)) == {0: 1}:
-                return cand
-        return PrefixRods(tuple(body))
-    if isinstance(q, TrainsOf):
-        base_top = q.base.max_length or 0
-        h = max(DEFAULT_HORIZON, 2 * base_top + 16) if horizon is None else horizon
-        body = train_counts(_negate_source(q), h)[1:]
-        char = char_poly(q.base)
-        if q.sign == 1:
-            # 1 + C(x, TrainsOf(base)) = 1 / char_poly(base), so the dual
-            # is exactly anti(base).
-            cand = negate(q.base)
-            expected = source_mults_upto(cand, h)[1:]
-            assert body == expected, "trains-of duality identity failed; this is a bug"
-            return cand
-        # sign -1: 1 + C_Q = (2*char - 1)/char, so the dual generating
-        # function is char/(2*char - 1); finite exactly when that divides.
-        den = poly_trim([2 * c for c in char])
-        den[0] = 1  # 2*char - 1 has constant term 1
-        g = poly_divexact(char, den)
-        if g is not None:
-            return RodSet.from_mults({k: c for k, c in enumerate(g) if k >= 1 and c})
-        return PrefixRods(tuple(body))
-    if isinstance(q, ArithmeticRods):
-        h = DEFAULT_HORIZON if horizon is None else horizon
-        body = train_counts(_negate_source(q), h)[1:]
-        # 1 + C_Q = (1 - x^d + sign*x^a) / (1 - x^d): finite dual exactly
-        # when the denominator of the reciprocal divides 1 - x^d.
-        num = [1] + [0] * (q.step - 1) + [-1]
-        den = dict(enumerate(num))
-        den[q.first] = den.get(q.first, 0) + q.sign
-        den_poly = poly_trim([den.get(i, 0) for i in range(max(den) + 1)])
-        g = poly_divexact(num, den_poly)
-        if g is not None:
-            return RodSet.from_mults({k: c for k, c in enumerate(g) if k >= 1 and c})
-        return PrefixRods(tuple(body))
     h = DEFAULT_HORIZON if horizon is None else horizon
-    h = min(h, len(q.mults))
-    return PrefixRods(tuple(train_counts(_negate_source(q), h)[1:]))
+    if isinstance(q, PrefixRods):
+        h = min(h, len(q.mults))
+    num, den = _fraction(q, h)
+    whole = sparse_add(den, num)
+    if whole == [(0, 1)] and not isinstance(q, PrefixRods):
+        return RodSet.from_mults(den[1:])
+    return PrefixRods(tuple(_quotient(den, whole, h)[1:]))
 
 
 def compose(q_pr: RodSet, q_rs: RodSet) -> RodSet:

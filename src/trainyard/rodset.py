@@ -246,16 +246,6 @@ def describe(r: RodSet) -> ShapeReport:
     )
 
 
-def equivalent(r: RodSet, s: RodSet) -> bool:
-    """Whether two rod sets are equivalent.
-
-    Storage is already reduced, so equivalence is structural equality;
-    the name survives because equivalence is the correctness relation
-    everywhere in this library.
-    """
-    return r.pairs == s.pairs
-
-
 def odd_sign_swap(r: RodSet) -> RodSet:
     """Negate the multiplicity of every odd length (an involution).
 

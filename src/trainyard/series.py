@@ -165,6 +165,16 @@ def series_mul(p: Poly, q: Poly, n_terms: int) -> list:
     return out
 
 
+def sparse_add(p_terms, q_terms) -> list:
+    """Sum of two nonzero-term lists as a nonzero-term list in ascending degree."""
+    if not p_terms or not q_terms or p_terms[-1][0] < q_terms[0][0]:
+        return [*p_terms, *q_terms]  # the degree ranges do not overlap
+    out = dict(p_terms)
+    for k, c in q_terms:
+        out[k] = out.get(k, 0) + c
+    return sorted((k, c) for k, c in out.items() if c)
+
+
 def sparse_mul(p_terms, q_terms) -> dict:
     """Product of two nonzero-term lists as a {degree: coeff} map, never densified."""
     out: dict = {}

@@ -271,18 +271,6 @@ def _lucas_rodset(s: int, t: int, sign: int) -> RodSet:
     return RodSet(((1, sign * s), (2, t)))
 
 
-def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
 def lucas_check(s: int, t: int, sign: int, horizon: int) -> LucasReport:
     """Verify the Lucas properties of R = [1^(sign*s), 2^t] up to the horizon.
 
@@ -305,8 +293,12 @@ def lucas_check(s: int, t: int, sign: int, horizon: int) -> LucasReport:
                 break
     div_ok = True
     lucas = counts  # L(n) = F(n-1) = counts[n-1]
+    proper_divisors: list = [[] for _ in range(horizon + 1)]  # ascending, by sieve
+    for m in range(1, horizon // 2 + 1):
+        for n in range(2 * m, horizon + 1, m):
+            proper_divisors[n].append(m)
     for n in range(2, horizon + 1):
-        for m in _divisors(n)[:-1]:
+        for m in proper_divisors[n]:
             num, den = lucas[n - 1], lucas[m - 1]
             if den == 0 or num % den:
                 div_ok = False

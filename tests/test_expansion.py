@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -207,6 +208,24 @@ def test_dual_exact_verdicts():
 
     assert dual(ArithmeticRods(2, 2, 1)) == parse_rodset("[-2]")
     assert dual(RodSet()) == RodSet()
+
+
+def test_dual_of_a_prefix_stays_a_prefix():
+    # Zeros up to the horizon say nothing about the rods beyond it.
+    assert dual(PrefixRods((0, 0, 0))) == PrefixRods((0, 0, 0))
+    assert dual(PrefixRods((1, 0, 0)), 64) == PrefixRods((-1, 1, -1))
+
+
+def test_long_rod_sources_stay_sparse():
+    # Dense quotients or horizons would need lists of 10^9 coefficients here.
+    start = time.perf_counter()
+    for q in (ArithmeticRods(10**9, 1), TrainsOf(parse_rodset("[1000000000]"), -1)):
+        got = dual(q)
+        assert isinstance(got, PrefixRods) and got.mults == (0,) * 64
+    assert dual(TrainsOf(parse_rodset("[1000000000]"))) == parse_rodset("[-1000000000]")
+    assert dual(ArithmeticRods(10**9, 10**9)) == parse_rodset("[-1000000000]")
+    assert train_counts(ArithmeticRods(10**9, 1), 50) == [1] + [0] * 50
+    assert time.perf_counter() - start < 2.0
 
 
 def test_dual_involution():
