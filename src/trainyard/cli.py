@@ -31,7 +31,6 @@ from .counts import (
     train_counts,
 )
 from .expansion import (
-    Expansion,
     compose,
     dual,
     expand,
@@ -120,26 +119,21 @@ def _format() -> str:
     return value
 
 
-def _emit_json(obj) -> int:
-    print(json.dumps(obj))
-    return 0
-
-
 def _render_source(src: RodSet | PrefixRods) -> str:
     if isinstance(src, RodSet):
         return format_rodset(src)
-    return "counts:" + ",".join(str(m) for m in src.mults)
+    return "counts:" + _csv(src.mults)
 
 
-def _finite_word(flag: bool | None) -> str:
-    return {True: "true", False: "false", None: "undecided"}[flag]
+def _csv(values) -> str:
+    return ",".join(str(v) for v in values)
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers
+# Subcommand handlers: each returns (JSON object, text lines) for main to print.
 
 
-def _cmd_counts(args) -> int:
+def _cmd_counts(args):
     chosen = [
         arg for arg in (args.rodset, args.arith, args.trains) if arg is not None
     ]
@@ -160,167 +154,111 @@ def _cmd_counts(args) -> int:
         source = TrainsOf(_rodset_arg(raw), sign)
     else:
         source = _rodset_arg(args.rodset)
-    n = _horizon(args)
-    values = train_counts(source, n)
-    if _format() == "json":
-        return _emit_json({"start": 0, "values": values})
-    print(",".join(str(v) for v in values))
-    return 0
+    values = train_counts(source, _horizon(args))
+    return {"start": 0, "values": values}, [_csv(values)]
 
 
-def _cmd_discrep(args) -> int:
+def _cmd_discrep(args):
     n = _horizon(args)
     values = discrepancies(_rodset_arg(args.r), _rodset_arg(args.s), n)
-    if _format() == "json":
-        return _emit_json({"start": 1, "values": values})
-    print(",".join(str(v) for v in values))
-    return 0
+    return {"start": 1, "values": values}, [_csv(values)]
 
 
-def _emit_expansion(exp: Expansion, show: str) -> int:
-    if _format() == "json":
-        return _emit_json(exp.to_json())
-    shown = exp.r if show == "R" else exp.q
-    print(f"{show}={_render_source(shown)}")
-    verdict = exp.r_finite if show == "R" else exp.q_finite
-    print(f"finite={_finite_word(verdict)}")
-    return 0
-
-
-def _cmd_expand(args) -> int:
+def _cmd_expand(args):
     exp = expand(_rodset_arg(args.r), _rodset_arg(args.q), _horizon(args))
-    if _format() == "json":
-        return _emit_json(exp.to_json())
-    print(f"S={_render_source(exp.s)}")
-    return 0
+    return exp.to_json(), [f"S={_render_source(exp.s)}"]
 
 
-def _cmd_solveq(args) -> int:
+def _cmd_solveq(args):
     exp = solve_Q(_rodset_arg(args.r), _rodset_arg(args.s), _horizon(args))
-    return _emit_expansion(exp, "Q")
+    return exp.to_json(), [f"Q={_render_source(exp.q)}", f"finite={str(exp.q_finite).lower()}"]
 
 
-def _cmd_solver(args) -> int:
+def _cmd_solver(args):
     exp = solve_R(_rodset_arg(args.q), _rodset_arg(args.s), _horizon(args))
-    return _emit_expansion(exp, "R")
+    return exp.to_json(), [f"R={_render_source(exp.r)}", f"finite={str(exp.r_finite).lower()}"]
 
 
-def _cmd_dual(args) -> int:
+def _cmd_dual(args):
     result = dual(_rodset_arg(args.q), _horizon(args))
-    if _format() == "json":
-        return _emit_json(source_to_json(result))
-    print(_render_source(result))
-    return 0
+    return source_to_json(result), [_render_source(result)]
 
 
-def _cmd_compose(args) -> int:
+def _cmd_compose(args):
     result = compose(_rodset_arg(args.q1), _rodset_arg(args.q2))
-    if _format() == "json":
-        return _emit_json({"kind": "finite", "rods": format_rodset(result)})
-    print(format_rodset(result))
-    return 0
+    return source_to_json(result), [format_rodset(result)]
 
 
-def _cmd_fromseq(args) -> int:
+def _cmd_fromseq(args):
     result = rodset_from_counts(_int_csv(args.values))
-    if _format() == "json":
-        return _emit_json({"kind": "finite", "rods": format_rodset(result)})
-    print(format_rodset(result))
-    return 0
+    return source_to_json(result), [format_rodset(result)]
 
 
-def _cmd_expandmin(args) -> int:
+def _cmd_expandmin(args):
     q, s = expand_minimal(_rodset_arg(args.r))
-    if _format() == "json":
-        return _emit_json({"Q": format_rodset(q), "S": format_rodset(s)})
-    print(f"Q={format_rodset(q)}")
-    print(f"S={format_rodset(s)}")
-    return 0
+    return {"Q": format_rodset(q), "S": format_rodset(s)}, [
+        f"Q={format_rodset(q)}",
+        f"S={format_rodset(s)}",
+    ]
 
 
-def _cmd_period(args) -> int:
+def _cmd_period(args):
     report = detect_period(_rodset_arg(args.r))
-    if _format() == "json":
-        return _emit_json(
-            {
-                "periodic": report.periodic,
-                "period": report.least_period,
-                "factors": list(report.cyclotomic_factors),
-                "Q": format_rodset(report.q_to_period) if report.periodic else None,
-            }
-        )
-    if report.periodic:
-        factors = ",".join(str(d) for d in report.cyclotomic_factors)
-        print(
-            f"periodic p={report.least_period} factors={factors} "
-            f"Q={format_rodset(report.q_to_period)}"
-        )
-    else:
-        print("not periodic")
-    return 0
-
-
-def _cmd_scan1(args) -> int:
-    hits = scan_one_expansions(_rodset_arg(args.r), args.bound)
-    if _format() == "json":
-        return _emit_json([{"a": a, "mult": m} for a, m in hits])
-    if not hits:
-        print("none")
-    for a, m in hits:
-        print(f"a={a} mult={m}")
-    return 0
-
-
-def _hit_json(hit) -> dict:
-    return {
-        "a": hit.a,
-        "b": hit.b,
-        "alpha": hit.alpha,
-        "S": format_rodset(hit.s),
-        "Q": format_rodset(hit.q),
+    obj = {
+        "periodic": report.periodic,
+        "period": report.least_period,
+        "factors": list(report.cyclotomic_factors),
+        "Q": format_rodset(report.q_to_period) if report.periodic else None,
     }
+    if not report.periodic:
+        return obj, ["not periodic"]
+    return obj, [
+        f"periodic p={report.least_period} factors={_csv(report.cyclotomic_factors)} "
+        f"Q={format_rodset(report.q_to_period)}"
+    ]
 
 
-def _emit_hits(hits) -> int:
-    if _format() == "json":
-        return _emit_json([_hit_json(h) for h in hits])
-    if not hits:
-        print("none")
-    for h in hits:
-        print(
-            f"a={h.a} b={h.b} alpha={h.alpha} "
-            f"S={format_rodset(h.s)} Q={format_rodset(h.q)}"
-        )
-    return 0
+def _cmd_scan1(args):
+    hits = scan_one_expansions(_rodset_arg(args.r), args.bound)
+    return [{"a": a, "mult": m} for a, m in hits], [
+        f"a={a} mult={m}" for a, m in hits
+    ] or ["none"]
 
 
-def _cmd_scan2(args) -> int:
+def _hits_output(hits):
+    obj = [
+        {"a": h.a, "b": h.b, "alpha": h.alpha, "S": format_rodset(h.s), "Q": format_rodset(h.q)}
+        for h in hits
+    ]
+    return obj, [
+        f"a={h.a} b={h.b} alpha={h.alpha} S={format_rodset(h.s)} Q={format_rodset(h.q)}"
+        for h in hits
+    ] or ["none"]
+
+
+def _cmd_scan2(args):
     hits = scan_two_expansions(
         _rodset_arg(args.r), args.bound, include_trivial=args.include_trivial
     )
-    return _emit_hits(hits)
+    return _hits_output(hits)
 
 
-def _cmd_lucas(args) -> int:
+def _cmd_lucas(args):
     report = lucas_check(args.s, args.t, args.sign, _horizon(args))
-    if _format() == "json":
-        return _emit_json(
-            {
-                "s": report.s,
-                "t": report.t,
-                "sign": report.sign,
-                "horizon": report.horizon,
-                "passed": report.passed,
-                "mod_check": report.mod_check,
-                "divisibility_check": report.divisibility_check,
-                "failure": report.failure,
-            }
-        )
-    print("pass" if report.passed else f"fail: {report.failure}")
-    return 0
+    obj = {
+        "s": report.s,
+        "t": report.t,
+        "sign": report.sign,
+        "horizon": report.horizon,
+        "passed": report.passed,
+        "mod_check": report.mod_check,
+        "divisibility_check": report.divisibility_check,
+        "failure": report.failure,
+    }
+    return obj, ["pass" if report.passed else f"fail: {report.failure}"]
 
 
-def _cmd_lucas_shapes(args) -> int:
+def _cmd_lucas_shapes(args):
     hits = lucas_two_shapes(
         args.s,
         args.t,
@@ -332,27 +270,23 @@ def _cmd_lucas_shapes(args) -> int:
         d=args.d,
         k_max=args.k_max,
     )
-    return _emit_hits(hits)
+    return _hits_output(hits)
 
 
-def _cmd_borwein(args) -> int:
+def _cmd_borwein(args):
     table = borwein_classify(args.bound)
-    if _format() == "json":
-        return _emit_json(
-            {
-                "bound": table.bound,
-                "classes": {
-                    label: [list(pair) for pair in pairs]
-                    for label, pairs in table.classes.items()
-                },
-                "unclassified": [list(entry) for entry in table.unclassified],
-            }
-        )
-    for label, pairs in table.classes.items():
-        print(f"{label}: {len(pairs)} hits")
+    obj = {
+        "bound": table.bound,
+        "classes": {
+            label: [list(pair) for pair in pairs]
+            for label, pairs in table.classes.items()
+        },
+        "unclassified": [list(entry) for entry in table.unclassified],
+    }
+    lines = [f"{label}: {len(pairs)} hits" for label, pairs in table.classes.items()]
     if table.unclassified:
-        print(f"unclassified: {len(table.unclassified)}")
-    return 0
+        lines.append(f"unclassified: {len(table.unclassified)}")
+    return obj, lines
 
 
 def _train_token(rod: tuple, rods: RodSet) -> str:
@@ -363,58 +297,40 @@ def _train_token(rod: tuple, rods: RodSet) -> str:
     return text
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args):
     rods = _rodset_arg(args.r)
     result = enumerate_trains(rods, args.n, cap=args.cap, collect=args.list)
-    trains = None
+    obj = {"n": args.n, "net": result.net, "total": result.total}
+    lines = [f"net={result.net} total={result.total}"]
     if args.list:
         trains = [
             "+".join(_train_token(rod, rods) for rod in train) if train else "e"
             for train in result.trains
         ]
-    if _format() == "json":
-        obj = {"n": args.n, "net": result.net, "total": result.total}
-        if trains is not None:
-            obj["trains"] = trains
-        return _emit_json(obj)
-    print(f"net={result.net} total={result.total}")
-    if trains is not None:
-        for line in trains:
-            print(line)
-    return 0
+        obj["trains"] = trains
+        lines += trains
+    return obj, lines
 
 
-def _cmd_binom(args) -> int:
+def _cmd_binom(args):
     value = binomial_count(_rodset_arg(args.r), args.n)
-    if _format() == "json":
-        return _emit_json({"value": value})
-    print(value)
-    return 0
+    return {"value": value}, [str(value)]
 
 
-def _cmd_poly(args) -> int:
+def _cmd_poly(args):
     p1, p2 = _int_csv(args.p1), _int_csv(args.p2)
     if args.op == "mul":
         result = poly_mul(p1, p2)
-        if _format() == "json":
-            return _emit_json({"coefficients": result})
-        print(poly_text(result))
-        return 0
+        return {"coefficients": result}, [poly_text(result)]
     quotient = poly_divexact(p1, p2)
-    if _format() == "json":
-        return _emit_json({"quotient": quotient})
-    print("not divisible" if quotient is None else poly_text(quotient))
-    return 0
+    return {"quotient": quotient}, ["not divisible" if quotient is None else poly_text(quotient)]
 
 
-def _cmd_cyclo(args) -> int:
+def _cmd_cyclo(args):
     if args.d < 1:
         raise _CliError("cyclotomic order must be at least 1")
     coeffs = cyclotomic(args.d)
-    if _format() == "json":
-        return _emit_json({"d": args.d, "coefficients": coeffs})
-    print(poly_text(coeffs))
-    return 0
+    return {"d": args.d, "coefficients": coeffs}, [poly_text(coeffs)]
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +449,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        obj, lines = args.handler(args)
+        text = [json.dumps(obj)] if _format() == "json" else lines
     except (ValueError, argparse.ArgumentTypeError) as exc:
         # Every domain error in the package is a ValueError subclass.
         print(f"error: {exc}", file=sys.stderr)
@@ -541,6 +458,9 @@ def main(argv: list[str] | None = None) -> int:
     except (RecursionError, MemoryError) as exc:
         print(f"error: input too large to compute ({type(exc).__name__})", file=sys.stderr)
         return 1
+    for line in text:
+        print(line)
+    return 0
 
 
 if __name__ == "__main__":

@@ -20,8 +20,9 @@ rational: their rod generating function is a quotient C = N/D of
 polynomials with D(0) = 1, and a finite set is N = C, D = 1.  Every
 operation on a source is then one series division over the nonzero
 terms of N and D: multiplicities are N/D, train counts 1/(1 - C) =
-D/(D - N), a recurrence as deep as D - N has terms.  A prefix source
-reads as N = its prefix, D = 1, through its horizon only.
+D/(D - N), a recurrence as deep as D - N has terms, and the
+discrepancies of r against s the series (1 - C_S)/(1 - C_R).  A prefix
+source reads as N = its prefix, D = 1, through its horizon only.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from math import comb
 from typing import Sequence, Union
 
 from .rodset import RodSet, format_rodset
-from .series import char_terms, nonzero_terms, series_mul, series_quotient, sparse_add
+from .series import char_terms, nonzero_terms, series_mul, series_quotient, sparse_add, sparse_mul
 
 DEFAULT_ENUMERATION_CAP = 10**6
 
@@ -120,6 +121,24 @@ def _fraction(rods: RodSource, n: int) -> tuple:
     return rods.fraction()
 
 
+def _one_minus(num, den) -> list:
+    """D - N, the numerator of 1 - C = (D - N)/D, as nonzero terms."""
+    return sparse_add(den, [(k, -c) for k, c in num])
+
+
+def _mediator(r: RodSource, s: RodSource, n: int) -> tuple:
+    """1 + C_Q = (1 - C_S)/(1 - C_R) for r -> Q -> s, as the nonzero terms of its N and D.
+
+    That is (D_S - N_S) * D_R / (D_S * (D_R - N_R)), through degree n
+    for prefix sources; both constant terms are 1.
+    """
+    num_r, den_r = _fraction(r, n)
+    num_s, den_s = _fraction(s, n)
+    num = sparse_mul(_one_minus(num_s, den_s), den_r)
+    den = sparse_mul(den_s, _one_minus(num_r, den_r))
+    return sorted(num.items()), sorted(den.items())
+
+
 def _quotient(num_terms, den_terms, n: int) -> list:
     """Coefficients 0..n of the series num/den, both given by nonzero terms in ascending degree.
 
@@ -149,7 +168,7 @@ def train_counts(rods: RodSource, n_max: int) -> list:
     if n_max < 0:
         raise CountsError("count horizon must be >= 0")
     num, den = _fraction(rods, n_max)
-    return _quotient(den, sparse_add(den, [(k, -c) for k, c in num]), n_max)
+    return _quotient(den, _one_minus(num, den), n_max)
 
 
 def discrepancies(r: RodSource, s: RodSource, n_max: int) -> list:
@@ -157,10 +176,11 @@ def discrepancies(r: RodSource, s: RodSource, n_max: int) -> list:
 
     D(n) = F(n, r) - sum over k in s of mult_s(k) * F(n - k, r).  The
     discrepancy theorem says these are exactly the rod counts of the Q
-    mediating the expansion r -> s, which is what the solvers exploit.
+    mediating the expansion r -> s: coefficients 1..n_max of 1 + C_Q.
     """
-    counts = train_counts(r, n_max)
-    return sequence_discrepancies(counts, s)
+    if n_max < 0:
+        raise CountsError("count horizon must be >= 0")
+    return _quotient(*_mediator(r, s, n_max), n_max)[1:]
 
 
 def sequence_discrepancies(values: Sequence[int], s: RodSource) -> list:

@@ -14,12 +14,13 @@ to the horizon otherwise.
 
 Given any two of R, Q, S the third is determined.  The discrepancy
 theorem makes the Q-solver direct: the rod counts of Q are exactly the
-discrepancies D(n, R, S), the failures of F(., R) to satisfy S's
-recursion.  For finite R and S the finiteness of Q is decidable
-outright: max S = max R + max Q forces where Q must stop, and a window
-of max R zero discrepancies just above that point certifies that the
-rest vanish (the discrepancies themselves satisfy R's recursion out
-there).  When max S < max R no finite Q can exist at all.
+discrepancies D(n, R, S), the coefficients of the series
+1 + C(x, Q) = (1 - C(x, S)) / (1 - C(x, R)).  Every source except a
+prefix has a rational generating function N/D, so that series is a
+quotient of polynomials and the finiteness of Q is decidable outright:
+it is a polynomial exactly when it stops at deg num - deg den, which
+one exact division settles.  When Q is infinite, or an input is known
+only by a prefix, the answer is Q's count prefix to the horizon.
 
 The R-solver is the exchange law (R -> Q -> S iff anti(Q) -> anti(R) -> S)
 applied to the Q-solver, and the dual inverts 1 + C(x, Q), flipping an
@@ -35,17 +36,19 @@ from .counts import (
     PrefixRods,
     RodSource,
     _fraction,
+    _mediator,
     _quotient,
-    discrepancies,
     source_mults_upto,
     source_to_json,
-    train_counts,
 )
 from .rodset import RodSet, concat, negate, union
-from .series import char_terms, nonzero_terms, poly_trim, series_mul, series_quotient
+from .series import char_terms, nonzero_terms, series_mul, series_quotient
 from .series import sparse_add, sparse_mul
 
 DEFAULT_HORIZON = 64
+# Largest degree of the dense quotient that decides whether a solved or dual
+# rod set is finite; past it the solvers refuse instead of allocating.
+QUOTIENT_DEGREE_LIMIT = 10**5
 
 
 class ExpansionError(ValueError):
@@ -56,10 +59,9 @@ class ExpansionError(ValueError):
 class Expansion:
     """A verified expansion record r -> q -> s.
 
-    ``q_finite`` is True/False when decided exactly, None when only a
-    horizon-limited prefix is known; ``trailing_zeros`` then reports the
-    observed zero run at the end of q's count prefix.  ``r_finite``
-    plays the same role for the R-solver's output.
+    ``q_finite`` is True/False when decided exactly, None when an input
+    is known only by a prefix.  ``r_finite`` plays the same role for the
+    R-solver's output.
     """
 
     r: RodSource
@@ -68,7 +70,6 @@ class Expansion:
     horizon: int
     q_finite: bool | None
     identity_checked: bool
-    trailing_zeros: int | None = None
     r_finite: bool | None = True
 
     def to_json(self) -> dict:
@@ -103,10 +104,34 @@ def _identity_holds(r: RodSource, q: RodSource, s: RodSource, horizon: int) -> b
     return product == [1] + [-c for c in cs[1:]]
 
 
-def _verified(r, q, s, horizon, q_finite, trailing_zeros=None, r_finite=True) -> Expansion:
+def _verified(r, q, s, horizon, q_finite, r_finite=True) -> Expansion:
     if not _identity_holds(r, q, s, horizon):
         raise ExpansionError("expansion witness identity failed; this is a bug")
-    return Expansion(r, q, s, horizon, q_finite, True, trailing_zeros, r_finite)
+    return Expansion(r, q, s, horizon, q_finite, True, r_finite)
+
+
+def _rods_of(num, den, horizon: int, exact: bool) -> RodSet | PrefixRods:
+    """The Q with 1 + C(x, Q) = num/den, given the nonzero terms of both (constant terms 1).
+
+    A polynomial quotient has degree deg num - deg den, so the series is
+    cut there and Q is finite exactly when that cut times den is num.
+    Otherwise, or when num/den is not ``exact`` past the horizon, Q is
+    its prefix through the horizon.
+    """
+    if exact:
+        if len(den) == 1:
+            return RodSet(tuple(num[1:]))
+        top = num[-1][0] - den[-1][0]
+        if top > QUOTIENT_DEGREE_LIMIT:
+            raise ExpansionError(
+                f"deciding finiteness needs a quotient of degree {top}, "
+                f"over the limit QUOTIENT_DEGREE_LIMIT = {QUOTIENT_DEGREE_LIMIT}"
+            )
+        if top >= 0:
+            cut = nonzero_terms(_quotient(num, den, top))
+            if sparse_mul(cut, den) == dict(num):
+                return RodSet(tuple(cut[1:]))
+    return PrefixRods(tuple(_quotient(num, den, horizon)[1:]))
 
 
 def expand(r: RodSet, q: RodSet, horizon: int = DEFAULT_HORIZON) -> Expansion:
@@ -116,41 +141,17 @@ def expand(r: RodSet, q: RodSet, horizon: int = DEFAULT_HORIZON) -> Expansion:
 
 
 def solve_Q(r: RodSource, s: RodSource, horizon: int | None = None) -> Expansion:
-    """Find the Q mediating r -> Q -> s; its counts are the discrepancies.
+    """Find the Q mediating r -> Q -> s: 1 + C(x, Q) = (1 - C(x, s)) / (1 - C(x, r)).
 
-    With finite r and s the finiteness verdict is exact; with infinite
-    sources it is undecided at the horizon (q_finite None) and the
-    record carries the count prefix.
+    Q's counts are the discrepancies.  The verdict is exact by one
+    division of the N/D form; Q is finite exactly when the quotient is a
+    polynomial, and otherwise the record carries Q's count prefix.  With
+    a prefix input only the prefix is known (q_finite None).
     """
     h = DEFAULT_HORIZON if horizon is None else horizon
-    if isinstance(r, RodSet) and isinstance(s, RodSet):
-        if not r.pairs:
-            # The empty set counts only the empty train, so the
-            # discrepancies are minus s's own multiplicities.
-            return _verified(r, negate(s), s, h, q_finite=True)
-        if not s.pairs:
-            # r -> trains(r) -> []: every train becomes a rod of Q.
-            prefix = train_counts(r, h)[1:]
-            return _verified(r, PrefixRods(tuple(prefix)), s, h, q_finite=False)
-        max_r, max_s = r.max_length, s.max_length
-        if max_s >= max_r:
-            d = discrepancies(r, s, max_s)
-            if all(d[n - 1] == 0 for n in range(max_s - max_r + 1, max_s + 1)):
-                q = RodSet.from_mults(
-                    {n: d[n - 1] for n in range(1, max_s - max_r + 1) if d[n - 1]}
-                )
-                return _verified(r, q, s, h, q_finite=True)
-        prefix = discrepancies(r, s, h)
-        return _verified(r, PrefixRods(tuple(prefix)), s, h, q_finite=False)
-    prefix = discrepancies(r, s, h)
-    return _verified(
-        r,
-        PrefixRods(tuple(prefix)),
-        s,
-        h,
-        q_finite=None,
-        trailing_zeros=len(prefix) - len(poly_trim(prefix)),
-    )
+    exact = not isinstance(r, PrefixRods) and not isinstance(s, PrefixRods)
+    q = _rods_of(*_mediator(r, s, h), h, exact)
+    return _verified(r, q, s, h, q_finite=isinstance(q, RodSet) if exact else None)
 
 
 def solve_R(q: RodSet, s: RodSource, horizon: int | None = None) -> Expansion:
@@ -173,21 +174,19 @@ def solve_R(q: RodSet, s: RodSource, horizon: int | None = None) -> Expansion:
 def dual(q: RodSource, horizon: int | None = None) -> RodSet | PrefixRods:
     """The dual rod set Q*: count(n, Q*) = F(n, anti(Q)), inverting 1 + C(x, Q).
 
-    With C(x, Q) = N/D the dual's series is 1 + C(x, Q*) = D/(D + N).
-    Q* is finite exactly when D + N divides D, and since N and D are
-    coprime that happens only when D + N = 1, so Q* = D - 1.  Otherwise,
-    and for a rod set known only by prefix, the answer is the prefix
-    through the horizon, DEFAULT_HORIZON unless given.  So a nonempty
+    With C(x, Q) = N/D the dual's series is 1 + C(x, Q*) = D/(D + N), and
+    one division decides it: Q* is finite exactly when D + N divides D.
+    Otherwise, and for a rod set known only by prefix, the answer is the
+    prefix through the horizon, DEFAULT_HORIZON unless given.  N and D
+    are coprime, so D + N divides D only when D + N = 1, and a nonempty
     finite Q never has a finite dual.
     """
     h = DEFAULT_HORIZON if horizon is None else horizon
-    if isinstance(q, PrefixRods):
+    exact = not isinstance(q, PrefixRods)
+    if not exact:
         h = min(h, len(q.mults))
     num, den = _fraction(q, h)
-    whole = sparse_add(den, num)
-    if whole == [(0, 1)] and not isinstance(q, PrefixRods):
-        return RodSet.from_mults(den[1:])
-    return PrefixRods(tuple(_quotient(den, whole, h)[1:]))
+    return _rods_of(den, sparse_add(den, num), h, exact)
 
 
 def compose(q_pr: RodSet, q_rs: RodSet) -> RodSet:

@@ -1,4 +1,5 @@
-"""Shared test helpers: an independent brute-force oracle and a rod-set maker.
+"""Shared test helpers: an independent brute-force oracle, a rod-set maker,
+and the settings of the property tests.
 
 The oracle walks compositions literally and multiplies net
 multiplicities — no code shared with the package's recursion or its
@@ -11,8 +12,12 @@ import math
 import random
 
 import pytest
+from hypothesis import settings
 
 from trainyard import RodSet
+
+# Derandomized and capped, so every run checks the same inputs and the suite stays fast.
+PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 
 
 def _compositions(n: int, lengths: tuple[int, ...]):

@@ -169,6 +169,13 @@ def test_domain_errors_exit_one(run):
         assert err.startswith("error: ") and fragment in err, f"wrong message for {argv}"
 
 
+def test_solveq_past_the_quotient_limit_fails_at_once(run):
+    # Deciding this Q would need a dense quotient of degree 10^9 - 2.
+    code, out, err = run(["solveq", "[1,2]", "[1000000000]"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "QUOTIENT_DEGREE_LIMIT" in err
+
+
 def test_long_walks_and_resource_exhaustion_keep_the_contract(run, monkeypatch):
     assert run(["enumerate", "[1]", "1500"]) == (0, "net=1 total=1\n", "")
     for exc in (RecursionError, MemoryError):

@@ -129,12 +129,25 @@ def test_solve_q_infinite_verdicts():
     assert to_nothing.q.mults == (1, 2, 3, 5, 8, 13), "mediator to [] carries R's own counts"
 
 
-def test_solve_q_source_targets_are_undecided():
+def test_solve_q_source_targets_are_decided_exactly():
     odd = ArithmeticRods(1, 2, 1)
     got = solve_Q(parse_rodset("[1,2]"), odd, 10)
-    assert got.q_finite is None, "source targets only admit horizon-limited answers"
+    assert got.q_finite is False, "1 + C_Q = 1/(1 - x^2) is not a polynomial"
     assert got.q.mults == (0, 1, 0, 1, 0, 1, 0, 1, 0, 1)
-    assert got.trailing_zeros == 0
+
+
+def test_quotient_limit_and_unit_divisors():
+    start = time.perf_counter()
+    with pytest.raises(ExpansionError, match="QUOTIENT_DEGREE_LIMIT"):
+        solve_Q(parse_rodset("[1,2]"), parse_rodset("[1000000000]"))
+    # A divisor of 1 decides without dividing, so no limit applies.
+    assert solve_Q(RodSet(), parse_rodset("[1000000000]")).q == parse_rodset("[-1000000000]")
+    # Quotients of degree 0 stay sparse however long the rods are.
+    back = solve_R(parse_rodset("[1000000000]"), parse_rodset("[-1000000000]"))
+    assert back.r == RodSet() and back.r_finite is True
+    stuck = solve_R(parse_rodset("[1000000000]"), parse_rodset("[1000000000]"))
+    assert stuck.r_finite is False and stuck.r.mults == (0,) * 64
+    assert time.perf_counter() - start < 2.0
 
 
 def test_solve_q_round_trip():
@@ -286,7 +299,7 @@ def test_expansion_to_json_shape():
     assert data["S"] == {"kind": "finite", "rods": "[1,3,4]"}
     assert data["q_finite"] is True
 
-    undecided = solve_Q(parse_rodset("[1,2]"), ArithmeticRods(1, 2, 1), 10)
+    undecided = solve_Q(parse_rodset("[1,2]"), PrefixRods((0, 1, 0, 1, 0, 1, 0, 1, 0, 1)), 10)
     assert undecided.to_json()["q_finite"] is None
     assert undecided.to_json()["Q"]["kind"] == "counts"
 

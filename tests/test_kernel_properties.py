@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from sympy import QQ, ZZ
 from sympy.polys.densearith import dup_rem
@@ -19,9 +19,10 @@ from sympy.polys.ring_series import rs_mul, rs_series_inversion
 from trainyard import SeriesError, borwein_classify, poly_divexact
 from trainyard.series import series_quotient
 
+from conftest import PROPERTY
+
 X = sympy.symbols("x")
 RING, Y = ring("y", QQ)
-PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 
 coefficient = st.integers(-6, 6).filter(bool)
 

@@ -2,34 +2,42 @@
 
 ``ArithmeticRods`` and ``TrainsOf`` are checked against their definitions
 written out here: the composition oracle on the source cut to lengths
-<= n, sympy polynomial division for the dual's finiteness, and sympy
-ring series for the duality identity.  Examples are derandomized and
-capped, so every run checks the same inputs and the suite stays fast.
+<= n, sympy polynomial division for the finiteness of duals and of
+solved mediators, and sympy ring series for the duality identity.
 """
 
 from __future__ import annotations
 
 import sympy
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from sympy import QQ
 from sympy.polys.ring_series import rs_mul, rs_series_inversion
 from sympy.polys.rings import ring
 
-from trainyard import ArithmeticRods, PrefixRods, RodSet, TrainsOf, dual, train_counts
+from trainyard import (
+    ArithmeticRods,
+    PrefixRods,
+    RodSet,
+    TrainsOf,
+    dual,
+    expand,
+    solve_Q,
+    solve_R,
+    train_counts,
+)
 
-from conftest import oracle_net_count
+from conftest import PROPERTY, oracle_net_count
 
 X = sympy.symbols("x")
 RING, Y = ring("y", QQ)
-PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 
 signs = st.sampled_from((1, -1))
 arith_sources = st.builds(ArithmeticRods, st.integers(1, 6), st.integers(1, 6), signs)
-bases = st.dictionaries(st.integers(1, 4), st.sampled_from((-2, -1, 1, 2)), max_size=3).map(
-    RodSet.from_mults
-)
-trains_sources = st.builds(TrainsOf, bases, signs)
+finite_sets = st.dictionaries(
+    st.integers(1, 4), st.sampled_from((-2, -1, 1, 2)), max_size=3
+).map(RodSet.from_mults)
+trains_sources = st.builds(TrainsOf, finite_sets, signs)
 sources = st.one_of(arith_sources, trains_sources)
 
 
@@ -41,12 +49,30 @@ def truncated(source, n: int) -> RodSet:
     return RodSet.from_mults({k: source.sign * oracle_net_count(base, k) for k in range(1, n + 1)})
 
 
+def rod_poly(rods: RodSet):
+    """C(x, rods) of a finite set as a sympy polynomial."""
+    return sum((m * X**k for k, m in rods.pairs), sympy.Integer(0))
+
+
 def numerator_and_denominator(source):
-    """C = N/D as sympy polynomials: s x^a / (1 - x^d), or s C(base) / (1 - C(base))."""
+    """C = N/D as sympy polynomials: C / 1, s x^a / (1 - x^d), or s C(base) / (1 - C(base))."""
+    if isinstance(source, RodSet):
+        return rod_poly(source), sympy.Integer(1)
     if isinstance(source, ArithmeticRods):
         return source.sign * X**source.first, 1 - X**source.step
-    c_base = sum((m * X**k for k, m in source.base.pairs), sympy.Integer(0))
+    c_base = rod_poly(source.base)
     return source.sign * c_base, 1 - c_base
+
+
+def exact_quotient(num, den):
+    """num / den by sympy polynomial division, or None when the remainder is not 0."""
+    quotient, remainder = sympy.div(sympy.Poly(num, X), sympy.Poly(den, X))
+    return quotient if remainder.is_zero else None
+
+
+def rods_of(poly, sign: int) -> RodSet:
+    """The rod set with sign * C(x, rods) = poly - poly(0)."""
+    return RodSet.from_mults({k: sign * int(c) for (k,), c in poly.terms() if k})
 
 
 def one_plus_series(source, prec: int):
@@ -84,3 +110,61 @@ def test_dual_inverts_one_plus_c_to_the_horizon(source, horizon):
     one_plus_dual = 1 + sum((m * Y**k for k, m in pairs), RING(0))
     prec = horizon + 1
     assert rs_mul(one_plus_series(source, prec), one_plus_dual, Y, prec) == RING(1)
+
+
+@st.composite
+def sources_with_targets(draw):
+    """A source R and a finite S, where half the time (1 - C_S) = (D - N)(1 + C_P) for a finite P."""
+    source = draw(sources)
+    s = draw(finite_sets)
+    if draw(st.booleans()):
+        num, den = numerator_and_denominator(source)
+        char_s = sympy.Poly(sympy.expand((den - num) * (1 + rod_poly(s))), X)
+        s = rods_of(char_s, -1)
+    return source, s
+
+
+@PROPERTY
+@given(case=sources_with_targets())
+def test_solve_q_from_a_source_is_exact(case):
+    # 1 + C_Q = (1 - C_S) D / (D - N) for a source R = N/D.
+    source, s = case
+    num, den = numerator_and_denominator(source)
+    quotient = exact_quotient((1 - rod_poly(s)) * den, den - num)
+    got = solve_Q(source, s, 12)
+    assert got.q_finite is (quotient is not None)
+    if quotient is not None:
+        assert got.q == rods_of(quotient, 1)
+
+
+@PROPERTY
+@given(r=finite_sets, source=sources)
+def test_solve_q_to_a_source_is_exact(r, source):
+    # 1 + C_Q = (D - N) / (D (1 - C_R)) for a source S = N/D.
+    num, den = numerator_and_denominator(source)
+    quotient = exact_quotient(den - num, den * (1 - rod_poly(r)))
+    got = solve_Q(r, source, 12)
+    assert got.q_finite is (quotient is not None)
+    if quotient is not None:
+        assert got.q == rods_of(quotient, 1)
+
+
+@st.composite
+def mediators_with_targets(draw):
+    """A finite Q and an S that is a source, a finite set, or expand(R, Q) for a finite R."""
+    q = draw(finite_sets)
+    s = draw(st.one_of(sources, finite_sets, finite_sets.map(lambda r: expand(r, q).s)))
+    return q, s
+
+
+@PROPERTY
+@given(case=mediators_with_targets())
+def test_solve_r_is_exact(case):
+    # 1 - C_R = (D - N) / (D (1 + C_Q)) for S = N/D.
+    q, s = case
+    num, den = numerator_and_denominator(s)
+    quotient = exact_quotient(den - num, den * (1 + rod_poly(q)))
+    got = solve_R(q, s, 12)
+    assert got.r_finite is (quotient is not None)
+    if quotient is not None:
+        assert got.r == rods_of(quotient, -1)
