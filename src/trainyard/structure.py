@@ -11,8 +11,12 @@ Four families of questions about a finite rod set R:
 * **Expandability scans** — which one- and two-rod sets does R expand
   to?  A window of max R - 1 counts decides each candidate shape: a run
   of zeros for one-rod targets, a consistent integer scaling ratio for
-  two-rod targets.  Every scan hit is re-verified through the exact
-  Q-solver before it is reported.
+  two-rod targets.  The window also proves a two-rod hit's Q finite:
+  its discrepancies vanish on max R consecutive lengths ending at b,
+  and past b they follow R's recursion, so they stay zero.  Q is read
+  off the counts the scan already holds, and every hit is confirmed by
+  the exact witness (1 - C_S) = (1 - C_R)(1 + C_Q) before it is
+  reported.
 
 * **Lucas families** — R = [1^(±s), 2^t] with gcd(s, t) = 1 produces
   Lucas-like counts: L(n) = F(n-1, R) is a divisibility sequence, and
@@ -34,11 +38,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .counts import train_counts
-from .expansion import expand, solve_Q
+from .expansion import DEFAULT_HORIZON, _verified, expand, solve_Q
 from .rodset import RodSet, format_rodset
 from .series import char_poly, char_terms, cyclotomic, euler_phi, poly_divexact, series_quotient
 
 _WINDOW_PRIME = (1 << 61) - 1
+# Largest max R that detect_period accepts.  Its cost grows like (max R)^3:
+# the candidate orders run to 2 * (max R)^2 and the window scan to 4 * (max R)^2.
+PERIOD_LENGTH_LIMIT = 128
 
 
 class StructureError(ValueError):
@@ -112,11 +119,17 @@ def detect_period(rods: RodSet) -> PeriodReport:
 
     The window scan confirms every verdict: to 3p for a period p, and
     to twice the candidate bound for a non-periodic verdict (where the
-    algebraic answer is already exact).
+    algebraic answer is already exact).  A rod set with max R over
+    PERIOD_LENGTH_LIMIT is refused before anything is allocated.
     """
     if not rods.pairs:
         raise StructureError("periodicity is about nonempty rod sets")
     top = rods.max_length
+    if top > PERIOD_LENGTH_LIMIT:
+        raise StructureError(
+            f"periodicity detection needs max R <= PERIOD_LENGTH_LIMIT = {PERIOD_LENGTH_LIMIT}, "
+            f"got max R = {top}"
+        )
     residual = char_poly(rods)
     factors: list[int] = []
     for d in _cyclotomic_orders(top):
@@ -145,11 +158,13 @@ def detect_period(rods: RodSet) -> PeriodReport:
 
 @dataclass(frozen=True)
 class ScalingHit:
-    """A verified two-rod expansion target S = [a^mult_a, b^mult_b].
+    """A witnessed two-rod expansion target S = [a^mult_a, b^mult_b].
 
     ``alpha`` is the unique scaling ratio F(b - i) / F(b - a - i) on
     the window 1 <= i < max R; it equals ``mult_a``.  ``q`` is the
-    finite mediating rod set found by the exact solver.
+    finite mediating rod set, of degree at most b - max R, whose
+    multiplicities are the discrepancies of R against S; the exact
+    witness (1 - C_S) = (1 - C_R)(1 + C_Q) holds for it.
     """
 
     a: int
@@ -183,9 +198,17 @@ def scan_one_expansions(rods: RodSet, bound: int) -> list[tuple[int, int]]:
     return hits
 
 
-def _window_hit(rods: RodSet, counts: list[int], a: int, b: int) -> ScalingHit | None:
-    """Try the scaling window at (a, b); verified ScalingHit or None."""
-    w = rods.max_length
+def _window_hit(rods: RodSet, counts: list[int], a: int, b: int, w: int) -> ScalingHit | None:
+    """Try the scaling window at (a, b), w = max R; a witnessed ScalingHit or None.
+
+    Q's multiplicities are the discrepancies D(n) = F(n) - alpha*F(n - a)
+    for 1 <= n <= b - w (the F(n - b) term is zero there).  The window
+    makes D vanish on b - w < n < b and mult_b makes D(b) = 0.  The
+    product D * (1 - C(x, R)) = 1 - C(x, S) has degree b, so past b D
+    follows R's recursion from w zeros in a row and stays zero: Q is
+    finite, of degree at most b - w.  The exact witness then confirms
+    the hit; its failure is a bug and raises ExpansionError.
+    """
     alpha = None
     for i in range(1, w):
         lhs = counts[b - i] if b - i >= 0 else 0
@@ -209,10 +232,11 @@ def _window_hit(rods: RodSet, counts: list[int], a: int, b: int) -> ScalingHit |
     if mult_b == 0:
         return None
     shape = RodSet(((a, alpha), (b, mult_b)))
-    solved = solve_Q(rods, shape)
-    if solved.q_finite is not True:
-        return None
-    return ScalingHit(a, b, alpha, alpha, mult_b, shape, solved.q)
+    q = RodSet.from_mults(
+        (n, counts[n] - (alpha * counts[n - a] if n >= a else 0)) for n in range(1, b - w + 1)
+    )
+    _verified(rods, q, shape, DEFAULT_HORIZON, q_finite=True)
+    return ScalingHit(a, b, alpha, alpha, mult_b, shape, q)
 
 
 def scan_two_expansions(
@@ -222,14 +246,17 @@ def scan_two_expansions(
 
     A pair hits when the counts scale by a unique nonzero integer alpha
     across the window b - max R < n < b (with at least one nonzero
-    denominator) and the length-b multiplicity comes out nonzero; every
-    hit is confirmed through the exact solver before being reported.
+    denominator) and the length-b multiplicity comes out nonzero.  That
+    window makes Q finite (see _window_hit), so Q is read off the counts,
+    and every hit is confirmed by the exact witness before being
+    reported; a failed witness raises ExpansionError.
     Ordered by (b, a).  The no-op expansion of a two-rod set to itself
     (empty Q) is suppressed unless ``include_trivial`` is set.
     """
     if not rods.pairs:
         raise StructureError("scan needs a nonempty rod set")
-    if rods.max_length < 2:
+    w = rods.max_length
+    if w < 2:
         raise StructureError("two-rod scan needs max R >= 2 (the window is empty)")
     if bound < 2:
         raise StructureError("bound must be at least 2")
@@ -237,7 +264,7 @@ def scan_two_expansions(
     hits: list[ScalingHit] = []
     for b in range(2, bound + 1):
         for a in range(1, b):
-            hit = _window_hit(rods, counts, a, b)
+            hit = _window_hit(rods, counts, a, b, w)
             if hit is not None and (include_trivial or hit.q.pairs):
                 hits.append(hit)
     return hits
@@ -342,6 +369,7 @@ def lucas_two_shapes(
     and verified by the scaling window on the actual R.
     """
     rods = _lucas_rodset(s, t, sign)
+    w = rods.max_length
 
     def f_plus(upto: int) -> list[int]:
         return train_counts(RodSet(((1, s), (2, t))), upto)
@@ -351,7 +379,7 @@ def lucas_two_shapes(
 
     def verified(a_len: int, b_len: int, want_a: int, want_b: int) -> ScalingHit:
         counts = train_counts(rods, b_len)
-        hit = _window_hit(rods, counts, a_len, b_len)
+        hit = _window_hit(rods, counts, a_len, b_len, w)
         if hit is None:
             raise StructureError(
                 f"predicted shape ({a_len},{b_len}) failed the scaling window"

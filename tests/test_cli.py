@@ -2,14 +2,22 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trainyard import cli
+
+from conftest import PROPERTY
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -176,6 +184,13 @@ def test_solveq_past_the_quotient_limit_fails_at_once(run):
     assert err.startswith("error: ") and "QUOTIENT_DEGREE_LIMIT" in err
 
 
+def test_period_past_the_length_limit_fails_at_once(run):
+    # A dense characteristic polynomial of degree 10^9 would be built otherwise.
+    code, out, err = run(["period", "[1,1000000000]"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "PERIOD_LENGTH_LIMIT" in err
+
+
 def test_long_walks_and_resource_exhaustion_keep_the_contract(run, monkeypatch):
     assert run(["enumerate", "[1]", "1500"]) == (0, "net=1 total=1\n", "")
     for exc in (RecursionError, MemoryError):
@@ -251,3 +266,74 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "1,1,2,3,5,8\n"
+
+
+ROD = st.sampled_from(("[]", "[1,2]", "[2,3]", "[1,-2]", "[-1,-2]", "[1^2,3]", "[2^3,-5]",
+                       "[1,", "[0]", "[2^0]", "[2^-1]", "1,2", "[a]", "", "-"))
+INT = st.integers(-3, 12).map(str)
+CSV = st.sampled_from(("1,1", "1,-1", "0,0", "0", "1,2,1", "2,1,0", "1,1,2,5", "x"))
+
+
+def _opt(flag, values=None):
+    """A flag, or a flag and one value drawn from ``values``."""
+    return st.tuples(st.just(flag)) if values is None else st.tuples(st.just(flag), values)
+
+
+N, B = _opt("-n", INT), _opt("-b", INT)
+# Each subcommand's positionals and options, drawn from small and malformed values.
+SHAPES = {
+    "counts": ((ROD,), (N, _opt("--arith", st.sampled_from(("1,1,+", "2,3,-", "0,2,+", "1,x"))),
+                        _opt("--trains", st.sampled_from(("[1,2]", "-[2,3]", "[0]"))))),
+    "discrep": ((ROD, ROD), (N,)),
+    "expand": ((ROD, ROD), (N,)),
+    "solveq": ((ROD, ROD), (N,)),
+    "solver": ((ROD, ROD), (N,)),
+    "dual": ((ROD,), (N,)),
+    "compose": ((ROD, ROD), ()),
+    "fromseq": ((CSV,), ()),
+    "expandmin": ((ROD,), ()),
+    "period": ((ROD,), ()),
+    "scan1": ((ROD,), (B,)),
+    "scan2": ((ROD,), (B, _opt("--include-trivial"))),
+    "lucas": ((INT, INT, st.sampled_from(("+", "-", "1", "x"))), (N,)),
+    "lucas-shapes": ((INT, INT, st.sampled_from(("+", "-"))), (
+        _opt("--kind", st.sampled_from(("adjacent", "skip", "multiple", "other"))),
+        *(_opt(flag, INT) for flag in ("--a", "--d", "--k-max", "--a-min", "--a-max")),
+    )),
+    "borwein": ((), (B,)),
+    "enumerate": ((ROD, INT), (_opt("--list"), _opt("--cap", INT))),
+    "binom": ((ROD, INT), ()),
+    "poly": ((st.sampled_from(("mul", "div", "mod")), CSV, CSV), ()),
+    "cyclo": ((INT,), ()),
+}
+STRAY = st.one_of(ROD, INT, st.sampled_from(("-n", "-b", "--list", "--kind", "-h2")))
+
+
+def _argv(command: str):
+    positionals, options = SHAPES[command]
+    return st.tuples(
+        st.tuples(*positionals),
+        st.lists(st.one_of(*options), max_size=3) if options else st.just([]),
+        st.one_of(st.just(()), st.just(()), st.just(()), st.tuples(STRAY)),
+    ).map(lambda parts: [command, *parts[0], *(t for opt in parts[1] for t in opt), *parts[2]])
+
+
+argvs = st.sampled_from(sorted(SHAPES)).flatmap(_argv)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(argvs)
+def test_fuzzed_argv_keeps_the_exit_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    env = {k: v for k, v in os.environ.items() if not k.startswith("TRAINYARD_")}
+    with mock.patch.dict(os.environ, env, clear=True):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+                assert code == 2, f"{argv} exited {code}"
+            else:
+                assert code in (0, 1), f"{argv} returned {code}"
+    assert "Traceback" not in err.getvalue(), f"{argv} printed a traceback"
+    assert code == 0 or out.getvalue() == "", f"{argv} failed but wrote to stdout"

@@ -6,8 +6,12 @@ import random
 from collections import Counter
 
 import pytest
+import sympy
+from hypothesis import given
+from hypothesis import strategies as st
 
 from trainyard import (
+    ExpansionError,
     RodSet,
     StructureError,
     borwein_classify,
@@ -26,6 +30,11 @@ from trainyard import (
     train_counts,
     window_period_scan,
 )
+from trainyard import expansion, structure
+
+from conftest import PROPERTY
+
+X = sympy.symbols("x")
 
 
 @pytest.mark.parametrize(
@@ -65,6 +74,13 @@ def test_detect_period_negative_and_errors():
     assert report.window_confirmed is True, "scan horizon found no period either"
     with pytest.raises(StructureError, match="nonempty"):
         detect_period(RodSet())
+
+
+def test_detect_period_refuses_past_the_length_limit():
+    limit = structure.PERIOD_LENGTH_LIMIT
+    assert limit > 48, "the cyclotomic(105) rod set below must stay in range"
+    with pytest.raises(StructureError, match="PERIOD_LENGTH_LIMIT"):
+        detect_period(RodSet(((1, 1), (limit + 1, -1))))
 
 
 def test_detect_period_cyclotomic_rod_set():
@@ -188,6 +204,45 @@ def test_scan_two_hits_satisfy_their_recursions():
             if n >= h.b:
                 want += h.mult_b * counts[n - h.b]
             assert counts[n] == want, f"recursion of hit ({h.a},{h.b}) fails at {n}"
+
+
+def _one_plus_c(rods: RodSet, sign: int) -> sympy.Poly:
+    """1 + sign * C(x, rods) as a sympy polynomial."""
+    return sympy.Poly(1 + sign * sum((m * X**k for k, m in rods.pairs), sympy.Integer(0)), X)
+
+
+scan_sets = st.dictionaries(
+    st.integers(1, 5), st.sampled_from((-3, -2, -1, 1, 2, 3)), min_size=2, max_size=4
+).map(RodSet.from_mults)
+
+
+@PROPERTY
+@given(scan_sets, st.integers(2, 30))
+def test_scan_two_hits_agree_with_the_solver_and_sympy(rods, bound):
+    for hit in scan_two_expansions(rods, bound, include_trivial=True):
+        solved = solve_Q(rods, hit.s)
+        assert solved.q_finite is True and solved.q == hit.q, (
+            f"the scan's Q for {hit.s} differs from the exact solver's"
+        )
+        quotient, remainder = sympy.div(_one_plus_c(hit.s, -1), _one_plus_c(rods, -1))
+        assert remainder.is_zero, f"1 - C_R does not divide 1 - C_S for {hit.s}"
+        assert quotient == _one_plus_c(hit.q, 1), (
+            f"(1 - C_S) / (1 - C_R) is not 1 + C_Q for {hit.s}"
+        )
+
+
+def test_scan_two_hits_are_witnessed(monkeypatch):
+    rods = parse_rodset("[2,3]")
+    seen = []
+    witness = expansion._identity_holds
+    monkeypatch.setattr(
+        expansion, "_identity_holds", lambda *args: seen.append(args[2]) or witness(*args)
+    )
+    hits = scan_two_expansions(rods, 16, include_trivial=True)
+    assert seen == [h.s for h in hits], "every hit, and only hits, must pass the witness"
+    monkeypatch.setattr(expansion, "_identity_holds", lambda *args: False)
+    with pytest.raises(ExpansionError, match="this is a bug"):
+        scan_two_expansions(rods, 16)
 
 
 def test_scan_two_antirod_target():
