@@ -8,19 +8,23 @@ which in generating-function form is the polynomial witness
 
     1 - C(x, S)  =  (1 - C(x, R)) * (1 + C(x, Q)).
 
-Every record this module produces is verified against that identity —
-exactly when all three sets are finite, coefficient-by-coefficient up
-to the horizon otherwise.
+Every source except a prefix has a rational generating function
+C = N/D, so the witness is the polynomial identity
+
+    (D_S - N_S) * D_R * D_Q  =  (D_R - N_R) * (D_Q + N_Q) * D_S
+
+over nonzero terms: exact for finite, arithmetic and trains sources,
+and compared through the horizon only when an input is a prefix.  A
+record exists only if its witness held.
 
 Given any two of R, Q, S the third is determined.  The discrepancy
 theorem makes the Q-solver direct: the rod counts of Q are exactly the
 discrepancies D(n, R, S), the coefficients of the series
-1 + C(x, Q) = (1 - C(x, S)) / (1 - C(x, R)).  Every source except a
-prefix has a rational generating function N/D, so that series is a
-quotient of polynomials and the finiteness of Q is decidable outright:
-it is a polynomial exactly when it stops at deg num - deg den, which
-one exact division settles.  When Q is infinite, or an input is known
-only by a prefix, the answer is Q's count prefix to the horizon.
+1 + C(x, Q) = (1 - C(x, S)) / (1 - C(x, R)).  That series is a quotient
+of polynomials, so a polynomial Q stops at deg num - deg den; the
+witness on that cut decides whether Q is finite.  When it is not, or an
+input is known only by a prefix, the answer is Q's count prefix to the
+horizon.
 
 The R-solver is the exchange law (R -> Q -> S iff anti(Q) -> anti(R) -> S)
 applied to the Q-solver, and the dual inverts 1 + C(x, Q), flipping an
@@ -32,22 +36,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .counts import (
-    PrefixRods,
-    RodSource,
-    _fraction,
-    _mediator,
-    _quotient,
-    source_mults_upto,
-    source_to_json,
-)
+from .counts import PrefixRods, RodSource, _fraction, _mediator, _one_minus, _quotient, source_to_json
 from .rodset import RodSet, concat, negate, union
-from .series import char_terms, nonzero_terms, series_mul, series_quotient
-from .series import sparse_add, sparse_mul
+from .series import char_terms, nonzero_terms, series_quotient, sparse_add, sparse_mul
 
 DEFAULT_HORIZON = 64
-# Largest degree of the dense quotient that decides whether a solved or dual
-# rod set is finite; past it the solvers refuse instead of allocating.
+# Largest degree of the dense quotient that decides whether a solved rod set
+# is finite; past it the solvers refuse instead of allocating.
 QUOTIENT_DEGREE_LIMIT = 10**5
 
 
@@ -57,7 +52,7 @@ class ExpansionError(ValueError):
 
 @dataclass(frozen=True)
 class Expansion:
-    """A verified expansion record r -> q -> s.
+    """A verified expansion record r -> q -> s: it exists only if its witness held.
 
     ``q_finite`` is True/False when decided exactly, None when an input
     is known only by a prefix.  ``r_finite`` plays the same role for the
@@ -69,7 +64,6 @@ class Expansion:
     s: RodSource
     horizon: int
     q_finite: bool | None
-    identity_checked: bool
     r_finite: bool | None = True
 
     def to_json(self) -> dict:
@@ -79,7 +73,7 @@ class Expansion:
             "S": source_to_json(self.s),
             "horizon": self.horizon,
             "q_finite": self.q_finite,
-            "identity_checked": self.identity_checked,
+            "identity_checked": True,
         }
 
 
@@ -95,43 +89,23 @@ def _negate_source(rods: RodSet | PrefixRods) -> RodSet | PrefixRods:
 
 
 def _identity_holds(r: RodSource, q: RodSource, s: RodSource, horizon: int) -> bool:
-    """Check (1 - C_S) = (1 - C_R)(1 + C_Q): exact for finite triples, else to the horizon."""
+    """Check (1 - C_S) = (1 - C_R)(1 + C_Q) on N/D forms: exact unless an input is a prefix."""
     if isinstance(r, RodSet) and isinstance(q, RodSet) and isinstance(s, RodSet):
-        # Over the rod pairs only, so long rods never densify.
+        # D = 1 for all three; over the rod pairs only, so long rods never densify.
         return sparse_mul(char_terms(r), _one_plus_terms(q)) == dict(char_terms(s))
-    cr, cq, cs = (source_mults_upto(x, horizon) for x in (r, q, s))
-    product = series_mul([1] + [-c for c in cr[1:]], [1] + cq[1:], horizon)
-    return product == [1] + [-c for c in cs[1:]]
+    (num_r, den_r), (num_q, den_q), (num_s, den_s) = (_fraction(x, horizon) for x in (r, q, s))
+    lhs = sparse_mul(sparse_mul(_one_minus(num_s, den_s), den_r).items(), den_q)
+    rhs = sparse_mul(sparse_mul(_one_minus(num_r, den_r), sparse_add(den_q, num_q)).items(), den_s)
+    if any(isinstance(x, PrefixRods) for x in (r, q, s)):
+        lhs = {k: c for k, c in lhs.items() if k <= horizon}
+        rhs = {k: c for k, c in rhs.items() if k <= horizon}
+    return lhs == rhs
 
 
-def _verified(r, q, s, horizon, q_finite, r_finite=True) -> Expansion:
+def _verified(r, q, s, horizon, q_finite) -> Expansion:
     if not _identity_holds(r, q, s, horizon):
         raise ExpansionError("expansion witness identity failed; this is a bug")
-    return Expansion(r, q, s, horizon, q_finite, True, r_finite)
-
-
-def _rods_of(num, den, horizon: int, exact: bool) -> RodSet | PrefixRods:
-    """The Q with 1 + C(x, Q) = num/den, given the nonzero terms of both (constant terms 1).
-
-    A polynomial quotient has degree deg num - deg den, so the series is
-    cut there and Q is finite exactly when that cut times den is num.
-    Otherwise, or when num/den is not ``exact`` past the horizon, Q is
-    its prefix through the horizon.
-    """
-    if exact:
-        if len(den) == 1:
-            return RodSet(tuple(num[1:]))
-        top = num[-1][0] - den[-1][0]
-        if top > QUOTIENT_DEGREE_LIMIT:
-            raise ExpansionError(
-                f"deciding finiteness needs a quotient of degree {top}, "
-                f"over the limit QUOTIENT_DEGREE_LIMIT = {QUOTIENT_DEGREE_LIMIT}"
-            )
-        if top >= 0:
-            cut = nonzero_terms(_quotient(num, den, top))
-            if sparse_mul(cut, den) == dict(num):
-                return RodSet(tuple(cut[1:]))
-    return PrefixRods(tuple(_quotient(num, den, horizon)[1:]))
+    return Expansion(r, q, s, horizon, q_finite)
 
 
 def expand(r: RodSet, q: RodSet, horizon: int = DEFAULT_HORIZON) -> Expansion:
@@ -143,50 +117,64 @@ def expand(r: RodSet, q: RodSet, horizon: int = DEFAULT_HORIZON) -> Expansion:
 def solve_Q(r: RodSource, s: RodSource, horizon: int | None = None) -> Expansion:
     """Find the Q mediating r -> Q -> s: 1 + C(x, Q) = (1 - C(x, s)) / (1 - C(x, r)).
 
-    Q's counts are the discrepancies.  The verdict is exact by one
-    division of the N/D form; Q is finite exactly when the quotient is a
-    polynomial, and otherwise the record carries Q's count prefix.  With
-    a prefix input only the prefix is known (q_finite None).
+    Q's counts are the discrepancies, the series of the mediator N/D.
+    A polynomial quotient has degree deg N - deg D, so the series is cut
+    there, and Q is finite exactly when the exact witness holds for that
+    cut.  Otherwise the record carries Q's count prefix through the
+    horizon, witnessed through the horizon.  With a prefix input only
+    the prefix is known (q_finite None).
     """
     h = DEFAULT_HORIZON if horizon is None else horizon
+    num, den = _mediator(r, s, h)
     exact = not isinstance(r, PrefixRods) and not isinstance(s, PrefixRods)
-    q = _rods_of(*_mediator(r, s, h), h, exact)
-    return _verified(r, q, s, h, q_finite=isinstance(q, RodSet) if exact else None)
+    if exact:
+        top = num[-1][0] - den[-1][0]
+        if len(den) > 1 and top > QUOTIENT_DEGREE_LIMIT:
+            raise ExpansionError(
+                f"deciding finiteness needs a quotient of degree {top}, "
+                f"over the limit QUOTIENT_DEGREE_LIMIT = {QUOTIENT_DEGREE_LIMIT}"
+            )
+        if top >= 0:
+            cut = num if len(den) == 1 else nonzero_terms(_quotient(num, den, top))
+            q = RodSet(tuple(cut[1:]))
+            if _identity_holds(r, q, s, h):
+                return Expansion(r, q, s, h, q_finite=True)
+    q = PrefixRods(tuple(_quotient(num, den, h)[1:]))
+    return _verified(r, q, s, h, q_finite=False if exact else None)
 
 
 def solve_R(q: RodSet, s: RodSource, horizon: int | None = None) -> Expansion:
     """Find the R with r -> q -> s, by the exchange law.
 
     anti(Q) expands via anti(R) to S, so R is the negation of what the
-    Q-solver finds for (anti(q), s).
+    Q-solver finds for (anti(q), s).  The witness of that answer is this
+    record's witness with its factors swapped, so it is not run again.
     """
     inner = solve_Q(negate(q), s, horizon)
-    return _verified(
-        _negate_source(inner.q),
-        q,
-        s,
-        inner.horizon,
-        q_finite=True,
-        r_finite=inner.q_finite,
+    return Expansion(
+        _negate_source(inner.q), q, s, inner.horizon, q_finite=True, r_finite=inner.q_finite
     )
 
 
 def dual(q: RodSource, horizon: int | None = None) -> RodSet | PrefixRods:
     """The dual rod set Q*: count(n, Q*) = F(n, anti(Q)), inverting 1 + C(x, Q).
 
-    With C(x, Q) = N/D the dual's series is 1 + C(x, Q*) = D/(D + N), and
-    one division decides it: Q* is finite exactly when D + N divides D.
-    Otherwise, and for a rod set known only by prefix, the answer is the
-    prefix through the horizon, DEFAULT_HORIZON unless given.  N and D
-    are coprime, so D + N divides D only when D + N = 1, and a nonempty
-    finite Q never has a finite dual.
+    With C(x, Q) = N/D the dual's series is 1 + C(x, Q*) = D/(D + N).
+    N and D are coprime, so D + N divides D only when D + N = 1: then Q*
+    is the finite set D - 1, and otherwise Q* is infinite and the answer
+    is its prefix through the horizon, DEFAULT_HORIZON unless given.  A
+    nonempty finite Q never has a finite dual.  For a rod set known only
+    by prefix the answer is the prefix, cut at the input's length.
     """
     h = DEFAULT_HORIZON if horizon is None else horizon
     exact = not isinstance(q, PrefixRods)
     if not exact:
         h = min(h, len(q.mults))
     num, den = _fraction(q, h)
-    return _rods_of(den, sparse_add(den, num), h, exact)
+    plus = sparse_add(den, num)
+    if exact and plus == [(0, 1)]:
+        return RodSet(tuple(den[1:]))
+    return PrefixRods(tuple(_quotient(den, plus, h)[1:]))
 
 
 def compose(q_pr: RodSet, q_rs: RodSet) -> RodSet:

@@ -15,7 +15,6 @@ periodicity.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .rodset import RodSet
@@ -35,15 +34,6 @@ def poly_trim(p: Poly) -> Poly:
     return p[:i]
 
 
-def poly_add(p: Poly, q: Poly) -> Poly:
-    out = [0] * max(len(p), len(q))
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] += c
-    return poly_trim(out)
-
-
 def poly_mul(p: Poly, q: Poly) -> Poly:
     """Exact product of two polynomials, touching only nonzero terms of each."""
     return poly_trim(series_mul(p, q, len(p) + len(q) - 2)) if p and q else []
@@ -52,36 +42,32 @@ def poly_mul(p: Poly, q: Poly) -> Poly:
 def poly_divexact(p: Poly, q: Poly) -> Poly | None:
     """Exact quotient p / q over the integers, or None when q does not divide p.
 
-    Two strategies: when q has unit constant term the quotient is the
-    power series p/q truncated at the expected degree, accepted only if
-    multiplying back reproduces p; otherwise classical descending long
-    division runs over exact rationals and the result must come out
-    integral with remainder zero.
+    One top-down long division in the integers over q's nonzero terms:
+    each quotient coefficient is the leading remainder coefficient over
+    q's leading coefficient, and q divides p exactly when every such
+    step divides and the remainder below deg q comes out zero.
     """
     q = poly_trim(list(q))
-    p = poly_trim(list(p))
+    rem = poly_trim(list(p))
     if not q:
         raise SeriesError("division by the zero polynomial")
-    if not p:
+    if not rem:
         return []
-    if len(p) < len(q):
+    m = len(rem) - len(q)  # expected quotient degree
+    if m < 0:
         return None
-    m = len(p) - len(q)  # expected quotient degree
-    if abs(q[0]) == 1:
-        h = series_quotient(p, nonzero_terms(q), m)
-        return poly_trim(h) if poly_mul(q, h) == p else None
-    rem = [Fraction(c) for c in p]
-    quo = [Fraction(0)] * (m + 1)
-    lead = Fraction(q[-1])
+    top, lead = len(q) - 1, q[-1]
+    lower = nonzero_terms(q[:-1])
+    quo = [0] * (m + 1)
     for i in range(m, -1, -1):
-        c = rem[i + len(q) - 1] / lead
-        quo[i] = c
+        c, r = divmod(rem[i + top], lead)
+        if r:
+            return None
         if c:
-            for j, b in enumerate(q):
+            quo[i] = c
+            for j, b in lower:
                 rem[i + j] -= c * b
-    if any(rem) or any(c.denominator != 1 for c in quo):
-        return None
-    return poly_trim([int(c) for c in quo])
+    return None if any(rem[:top]) else quo
 
 
 def poly_text(p: Poly) -> str:

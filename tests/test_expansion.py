@@ -6,6 +6,9 @@ import random
 import time
 
 import pytest
+import sympy
+from hypothesis import given
+from hypothesis import strategies as st
 
 from trainyard import (
     ArithmeticRods,
@@ -31,9 +34,12 @@ from trainyard import (
     train_counts,
     union,
 )
+from trainyard import expansion
 from trainyard.expansion import _identity_holds
 
-from conftest import random_rodset
+from conftest import PROPERTY, random_rodset
+
+X = sympy.symbols("x")
 
 
 def one_plus(q: RodSet) -> list:
@@ -44,18 +50,28 @@ def one_plus(q: RodSet) -> list:
 def test_expand_regression():
     got = expand(parse_rodset("[1,2]"), parse_rodset("[2]"))
     assert got.s == parse_rodset("[1,3,4]")
-    assert got.q_finite is True and got.identity_checked is True
+    assert got.q_finite is True and got.to_json()["identity_checked"] is True
 
 
 def test_expand_long_rod_stays_sparse():
     r, q = parse_rodset("[1,2]"), parse_rodset("[100000000]")
     got = expand(r, q)
     assert got.s == parse_rodset("[1,2,-100000000,100000001,100000002]")
-    assert got.identity_checked is True
+    assert got.to_json()["identity_checked"] is True
     assert _identity_holds(r, q, got.s, 64)
     assert not _identity_holds(r, q, parse_rodset("[1,2,-100000000,100000001,100000003]"), 64)
     # A dense witness would need a list of 10^9 coefficients here.
     assert expand(r, parse_rodset("[1000000000]")).s.max_length == 1000000002
+
+
+def test_witness_is_exact_for_rational_sources():
+    # C = x/(1 - x) both ways: the identity holds with Q empty and fails with any rod
+    # added to Q, however far past the horizon that rod lies.
+    every_length, all_trains = ArithmeticRods(1, 1), TrainsOf(parse_rodset("[1]"))
+    assert _identity_holds(every_length, RodSet(), all_trains, 64)
+    assert not _identity_holds(every_length, parse_rodset("[100]"), every_length, 64)
+    evens = TrainsOf(parse_rodset("[2]"))
+    assert not _identity_holds(evens, parse_rodset("[-90]"), evens, 64)
 
 
 def test_expand_edges():
@@ -112,7 +128,7 @@ def test_solve_q_finite_regressions(r, s, q, finite):
     got = solve_Q(parse_rodset(r), parse_rodset(s))
     assert got.q == parse_rodset(q), f"wrong mediating rod set for {r} -> {s}"
     assert got.q_finite is finite
-    assert got.identity_checked is True
+    assert got.to_json()["identity_checked"] is True
 
 
 def test_solve_q_infinite_verdicts():
@@ -160,6 +176,26 @@ def test_solve_q_round_trip():
         assert back.q == q and back.q_finite is True, f"solve_Q failed to recover {q}"
 
 
+def _char(rods: RodSet) -> sympy.Poly:
+    """1 - C(x, rods) as a sympy polynomial."""
+    return sympy.Poly(1 - sum((m * X**k for k, m in rods.pairs), sympy.Integer(0)), X)
+
+
+small_sets = st.dictionaries(
+    st.integers(1, 6), st.sampled_from((-3, -2, -1, 1, 2, 3)), max_size=3
+).map(RodSet.from_mults)
+
+
+@PROPERTY
+@given(small_sets, small_sets, small_sets, st.booleans())
+def test_solve_q_finite_verdict_agrees_with_sympy(r, q, other, expanded):
+    s = expand(r, q).s if expanded else other
+    _, remainder = sympy.div(_char(s), _char(r))
+    assert solve_Q(r, s).q_finite is remainder.is_zero, (
+        f"Q for {r} -> {s} is finite exactly when 1 - C_R divides 1 - C_S"
+    )
+
+
 def test_solve_r_round_trip_and_exchange():
     rng = random.Random(704)
     for _ in range(100):
@@ -178,6 +214,32 @@ def test_solve_r_regression_and_infinite_case():
 
     stuck = solve_R(parse_rodset("[2]"), parse_rodset("[1]"), 12)
     assert isinstance(stuck.r, PrefixRods) and stuck.r_finite is False
+
+
+def test_solve_r_runs_the_witness_once(monkeypatch):
+    calls = []
+    witness = expansion._identity_holds
+    monkeypatch.setattr(
+        expansion, "_identity_holds", lambda *args: calls.append(args) or witness(*args)
+    )
+    got = solve_R(parse_rodset("[2]"), parse_rodset("[1,3,4]"))
+    assert got.r == parse_rodset("[1,2]") and got.r_finite is True
+    assert len(calls) == 1, "the exchange law makes the inner solve's witness this record's"
+
+
+@pytest.mark.parametrize(
+    "solve, first, s",
+    [
+        (solve_Q, "[1,2]", "[1,3,4]"),
+        (solve_Q, "[1,2]", "[2,3]"),
+        (solve_R, "[2]", "[1,3,4]"),
+        (solve_R, "[2]", "[1]"),
+    ],
+)
+def test_a_failed_witness_makes_the_solvers_raise(monkeypatch, solve, first, s):
+    monkeypatch.setattr(expansion, "_identity_holds", lambda *args: False)
+    with pytest.raises(ExpansionError, match="this is a bug"):
+        solve(parse_rodset(first), parse_rodset(s))
 
 
 def test_odd_sign_swap_covariance():
