@@ -9,14 +9,22 @@ Four families of questions about a finite rod set R:
   orders.  A windowed sequence scan confirms every verdict.
 
 * **Expandability scans** — which one- and two-rod sets does R expand
-  to?  A window of max R - 1 counts decides each candidate shape: a run
-  of zeros for one-rod targets, a consistent integer scaling ratio for
-  two-rod targets.  The window also proves a two-rod hit's Q finite:
-  its discrepancies vanish on max R consecutive lengths ending at b,
-  and past b they follow R's recursion, so they stay zero.  Q is read
-  off the counts the scan already holds, and every hit is confirmed by
-  the exact witness (1 - C_S) = (1 - C_R)(1 + C_Q) before it is
-  reported.
+  to?  Both scans read one table of window classes.  For each length
+  n <= bound the window v_n = (F(n-1), ..., F(n - max R + 1)), with
+  F(k) = 0 for k < 0, is written s_n * c_n * u_n: c_n is the gcd of its
+  entries and u_n is primitive with its first nonzero entry positive.
+  The lengths are grouped by u_n.  A one-rod target [a^F(a)] is a
+  member of the zero class (an all-zero window) with F(a) != 0.  A
+  two-rod target [a^alpha, b^mult_b] needs v_b = alpha * v_(b-a) for a
+  nonzero integer alpha, which holds exactly when m = b - a and b share
+  a class and c_m divides c_b; then alpha = s_b*c_b / (s_m*c_m).  So
+  the candidates are pairs inside classes, and the scan costs
+  O(bound * max R) gcds plus those pairs, not bound^2 window tests.
+  The window also proves a two-rod hit's Q finite: its discrepancies
+  vanish on max R consecutive lengths ending at b, and past b they
+  follow R's recursion, so they stay zero.  Q is read off the counts
+  the scan already holds, and every hit is confirmed by the exact
+  witness (1 - C_S) = (1 - C_R)(1 + C_Q) before it is reported.
 
 * **Lucas families** — R = [1^(±s), 2^t] with gcd(s, t) = 1 produces
   Lucas-like counts: L(n) = F(n-1, R) is a divisibility sequence, and
@@ -176,12 +184,35 @@ class ScalingHit:
     q: RodSet
 
 
+def _window(counts: list[int], n: int, w: int) -> tuple[int, ...]:
+    """The window v_n = (F(n-1), ..., F(n-w+1)), with F(k) = 0 for k < 0."""
+    return tuple(counts[max(n - w + 1, 0):n][::-1]) + (0,) * (w - 1 - n)
+
+
+def _direction(window: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """A nonzero window v as (u, s*c) with v = s*c*u; (v, 0) when v is all zero.
+
+    c is the gcd of v's entries and s the sign of its first nonzero
+    entry, so u is primitive with its first nonzero entry positive.
+    """
+    scale = math.gcd(*window)
+    if scale == 0:
+        return window, 0
+    if next(x for x in window if x) < 0:
+        scale = -scale
+    return tuple(x // scale for x in window), scale
+
+
 def scan_one_expansions(rods: RodSet, bound: int) -> list[tuple[int, int]]:
     """All a <= bound where rods expands to the single-rod set [a^mult].
 
     Requires F(a - i) = 0 for 1 <= i < max R and F(a) != 0; the
-    multiplicity is F(a).  For max R = 1 the window is empty, so every
-    a with F(a) != 0 qualifies (each [1^m] expands to every [a^(m^a)]).
+    multiplicity is F(a).  The qualifying a form the zero class of the
+    window table (see scan_two_expansions): the lengths whose window is
+    all zero.  Their F(a) is never zero, since max R zeros in a row
+    would make the count series 1/(1 - C(x, R)) a polynomial.  For
+    max R = 1 every window is empty, so every a qualifies (each [1^m]
+    expands to every [a^(m^a)]).
     """
     if not rods.pairs:
         raise StructureError("scan needs a nonempty rod set")
@@ -189,46 +220,25 @@ def scan_one_expansions(rods: RodSet, bound: int) -> list[tuple[int, int]]:
         raise StructureError("bound must be at least 1")
     w = rods.max_length
     counts = train_counts(rods, bound)
-    hits: list[tuple[int, int]] = []
-    for a in range(1, bound + 1):
-        if counts[a] == 0:
-            continue
-        if all(counts[a - i] == 0 for i in range(1, w) if a - i >= 0):
-            hits.append((a, counts[a]))
-    return hits
+    # _window pads with zeros, so its in-range entries decide whether it is all zero.
+    return [(a, counts[a]) for a in range(1, bound + 1) if not any(counts[max(a - w + 1, 0):a])]
 
 
-def _window_hit(rods: RodSet, counts: list[int], a: int, b: int, w: int) -> ScalingHit | None:
-    """Try the scaling window at (a, b), w = max R; a witnessed ScalingHit or None.
+def _scaling_hit(
+    rods: RodSet, counts: list[int], a: int, b: int, alpha: int, w: int
+) -> ScalingHit | None:
+    """The witnessed hit [a^alpha, b^mult_b] once v_b = alpha*v_(b-a), w = max R.
 
-    Q's multiplicities are the discrepancies D(n) = F(n) - alpha*F(n - a)
-    for 1 <= n <= b - w (the F(n - b) term is zero there).  The window
-    makes D vanish on b - w < n < b and mult_b makes D(b) = 0.  The
-    product D * (1 - C(x, R)) = 1 - C(x, S) has degree b, so past b D
-    follows R's recursion from w zeros in a row and stays zero: Q is
-    finite, of degree at most b - w.  The exact witness then confirms
-    the hit; its failure is a bug and raises ExpansionError.
+    None when mult_b = F(b) - alpha*F(b - a) is zero.  Q's multiplicities
+    are the discrepancies D(n) = F(n) - alpha*F(n - a) for
+    1 <= n <= b - w (the F(n - b) term is zero there).  The window makes
+    D vanish on b - w < n < b and mult_b makes D(b) = 0.  The product
+    D * (1 - C(x, R)) = 1 - C(x, S) has degree b, so past b D follows
+    R's recursion from w zeros in a row and stays zero: Q is finite, of
+    degree at most b - w.  The exact witness then confirms the hit; its
+    failure is a bug and raises ExpansionError.
     """
-    alpha = None
-    for i in range(1, w):
-        lhs = counts[b - i] if b - i >= 0 else 0
-        rhs = counts[b - a - i] if b - a - i >= 0 else 0
-        if rhs == 0:
-            if lhs != 0:
-                return None
-        else:
-            if lhs % rhs:
-                return None
-            ratio = lhs // rhs
-            if alpha is None:
-                alpha = ratio
-            elif alpha != ratio:
-                return None
-    if not alpha:
-        return None  # no nonzero F(b-a-i) to scale against, or ratio zero
-    f_b = counts[b]
-    f_ba = counts[b - a] if b - a >= 0 else 0
-    mult_b = f_b - alpha * f_ba
+    mult_b = counts[b] - alpha * counts[b - a]
     if mult_b == 0:
         return None
     shape = RodSet(((a, alpha), (b, mult_b)))
@@ -239,16 +249,38 @@ def _window_hit(rods: RodSet, counts: list[int], a: int, b: int, w: int) -> Scal
     return ScalingHit(a, b, alpha, alpha, mult_b, shape, q)
 
 
+def _window_hit(rods: RodSet, counts: list[int], a: int, b: int, w: int) -> ScalingHit | None:
+    """Try the scaling window at one pair 1 <= a < b; a witnessed ScalingHit or None.
+
+    The window scales when v_b = alpha*v_(b-a) for a nonzero integer
+    alpha: both windows are nonzero, share their direction u, and
+    c_(b-a) divides c_b (see _direction).
+    """
+    u_b, scale_b = _direction(_window(counts, b, w))
+    u_m, scale_m = _direction(_window(counts, b - a, w))
+    if not scale_b or not scale_m or u_b != u_m or scale_b % scale_m:
+        return None
+    return _scaling_hit(rods, counts, a, b, scale_b // scale_m, w)
+
+
 def scan_two_expansions(
     rods: RodSet, bound: int, include_trivial: bool = False
 ) -> list[ScalingHit]:
     """All two-rod expansion targets [a^alpha, b^mult_b], 1 <= a < b <= bound.
 
-    A pair hits when the counts scale by a unique nonzero integer alpha
-    across the window b - max R < n < b (with at least one nonzero
-    denominator) and the length-b multiplicity comes out nonzero.  That
-    window makes Q finite (see _window_hit), so Q is read off the counts,
-    and every hit is confirmed by the exact witness before being
+    A pair hits when the window v_n = (F(n-1), ..., F(n-w+1)), w = max R,
+    scales by a nonzero integer alpha from n = b - a to n = b, and the
+    length-b multiplicity mult_b = F(b) - alpha*F(b - a) comes out
+    nonzero.  Write each nonzero window as v_n = s_n*c_n*u_n, with c_n
+    the gcd of its entries and u_n primitive with its first nonzero
+    entry positive.  Then v_b = alpha*v_m with alpha a nonzero integer
+    exactly when u_b = u_m and c_m divides c_b, and alpha is
+    s_b*c_b / (s_m*c_m).  So one table groups 1 <= n <= bound by u_n,
+    and the candidate pairs are the (m, b), m < b, of one class with
+    c_m | c_b, taking a = b - m: exactly the pairs the window admits,
+    found in O(bound * w) gcds plus the pairs inside classes.  That
+    window makes Q finite (see _scaling_hit), so Q is read off the
+    counts, and every hit is confirmed by the exact witness before being
     reported; a failed witness raises ExpansionError.
     Ordered by (b, a).  The no-op expansion of a two-rod set to itself
     (empty Q) is suppressed unless ``include_trivial`` is set.
@@ -261,12 +293,22 @@ def scan_two_expansions(
     if bound < 2:
         raise StructureError("bound must be at least 2")
     counts = train_counts(rods, bound)
+    classes: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for n in range(1, bound + 1):
+        u, scale = _direction(_window(counts, n, w))
+        if scale:
+            classes.setdefault(u, []).append((n, scale))
+    candidates = []
+    for members in classes.values():
+        for j, (b, scale_b) in enumerate(members):
+            for m, scale_m in members[:j]:
+                if scale_b % scale_m == 0:
+                    candidates.append((b, b - m, scale_b // scale_m))
     hits: list[ScalingHit] = []
-    for b in range(2, bound + 1):
-        for a in range(1, b):
-            hit = _window_hit(rods, counts, a, b, w)
-            if hit is not None and (include_trivial or hit.q.pairs):
-                hits.append(hit)
+    for b, a, alpha in sorted(candidates):
+        hit = _scaling_hit(rods, counts, a, b, alpha, w)
+        if hit is not None and (include_trivial or hit.q.pairs):
+            hits.append(hit)
     return hits
 
 
@@ -365,20 +407,25 @@ def lucas_two_shapes(
     with alpha = F((k+1)d - 1) / F(d - 1) by Lucas divisibility.
 
     F here counts trains of the sign-positive R; for sign = -1 the odd
-    sign swap carries every shape over, and each hit is still produced
-    and verified by the scaling window on the actual R.
+    sign swap F(n) -> (-1)^n F(n) carries every shape over, and each hit
+    is still produced and verified by the scaling window on the actual
+    R.  R is counted once per call, to the largest length needed, and F
+    is read off those counts by the same swap.
     """
     rods = _lucas_rodset(s, t, sign)
     w = rods.max_length
 
-    def f_plus(upto: int) -> list[int]:
-        return train_counts(RodSet(((1, s), (2, t))), upto)
-
     def swap_mult(length: int, mult: int) -> int:
         return -mult if sign == -1 and length % 2 == 1 else mult
 
-    def verified(a_len: int, b_len: int, want_a: int, want_b: int) -> ScalingHit:
-        counts = train_counts(rods, b_len)
+    def counted(upto: int) -> tuple[list[int], list[int]]:
+        """R's counts to upto, and the sign-positive F read off them by the swap."""
+        counts = train_counts(rods, upto)
+        return counts, [swap_mult(n, c) for n, c in enumerate(counts)]
+
+    def verified(
+        counts: list[int], a_len: int, b_len: int, want_a: int, want_b: int
+    ) -> ScalingHit:
         hit = _window_hit(rods, counts, a_len, b_len, w)
         if hit is None:
             raise StructureError(
@@ -397,11 +444,10 @@ def lucas_two_shapes(
     if kind == "adjacent":
         if a_min < 2:
             raise StructureError("adjacent chain starts at a = 2")
-        f = f_plus(a_max + 1)
+        counts, f = counted(a_max + 1)
         for a_len in range(a_min, a_max + 1):
-            hit = verified(a_len, a_len + 1, f[a_len], t * f[a_len - 1])
-            own = train_counts(rods, a_len - 1)
-            chain_q = RodSet.from_mults({k: own[k] for k in range(1, a_len)})
+            hit = verified(counts, a_len, a_len + 1, f[a_len], t * f[a_len - 1])
+            chain_q = RodSet.from_mults({k: counts[k] for k in range(1, a_len)})
             if expand(rods, chain_q).s != hit.s:
                 raise StructureError("minimal-rod chain disagrees with the scan")
             hits.append(hit)
@@ -412,22 +458,22 @@ def lucas_two_shapes(
             raise StructureError("skip shapes need a >= 2")
         if s != 1 and a % 2 != 0:
             raise StructureError("skip shapes need s = 1 or a even (s must divide F(a+1))")
-        f = f_plus(a + 1)
+        counts, f = counted(a + 2)
         if f[a + 1] % s or (t * t * f[a - 1]) % s:
             raise StructureError("s does not divide F(a+1) and t^2*F(a-1); this is a bug")
-        hits.append(verified(a, a + 2, f[a + 1] // s, -(t * t * f[a - 1]) // s))
+        hits.append(verified(counts, a, a + 2, f[a + 1] // s, -(t * t * f[a - 1]) // s))
     elif kind == "multiple":
         if d is None or d <= 2:
             raise StructureError('kind "multiple" needs a spacing d > 2')
         if k_max < 1:
             raise StructureError("k_max must be at least 1")
-        f = f_plus((k_max + 1) * d)
+        counts, f = counted((k_max + 1) * d)
         for k in range(1, k_max + 1):
             a_len, b_len = k * d, (k + 1) * d
             if f[b_len - 1] % f[d - 1]:
                 raise StructureError("Lucas divisibility failed; this is a bug")
             alpha = f[b_len - 1] // f[d - 1]
-            hits.append(verified(a_len, b_len, alpha, f[b_len] - alpha * f[d]))
+            hits.append(verified(counts, a_len, b_len, alpha, f[b_len] - alpha * f[d]))
     else:
         raise StructureError(f'unknown kind {kind!r}: use "adjacent", "skip" or "multiple"')
     return hits

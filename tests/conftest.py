@@ -1,9 +1,11 @@
-"""Shared test helpers: an independent brute-force oracle, a rod-set maker,
-and the settings of the property tests.
+"""Shared test helpers: independent oracles, a rod-set maker, and the
+settings of the property tests.
 
-The oracle walks compositions literally and multiplies net
+The count oracle walks compositions literally and multiplies net
 multiplicities — no code shared with the package's recursion or its
-enumerator, so agreement is evidence, not tautology.
+enumerator, so agreement is evidence, not tautology.  The scan oracles
+test the expansion windows one length, or one pair of lengths, at a
+time, on counts from the plain recurrence.
 """
 
 from __future__ import annotations
@@ -45,6 +47,75 @@ def oracle_net_count(rods: RodSet, n: int) -> int:
     )
 
 
+def _recurrence_counts(rods: RodSet, upto: int) -> list[int]:
+    """F(0..upto) from F(0) = 1 and F(n) = sum of m_k * F(n - k) over the rods."""
+    mult = rods.as_dict()
+    counts = [1]
+    for n in range(1, upto + 1):
+        counts.append(sum(m * counts[n - k] for k, m in mult.items() if k <= n))
+    return counts
+
+
+def oracle_scan_one(rods: RodSet, bound: int) -> list[tuple[int, int]]:
+    """The one-rod scan length by length: (a, F(a)) where F(a) != 0 and the
+    window F(a - i), 1 <= i < max R, is all zero (F(k) = 0 for k < 0)."""
+    w = rods.max_length
+    counts = _recurrence_counts(rods, bound)
+    return [
+        (a, counts[a])
+        for a in range(1, bound + 1)
+        if counts[a] and all(counts[a - i] == 0 for i in range(1, w) if a - i >= 0)
+    ]
+
+
+def _window_ratio(counts: list[int], a: int, b: int, w: int) -> int | None:
+    """The nonzero integer alpha with F(b - i) = alpha * F(b - a - i) on 1 <= i < w, if any."""
+    alpha = None
+    for i in range(1, w):
+        lhs = counts[b - i] if b - i >= 0 else 0
+        rhs = counts[b - a - i] if b - a - i >= 0 else 0
+        if rhs == 0:
+            if lhs != 0:
+                return None
+        else:
+            if lhs % rhs:
+                return None
+            ratio = lhs // rhs
+            if alpha is None:
+                alpha = ratio
+            elif alpha != ratio:
+                return None
+    return alpha or None  # no nonzero F(b-a-i) to scale against, or ratio zero
+
+
+def oracle_scan_two(rods: RodSet, bound: int, include_trivial: bool = False) -> list[tuple]:
+    """The two-rod scan pair by pair: (a, b, alpha, mult_b, S, Q) ordered by (b, a).
+
+    Every 1 <= a < b <= bound is tried with the window test, then
+    mult_b = F(b) - alpha * F(b - a) must be nonzero; Q's multiplicities
+    are the discrepancies F(n) - alpha * F(n - a) for n <= b - max R.
+    A pair with empty Q is kept only with ``include_trivial``.
+    """
+    w = rods.max_length
+    counts = _recurrence_counts(rods, bound)
+    hits = []
+    for b in range(2, bound + 1):
+        for a in range(1, b):
+            alpha = _window_ratio(counts, a, b, w)
+            if alpha is None:
+                continue
+            mult_b = counts[b] - alpha * counts[b - a]
+            if mult_b == 0:
+                continue
+            q = RodSet.from_mults(
+                (n, counts[n] - (alpha * counts[n - a] if n >= a else 0))
+                for n in range(1, b - w + 1)
+            )
+            if include_trivial or q.pairs:
+                hits.append((a, b, alpha, mult_b, RodSet(((a, alpha), (b, mult_b))), q))
+    return hits
+
+
 def random_rodset(
     rng: random.Random,
     max_length: int = 5,
@@ -63,6 +134,17 @@ def oracle_net():
 @pytest.fixture
 def make_rodset():
     return random_rodset
+
+
+# Session-scoped, so that hypothesis tests may take them.
+@pytest.fixture(scope="session")
+def pairwise_scan():
+    return oracle_scan_two
+
+
+@pytest.fixture(scope="session")
+def zero_window_scan():
+    return oracle_scan_one
 
 
 def pytest_configure(config):

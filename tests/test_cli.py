@@ -77,6 +77,14 @@ def test_golden_outputs(run, argv, env, golden):
     assert out == (GOLDEN / golden).read_text(), f"output drifted from golden {golden}"
 
 
+def test_scan2_at_a_large_bound_prints_the_padovan_golden(run):
+    code, out, err = run(["scan2", "[2,3]", "-b", "6000"])
+    assert code == 0 and err == ""
+    assert out == (GOLDEN / "scan2_padovan.txt").read_text(), (
+        "bound 6000 must add no hit to the bound-16 Padovan table"
+    )
+
+
 @pytest.mark.parametrize(
     "argv, expected",
     [

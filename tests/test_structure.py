@@ -141,6 +141,19 @@ def test_scan_one_expansions(literal, bound, hits):
     assert scan_one_expansions(parse_rodset(literal), bound) == hits
 
 
+@PROPERTY
+@given(
+    st.dictionaries(
+        st.integers(1, 6), st.sampled_from((-3, -2, -1, 1, 2, 3)), min_size=1, max_size=4
+    ).map(RodSet.from_mults),
+    st.integers(1, 40),
+)
+def test_scan_one_equals_the_zero_window_oracle(zero_window_scan, rods, bound):
+    assert scan_one_expansions(rods, bound) == zero_window_scan(rods, bound), (
+        f"the zero class of the window table differs from the direct window test for {rods}"
+    )
+
+
 def test_scan_one_hits_have_finite_mediators():
     rods = parse_rodset("[1,-2]")
     counts = train_counts(rods, 7)
@@ -243,6 +256,31 @@ def test_scan_two_hits_are_witnessed(monkeypatch):
     monkeypatch.setattr(expansion, "_identity_holds", lambda *args: False)
     with pytest.raises(ExpansionError, match="this is a bug"):
         scan_two_expansions(rods, 16)
+
+
+@PROPERTY
+@given(
+    st.dictionaries(
+        st.integers(1, 6), st.sampled_from((-3, -2, -1, 1, 2, 3)), min_size=2, max_size=4
+    ).map(RodSet.from_mults),
+    st.integers(2, 40),
+)
+def test_scan_two_equals_the_pairwise_oracle(pairwise_scan, rods, bound):
+    for include_trivial in (False, True):
+        hits = scan_two_expansions(rods, bound, include_trivial=include_trivial)
+        got = [(h.a, h.b, h.alpha, h.mult_b, h.s, h.q) for h in hits]
+        assert got == pairwise_scan(rods, bound, include_trivial), (
+            f"window classes and the pairwise window test disagree for {rods} "
+            f"(include_trivial={include_trivial})"
+        )
+
+
+def test_scan_two_large_bound_keeps_the_padovan_hits():
+    rods = parse_rodset("[2,3]")
+    hits = scan_two_expansions(rods, 6000)
+    assert len(hits) == 6 and hits == scan_two_expansions(rods, 16), (
+        "[2,3] has no two-rod hit with b past 16"
+    )
 
 
 def test_scan_two_antirod_target():
