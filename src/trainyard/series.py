@@ -10,12 +10,12 @@ polynomial 1 - C(x, R), where C is the rod generating function
 (coefficient of x^k = net multiplicity of length k).  Its reciprocal
 power series enumerates net train counts, products of characteristic
 polynomials witness expansions, and its cyclotomic factors decide
-periodicity.
+periodicity (the construction and the screen of those factors live in
+``_cyclotomic``, imported on first use).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 
 from .rodset import RodSet
 
@@ -192,33 +192,23 @@ def rodset_from_char_poly(p: Poly) -> RodSet:
     return RodSet.from_mults({k: -c for k, c in enumerate(p) if k >= 1 and c != 0})
 
 
-@lru_cache(maxsize=None)
-def _cyclotomic(d: int) -> tuple:
-    if d == 1:
-        return (-1, 1)  # x - 1
-    num = [-1] + [0] * (d - 1) + [1]  # x^d - 1
-    quo = num
-    for e in range(1, d):
-        if d % e == 0:
-            quo = poly_divexact(quo, list(_cyclotomic(e)))
-            assert quo is not None, "cyclotomic recursion must divide exactly"
-    return tuple(quo)
-
-
 def cyclotomic(d: int) -> Poly:
     """The d-th cyclotomic polynomial, ascending coefficients.
 
-    Computed by peeling: x^d - 1 divided by the cyclotomic polynomials
-    of all proper divisors of d.  Memoized, so a scan over many d is
-    cheap.
+    Built as the Moebius product Phi_d = prod over e | d of
+    (1 - x^e)^mu(d/e) (for d > 1), cut at degree phi(d): only the
+    squarefree d/e count, and each factor is one stride-e pass over
+    phi(d) + 1 coefficients.  Memoized, so a scan over many d is cheap.
     """
     if d < 1:
         raise SeriesError("cyclotomic index must be >= 1")
-    return list(_cyclotomic(d))
+    from ._cyclotomic import moebius_cyclotomic  # built on first use, not at import
+
+    return list(moebius_cyclotomic(d))
 
 
 def euler_phi(n: int) -> int:
-    """Euler's totient, by trial-division factorization."""
+    """Euler's totient, by trial-division factorization (no table, so any n)."""
     if n < 1:
         raise SeriesError("totient argument must be >= 1")
     result = n

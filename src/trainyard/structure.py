@@ -6,7 +6,10 @@ Four families of questions about a finite rod set R:
   count series is 1/char_poly(R), so the sequence is periodic precisely
   when the characteristic polynomial is (up to sign) a product of
   distinct cyclotomic polynomials; the least period is the lcm of their
-  orders.  A windowed sequence scan confirms every verdict.
+  orders.  Each candidate Phi_d is screened at a root of unity of order
+  d modulo a prime and only the survivors are divided exactly.  The
+  counts confirm every verdict, within one bound on the work of that
+  confirmation (PERIOD_WORK_LIMIT).
 
 * **Expandability scans** — which one- and two-rod sets does R expand
   to?  Both scans read one table of window classes.  For each length
@@ -43,17 +46,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .counts import train_counts
-from .expansion import DEFAULT_HORIZON, _verified, expand, solve_Q
+from .expansion import DEFAULT_HORIZON, _verified, expand
 from .rodset import RodSet, format_rodset
-from .series import char_poly, char_terms, cyclotomic, euler_phi, poly_divexact, series_quotient
+from .series import char_poly, char_terms, cyclotomic, poly_divexact, series_quotient
 
-_WINDOW_PRIME = (1 << 61) - 1
-# Largest max R that detect_period accepts.  Its cost grows like (max R)^3:
-# the candidate orders run to 2 * (max R)^2 and the window scan to 4 * (max R)^2.
-PERIOD_LENGTH_LIMIT = 128
+_WINDOW_PRIME = 1073741789  # the largest prime below 2^30
+# Largest confirmation pass detect_period takes on, in counted terms times
+# nonzero char terms.  A unit costs about 0.2 us with the peel and the witness
+# included (2-vCPU Xeon VM, Python 3.11), so the limit is about 3 s; the
+# Phi_3*Phi_5*Phi_7*Phi_8*Phi_11*Phi_13 set (p = 120120, 39 terms) needs 1.41e7.
+PERIOD_WORK_LIMIT = 15 * 10**6
 
 
 class StructureError(ValueError):
@@ -109,10 +113,14 @@ def window_period_scan(rods: RodSet, horizon: int) -> int | None:
     return None
 
 
-@lru_cache(maxsize=64)
-def _cyclotomic_orders(top: int) -> tuple[int, ...]:
-    """The orders d <= 2 * top^2 with phi(d) <= top, ascending."""
-    return tuple(d for d in range(1, 2 * top * top + 1) if euler_phi(d) <= top)
+def _check_work(terms: int, nonzero: int, verdict: str) -> None:
+    """Refuse a confirmation pass of terms x nonzero char terms over PERIOD_WORK_LIMIT."""
+    work = terms * nonzero
+    if work > PERIOD_WORK_LIMIT:
+        raise StructureError(
+            f"confirming a {verdict} verdict needs {terms} counted terms x {nonzero} nonzero "
+            f"char terms = {work}, over the limit PERIOD_WORK_LIMIT = {PERIOD_WORK_LIMIT}"
+        )
 
 
 def detect_period(rods: RodSet) -> PeriodReport:
@@ -122,25 +130,33 @@ def detect_period(rods: RodSet) -> PeriodReport:
     distinct cyclotomic polynomials (times -1 when x - 1 is among
     them).  Candidate orders d satisfy phi(d) <= max R, and
     phi(d) >= sqrt(d/2) bounds the search by d <= 2 * (max R)^2.  Each
-    candidate is peeled at most once: a repeated cyclotomic factor
-    means polynomial growth, not periodicity.
+    candidate is first screened: the sparse char is evaluated at a root
+    of unity of order exactly d modulo a prime ell = 1 (mod d), and a
+    nonzero value proves Phi_d does not divide it.  Every survivor is
+    decided by exact division, and each is peeled at most once: a
+    repeated cyclotomic factor means polynomial growth, not periodicity.
 
-    The window scan confirms every verdict: to 3p for a period p, and
-    to twice the candidate bound for a non-periodic verdict (where the
-    algebraic answer is already exact).  A rod set with max R over
-    PERIOD_LENGTH_LIMIT is refused before anything is allocated.
+    Every verdict is confirmed on the counts.  A non-periodic verdict by
+    the modular window scan to 4 * (max R)^2; a period p by one exact
+    count pass to 3p, which shows F(n + p) = F(n) for n <= 2p, finds no
+    window repeat before p, and gives Q to [p] as the counts F(1..p - max R),
+    confirmed by the exact witness.  Each pass costs its counted terms
+    times the nonzero char terms, and is refused past PERIOD_WORK_LIMIT
+    before anything is counted.  The non-periodic bound is checked
+    first, since the peel's candidate orders run to half its horizon.
     """
+    from ._cyclotomic import cyclotomic_orders, cyclotomic_screen  # built on first use
+
     if not rods.pairs:
         raise StructureError("periodicity is about nonempty rod sets")
     top = rods.max_length
-    if top > PERIOD_LENGTH_LIMIT:
-        raise StructureError(
-            f"periodicity detection needs max R <= PERIOD_LENGTH_LIMIT = {PERIOD_LENGTH_LIMIT}, "
-            f"got max R = {top}"
-        )
+    terms = char_terms(rods)
+    _check_work(4 * top * top, len(terms), "non-periodic")
     residual = char_poly(rods)
     factors: list[int] = []
-    for d in _cyclotomic_orders(top):
+    for d, degree in cyclotomic_orders(top):
+        if degree >= len(residual) or not cyclotomic_screen(terms, d):
+            continue
         quotient = poly_divexact(residual, cyclotomic(d))
         if quotient is not None:
             residual = quotient
@@ -152,12 +168,16 @@ def detect_period(rods: RodSet) -> PeriodReport:
         return PeriodReport(False, None, tuple(factors), None, confirmed)
     assert residual[0] in (1, -1), "peeling left a non-unit constant; this is a bug"
     period = math.lcm(*factors)
-    solved = solve_Q(rods, RodSet(((period, 1),)))
-    assert solved.q_finite is True, "a periodic set must expand to [period]"
+    _check_work(3 * period, len(terms), "periodic")
     counts = train_counts(rods, 3 * period)
-    agreed = all(counts[n + period] == counts[n] for n in range(2 * period + 1))
-    confirmed = agreed and window_period_scan(rods, 3 * period) == period
-    return PeriodReport(True, period, tuple(factors), solved.q, confirmed)
+    agreed = counts[period:] == counts[:2 * period + 1]
+    first, init = counts[0], counts[:top]
+    repeat = next(
+        (p for p in range(1, period + 1) if counts[p] == first and counts[p:p + top] == init), None
+    )
+    q = RodSet(tuple([(n, c) for n, c in enumerate(counts[1:period - top + 1], 1) if c]))
+    _verified(rods, q, RodSet(((period, 1),)), DEFAULT_HORIZON, q_finite=True)
+    return PeriodReport(True, period, tuple(factors), q, agreed and repeat == period)
 
 
 # ---------------------------------------------------------------------------
@@ -235,16 +255,19 @@ def _scaling_hit(
     D vanish on b - w < n < b and mult_b makes D(b) = 0.  The product
     D * (1 - C(x, R)) = 1 - C(x, S) has degree b, so past b D follows
     R's recursion from w zeros in a row and stays zero: Q is finite, of
-    degree at most b - w.  The exact witness then confirms the hit; its
-    failure is a bug and raises ExpansionError.
+    degree at most b - w.  Q's pairs are built in one ascending pass and
+    validated by RodSet itself.  The exact witness then confirms the hit;
+    its failure is a bug and raises ExpansionError.
     """
     mult_b = counts[b] - alpha * counts[b - a]
     if mult_b == 0:
         return None
     shape = RodSet(((a, alpha), (b, mult_b)))
-    q = RodSet.from_mults(
-        (n, counts[n] - (alpha * counts[n - a] if n >= a else 0)) for n in range(1, b - w + 1)
-    )
+    top = b - w
+    mults = counts[1:min(a, top + 1)] + [
+        f - alpha * g for f, g in zip(counts[a:top + 1], counts)
+    ]
+    q = RodSet(tuple([(n, m) for n, m in enumerate(mults, 1) if m]))
     _verified(rods, q, shape, DEFAULT_HORIZON, q_finite=True)
     return ScalingHit(a, b, alpha, alpha, mult_b, shape, q)
 

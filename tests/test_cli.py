@@ -196,7 +196,12 @@ def test_period_past_the_length_limit_fails_at_once(run):
     # A dense characteristic polynomial of degree 10^9 would be built otherwise.
     code, out, err = run(["period", "[1,1000000000]"])
     assert code == 1 and out == ""
-    assert err.startswith("error: ") and "PERIOD_LENGTH_LIMIT" in err
+    assert err.startswith("error: ") and "PERIOD_WORK_LIMIT" in err
+
+
+def test_period_accepts_a_long_chain(run):
+    # max R 256 was past the old length limit; its non-periodic window runs to 4 * 256^2.
+    assert run(["period", "[1,-256]"]) == (0, "not periodic\n", "")
 
 
 def test_long_walks_and_resource_exhaustion_keep_the_contract(run, monkeypatch):

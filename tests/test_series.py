@@ -20,6 +20,7 @@ from trainyard import (
     series_inverse,
     series_mul,
 )
+from trainyard._cyclotomic import _sieve, cyclotomic_orders, cyclotomic_root
 from trainyard.series import poly_trim
 
 X = sympy.symbols("x")
@@ -152,8 +153,9 @@ def test_char_poly_round_trip():
 
 
 def test_cyclotomic_against_sympy():
-    for d in list(range(1, 64)) + [105, 120]:
-        want = from_sympy(sympy.Poly(sympy.cyclotomic_poly(d, X), X))
+    # Every d <= 300, and every candidate order of detect_period at max R 256 past that.
+    for d in sorted(set(range(1, 301)) | {d for d, _ in cyclotomic_orders(256)}):
+        want = from_sympy(sympy.cyclotomic_poly(d, X, polys=True))
         assert cyclotomic(d) == want, f"cyclotomic polynomial {d} is wrong"
     with pytest.raises(SeriesError, match=">= 1"):
         cyclotomic(0)
@@ -167,6 +169,30 @@ def test_cyclotomic_product_identity():
                 product = poly_mul(product, cyclotomic(d))
         want = [-1] + [0] * (n - 1) + [1]
         assert product == want, f"product of cyclotomic factors of {n} != x^{n}-1"
+
+
+def test_sieve_against_sympy():
+    spf, phi, mu = _sieve(5000)
+    for n in range(1, 5001):
+        assert phi[n] == sympy.totient(n), f"sieve totient mismatch at {n}"
+        assert mu[n] == sympy.mobius(n), f"sieve Moebius mismatch at {n}"
+        if n > 1:
+            assert spf[n] == min(sympy.primefactors(n)), f"smallest prime factor of {n}"
+
+
+def test_cyclotomic_orders_are_every_degree_bounded_order():
+    orders = cyclotomic_orders(256)
+    assert len(orders) == 505 and orders[-1] == (1050, 240)
+    assert orders == tuple((d, sympy.totient(d)) for d in range(1, 1051) if sympy.totient(d) <= 256)
+
+
+def test_cyclotomic_roots_have_exact_order():
+    for d, _ in cyclotomic_orders(256):
+        ell, zeta = cyclotomic_root(d)
+        assert sympy.isprime(ell) and (ell - 1) % d == 0, f"bad screening prime {ell} for order {d}"
+        assert pow(zeta, d, ell) == 1, f"zeta^{d} != 1 mod {ell}"
+        for q in sympy.primefactors(d):
+            assert pow(zeta, d // q, ell) != 1, f"zeta has order dividing {d // q}, not {d}"
 
 
 def test_euler_phi_against_sympy():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 
@@ -9,6 +10,8 @@ import pytest
 import sympy
 from hypothesis import given
 from hypothesis import strategies as st
+from sympy import ZZ
+from sympy.polys.factortools import dup_cyclotomic_p
 
 from trainyard import (
     ExpansionError,
@@ -23,6 +26,7 @@ from trainyard import (
     lucas_two_shapes,
     parse_rodset,
     poly_divexact,
+    poly_mul,
     rodset_from_char_poly,
     scan_one_expansions,
     scan_two_expansions,
@@ -31,6 +35,8 @@ from trainyard import (
     window_period_scan,
 )
 from trainyard import expansion, structure
+from trainyard._cyclotomic import cyclotomic_orders, cyclotomic_screen
+from trainyard.series import char_terms, poly_trim
 
 from conftest import PROPERTY
 
@@ -77,10 +83,76 @@ def test_detect_period_negative_and_errors():
 
 
 def test_detect_period_refuses_past_the_length_limit():
-    limit = structure.PERIOD_LENGTH_LIMIT
-    assert limit > 48, "the cyclotomic(105) rod set below must stay in range"
-    with pytest.raises(StructureError, match="PERIOD_LENGTH_LIMIT"):
-        detect_period(RodSet(((1, 1), (limit + 1, -1))))
+    limit = structure.PERIOD_WORK_LIMIT
+    # The non-periodic horizon 4 * (max R)^2 times the three char terms of [1, k^-1].
+    k = math.isqrt(limit // 12) + 1
+    assert 4 * 256 * 256 * 3 <= limit, "the [1, 256^-1] chain must stay in range"
+    with pytest.raises(StructureError, match="PERIOD_WORK_LIMIT"):
+        detect_period(RodSet(((1, 1), (k, -1))))
+
+
+def _cyclotomic_product(orders):
+    product = [1]
+    for d in orders:
+        product = poly_mul(product, cyclotomic(d))
+    return product if product[0] == 1 else [-c for c in product]
+
+
+def test_detect_period_long_period_is_witnessed():
+    # p - max R far exceeds QUOTIENT_DEGREE_LIMIT, so Q comes from the counts, not solve_Q.
+    rods = rodset_from_char_poly(_cyclotomic_product((3, 5, 7, 8, 11, 13)))
+    assert rods.max_length == 38
+    report = detect_period(rods)
+    assert report.periodic and report.least_period == 120120
+    assert report.cyclotomic_factors == (3, 5, 7, 8, 11, 13)
+    assert report.window_confirmed is True
+    q = report.q_to_period
+    assert q.max_length <= 120120 - 38
+    char = sympy.Poly.from_dict({(0,): 1, **{(k,): -m for k, m in rods.pairs}}, X)
+    one_plus_q = sympy.Poly.from_dict({(0,): 1, **{(k,): m for k, m in q.pairs}}, X)
+    assert char * one_plus_q == sympy.Poly(1 - X**120120, X), "Q to [p] fails the witness"
+
+
+def test_detect_period_refuses_a_period_past_the_work_limit():
+    # max R 42 passes the non-periodic bound, but 3p = 3 * 360360 counted terms do not.
+    rods = rodset_from_char_poly(_cyclotomic_product((5, 7, 8, 9, 11, 13)))
+    assert rods.max_length == 42
+    with pytest.raises(StructureError, match="PERIOD_WORK_LIMIT") as refused:
+        detect_period(rods)
+    assert "1081080 counted terms" in str(refused.value)
+
+
+def _sympy_cyclotomic(d):
+    return sympy.cyclotomic_poly(d, X, polys=True)
+
+
+@st.composite
+def cyclotomic_products(draw):
+    """char = +-(distinct Phi_d) * g, g sometimes a random factor of degree 1 to 4."""
+    orders = draw(st.lists(st.sampled_from([d for d, phi in cyclotomic_orders(12)]),
+                           min_size=1, max_size=4, unique=True))
+    poly = [1]
+    for d in orders:
+        poly = poly_mul(poly, cyclotomic(d))
+    if draw(st.booleans()):
+        g = [1] + draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4))
+        poly = poly_mul(poly, poly_trim(g) or [1])
+    return rodset_from_char_poly(poly if poly[0] == 1 else [-c for c in poly])
+
+
+@PROPERTY
+@given(cyclotomic_products())
+def test_cyclotomic_screen_never_rejects_a_factor(rods):
+    char = sympy.Poly(1 - sum(m * X**k for k, m in rods.pairs), X)
+    dividing = set()
+    for d, _ in cyclotomic_orders(rods.max_length):
+        if sympy.div(char, _sympy_cyclotomic(d))[1].is_zero:
+            dividing.add(d)
+            assert cyclotomic_screen(char_terms(rods), d), f"screen rejected Phi_{d} | {char}"
+    report = detect_period(rods)
+    assert set(report.cyclotomic_factors) == dividing
+    for d in report.cyclotomic_factors:
+        assert dup_cyclotomic_p(cyclotomic(d)[::-1], ZZ), f"peeled factor {d} is not cyclotomic"
 
 
 def test_detect_period_cyclotomic_rod_set():
