@@ -1,73 +1,49 @@
 """Cyclotomic polynomials and their modular screen, imported on first use.
 
-Phi_d is built as a Moebius product over one sieve of smallest prime
-factors, phi and mu; the candidate orders of a periodicity test come
-from the same sieve; and a candidate d is screened by evaluating a
-sparse polynomial at a root of unity of order exactly d modulo a prime.
-On cyclotomic factors of integer polynomials see Bradford & Davenport,
+Phi_d is built as a Moebius product over the squarefree divisors of d;
+the candidate orders of a periodicity test are listed, with their phi,
+by a walk over prime powers; and a candidate d is screened by evaluating
+a sparse polynomial at a root of unity of order exactly d modulo a prime.
+Each order is factored by trial division when it is first needed.  On
+cyclotomic factors of integer polynomials see Bradford & Davenport,
 "Effective tests for cyclotomic polynomials", ISSAC '88.  Nothing here
-runs at import: the sieve grows when an order first needs it, and the
-roots are cached per order.
+runs at import: the orders, the polynomials and the roots are cached.
 """
 
 from __future__ import annotations
 
-from array import array
+import math
 from functools import lru_cache
 from itertools import accumulate
 
-# The sieve is built on first use and grown by doubling: (spf, phi, mu) hold
-# the smallest prime factor, Euler's totient and the Moebius function of 0..n.
-_sieve_tables: tuple = (array("i", [0, 1]), array("i", [0, 1]), array("b", [0, 1]))
-
-
-def _sieve(n: int) -> tuple:
-    """Smallest prime factor, totient and Moebius tables covering 0..n (index 0 unused)."""
-    global _sieve_tables
-    if len(_sieve_tables[0]) > n:
-        return _sieve_tables
-    size = max(n, 2 * (len(_sieve_tables[0]) - 1))
-    spf = array("i", bytes(4 * (size + 1)))
-    for p in range(2, size + 1):
-        if not spf[p]:
-            spf[p] = p
-            for m in range(p * p, size + 1, p):
-                if not spf[m]:
-                    spf[m] = p
-    phi = array("i", bytes(4 * (size + 1)))
-    mu = array("b", bytes(size + 1))
-    phi[1] = mu[1] = 1
-    for m in range(2, size + 1):
-        p = spf[m]
-        k = m // p
-        if k % p:
-            phi[m] = phi[k] * (p - 1)
-            mu[m] = -mu[k]
-        else:
-            phi[m] = phi[k] * p
-    _sieve_tables = (spf, phi, mu)
-    return _sieve_tables
-
-
-def _prime_divisors(n: int, spf) -> list:
-    """The distinct primes dividing n, ascending, read off a smallest-prime-factor table."""
-    primes = []
-    while n > 1:
-        p = spf[n]
-        primes.append(p)
-        while n % p == 0:
-            n //= p
-    return primes
+from .series import _is_prime, _prime_divisors
 
 
 @lru_cache(maxsize=64)
 def cyclotomic_orders(top: int) -> tuple:
     """The pairs (d, phi(d)) with phi(d) <= top, d ascending: the Phi_d of degree <= top.
 
-    phi(d) >= sqrt(d/2) for every d, so their orders all lie below 2 * top^2.
+    phi is multiplicative with phi(p^k) = p^(k-1) * (p - 1), so these d
+    are the products of powers of distinct primes p, each with
+    p - 1 <= top, whose totients multiply to at most top.  A depth-first
+    walk over the primes in ascending order lists them.
     """
-    phi = _sieve(2 * top * top)[1]
-    return tuple((d, phi[d]) for d in range(1, 2 * top * top + 1) if phi[d] <= top)
+    primes = [p for p in range(2, top + 2) if _is_prime(p)]
+    found = []
+
+    def walk(start: int, d: int, phi: int) -> None:
+        found.append((d, phi))
+        for i in range(start, len(primes)):
+            p = primes[i]
+            power, t = p, phi * (p - 1)
+            if t > top:
+                break  # and phi * (q - 1) > top for every larger prime q
+            while t <= top:
+                walk(i + 1, d * power, t)
+                power, t = power * p, t * p
+
+    walk(0, 1, 1)
+    return tuple(sorted(found))
 
 
 @lru_cache(maxsize=None)
@@ -75,49 +51,23 @@ def moebius_cyclotomic(d: int) -> tuple:
     """Phi_d (d >= 1) as an ascending coefficient tuple; see series.cyclotomic."""
     if d == 1:
         return (-1, 1)  # x - 1
-    spf, phi, mu = _sieve(d)
-    deg = phi[d]
-    squarefree = [1]
-    for p in _prime_divisors(d, spf):
-        squarefree += [s * p for s in squarefree]
+    primes = _prime_divisors(d)
+    deg = d // math.prod(primes) * math.prod(p - 1 for p in primes)
+    # mu(s) is +1 on the squarefree divisors s with an even number of primes.
+    even, odd = [1], []
+    for p in primes:
+        even, odd = even + [s * p for s in odd], odd + [s * p for s in even]
     out = [1] + [0] * deg
     # Multiply by the factors with mu = +1 first, then divide by the others:
     # times (1 - x^e) is a stride-e difference, over (1 - x^e) a stride-e prefix sum.
-    for s in sorted(squarefree, key=lambda s: -mu[s]):
-        e = d // s
-        if e > deg:
-            continue
-        if mu[s] == 1:
+    for e in (d // s for s in even):
+        if e <= deg:
             out[e:] = [a - b for a, b in zip(out[e:], out)]
-        else:
+    for e in (d // s for s in odd):
+        if e <= deg:
             for r in range(e):
                 out[r::e] = accumulate(out[r::e])
     return tuple(out)
-
-
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin over the first twelve primes: deterministic below 3.3e24."""
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    if n < 2:
-        return False
-    for p in bases:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in bases:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 # Screening primes start here, so that a root of unity modulo them stays a
@@ -136,7 +86,7 @@ def cyclotomic_root(d: int) -> tuple:
     ell = ((_SCREEN_PRIME_FLOOR - 1) // d + 1) * d + 1
     while not _is_prime(ell):
         ell += d
-    primes = _prime_divisors(d, _sieve(d)[0])
+    primes = _prime_divisors(d)
     for g in range(2, ell):
         zeta = pow(g, (ell - 1) // d, ell)
         if all(pow(zeta, d // q, ell) != 1 for q in primes):

@@ -50,14 +50,16 @@ from dataclasses import dataclass
 from .counts import train_counts
 from .expansion import DEFAULT_HORIZON, _verified, expand
 from .rodset import RodSet, format_rodset
-from .series import char_poly, char_terms, cyclotomic, poly_divexact, series_quotient
+from .series import char_poly, char_terms, cyclotomic, poly_divexact, series_mul, series_quotient
 
 _WINDOW_PRIME = 1073741789  # the largest prime below 2^30
 # Largest confirmation pass detect_period takes on, in counted terms times
-# nonzero char terms.  A unit costs about 0.2 us with the peel and the witness
-# included (2-vCPU Xeon VM, Python 3.11), so the limit is about 3 s; the
+# nonzero char terms.  A unit costs 0.14 to 0.23 us with the peel and the
+# witness included (2-vCPU Xeon VM, Python 3.11): [1, 1118^-1] (1.5e7 units)
+# takes 3.3 s and the dense max R 128 set [1, 2, ..., 128] (8.5e6) 1.2 s; the
 # Phi_3*Phi_5*Phi_7*Phi_8*Phi_11*Phi_13 set (p = 120120, 39 terms) needs 1.41e7.
 PERIOD_WORK_LIMIT = 15 * 10**6
+_SCAN_BLOCK = 1 << 14  # terms per block of window_period_scan
 
 
 class StructureError(ValueError):
@@ -95,21 +97,30 @@ def window_period_scan(rods: RodSet, horizon: int) -> int | None:
     complete periodicity test up to the horizon.  The scan runs modulo
     a large prime — a modular mismatch proves an exact mismatch, and
     the rare modular match is re-verified with exact integers before it
-    is believed.
+    is believed.  It runs in blocks of _SCAN_BLOCK terms, so memory does
+    not grow with the horizon; each restarts from the last max R values L,
+    as (char * L cut at degree max R) / char is L, then the counts after it.
     """
     if not rods.pairs:
         raise StructureError("periodicity is about nonempty rod sets")
     if horizon < 1:
         raise StructureError("horizon must be at least 1")
     w = rods.max_length
-    seq = series_quotient([1], char_terms(rods), horizon + w - 1, modulus=_WINDOW_PRIME)
-    first = seq[0]
-    init = seq[:w]
-    for p in range(1, horizon + 1):
-        if seq[p] == first and seq[p:p + w] == init:
-            exact = train_counts(rods, p + w - 1)
-            if exact[p:p + w] == exact[:w]:
-                return p
+    char, terms = char_poly(rods), char_terms(rods)
+    init = series_quotient([1], terms, w - 1, modulus=_WINDOW_PRIME)
+    # F(1 - w..0): zeros, then F(0) = 1; the recursion holds from n = 1 on.
+    tail, start = [0] * (w - 1) + [1], 1
+    while start < horizon + w:
+        size = min(_SCAN_BLOCK, horizon + w - start)
+        num = series_mul(char, tail, w - 1)
+        seq = series_quotient(num, terms, w - 1 + size, modulus=_WINDOW_PRIME)  # F(start - w..)
+        for i in range(max(1, w + 1 - start), size + 1):  # the windows at p = start - w + i >= 1
+            if seq[i] == 1 and seq[i:i + w] == init:
+                p = start - w + i
+                exact = train_counts(rods, p + w - 1)
+                if exact[p:p + w] == exact[:w]:
+                    return p
+        tail, start = seq[size:], start + size
     return None
 
 
@@ -128,8 +139,8 @@ def detect_period(rods: RodSet) -> PeriodReport:
 
     The sequence is periodic iff char_poly(rods) is a product of
     distinct cyclotomic polynomials (times -1 when x - 1 is among
-    them).  Candidate orders d satisfy phi(d) <= max R, and
-    phi(d) >= sqrt(d/2) bounds the search by d <= 2 * (max R)^2.  Each
+    them).  The candidate orders are the d with phi(d) <= max R, listed
+    with their phi by a walk over prime powers.  Each
     candidate is first screened: the sparse char is evaluated at a root
     of unity of order exactly d modulo a prime ell = 1 (mod d), and a
     nonzero value proves Phi_d does not divide it.  Every survivor is
@@ -143,7 +154,8 @@ def detect_period(rods: RodSet) -> PeriodReport:
     confirmed by the exact witness.  Each pass costs its counted terms
     times the nonzero char terms, and is refused past PERIOD_WORK_LIMIT
     before anything is counted.  The non-periodic bound is checked
-    first, since the peel's candidate orders run to half its horizon.
+    first, so that a set too large to confirm is refused before its
+    dense characteristic polynomial is built.
     """
     from ._cyclotomic import cyclotomic_orders, cyclotomic_screen  # built on first use
 

@@ -5,7 +5,8 @@ The count oracle walks compositions literally and multiplies net
 multiplicities — no code shared with the package's recursion or its
 enumerator, so agreement is evidence, not tautology.  The scan oracles
 test the expansion windows one length, or one pair of lengths, at a
-time, on counts from the plain recurrence.
+time, on counts from the plain recurrence.  The window period oracle
+is the period scan over the whole modular sequence at once.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import random
 import pytest
 from hypothesis import settings
 
-from trainyard import RodSet
+from trainyard import RodSet, train_counts
+from trainyard.series import char_terms, series_quotient
 
 # Derandomized and capped, so every run checks the same inputs and the suite stays fast.
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -114,6 +116,20 @@ def oracle_scan_two(rods: RodSet, bound: int, include_trivial: bool = False) -> 
             if include_trivial or q.pairs:
                 hits.append((a, b, alpha, mult_b, RodSet(((a, alpha), (b, mult_b))), q))
     return hits
+
+
+def oracle_window_period(rods: RodSet, horizon: int, modulus: int) -> int | None:
+    """Least p <= horizon whose max R-window repeats the initial one, every
+    term kept: the modular sequence to horizon + max R - 1 in one list, each
+    modular match re-checked on exact counts."""
+    w = rods.max_length
+    seq = series_quotient([1], char_terms(rods), horizon + w - 1, modulus=modulus)
+    for p in range(1, horizon + 1):
+        if seq[p:p + w] == seq[:w]:
+            exact = train_counts(rods, p + w - 1)
+            if exact[p:p + w] == exact[:w]:
+                return p
+    return None
 
 
 def random_rodset(

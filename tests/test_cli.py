@@ -281,6 +281,14 @@ def test_module_entry_point():
     assert proc.stdout == "1,1,2,3,5,8\n"
 
 
+def test_import_leaves_the_cyclotomic_module_unloaded():
+    # _cyclotomic is imported on first use, so that it stays off every process's startup.
+    probe = "import sys, trainyard, trainyard.cli; print('trainyard._cyclotomic' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 ROD = st.sampled_from(("[]", "[1,2]", "[2,3]", "[1,-2]", "[-1,-2]", "[1^2,3]", "[2^3,-5]",
                        "[1,", "[0]", "[2^0]", "[2^-1]", "1,2", "[a]", "", "-"))
 INT = st.integers(-3, 12).map(str)

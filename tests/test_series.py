@@ -20,8 +20,8 @@ from trainyard import (
     series_inverse,
     series_mul,
 )
-from trainyard._cyclotomic import _sieve, cyclotomic_orders, cyclotomic_root
-from trainyard.series import poly_trim
+from trainyard._cyclotomic import cyclotomic_orders, cyclotomic_root
+from trainyard.series import _prime_divisors, poly_trim
 
 X = sympy.symbols("x")
 
@@ -171,19 +171,36 @@ def test_cyclotomic_product_identity():
         assert product == want, f"product of cyclotomic factors of {n} != x^{n}-1"
 
 
-def test_sieve_against_sympy():
-    spf, phi, mu = _sieve(5000)
-    for n in range(1, 5001):
-        assert phi[n] == sympy.totient(n), f"sieve totient mismatch at {n}"
-        assert mu[n] == sympy.mobius(n), f"sieve Moebius mismatch at {n}"
-        if n > 1:
-            assert spf[n] == min(sympy.primefactors(n)), f"smallest prime factor of {n}"
+# Two primes past the trial-division reach, one with a cofactor 2, two six-digit primes, a smooth n.
+LARGE = (10**6 + 3, 2**61 - 1, 2 * (2**61 - 1), 999983 * 999979, 2**10 * 3**7 * 101)
+
+
+def test_prime_divisors_against_sympy():
+    for n in [*range(1, 5001), *LARGE]:
+        assert _prime_divisors(n) == sympy.primefactors(n), f"prime divisors of {n}"
+
+
+def test_euler_phi_against_sympy():
+    for n in [*range(1, 5001), *LARGE]:
+        assert euler_phi(n) == sympy.totient(n), f"totient mismatch at {n}"
+    with pytest.raises(SeriesError, match=">= 1"):
+        euler_phi(0)
+
+
+def test_cyclotomic_of_a_large_prime_order():
+    # Phi_p = 1 + x + ... + x^(p-1): the order's factorization ends on a leftover prime.
+    assert cyclotomic(1000003) == [1] * 1000003
 
 
 def test_cyclotomic_orders_are_every_degree_bounded_order():
     orders = cyclotomic_orders(256)
     assert len(orders) == 505 and orders[-1] == (1050, 240)
     assert orders == tuple((d, sympy.totient(d)) for d in range(1, 1051) if sympy.totient(d) <= 256)
+    # phi(d) >= sqrt(d / 2), so every order of degree <= 64 lies below 2 * 64^2.
+    phi = {d: sympy.totient(d) for d in range(1, 2 * 64 * 64 + 1)}
+    for top in range(1, 65):
+        want = tuple((d, t) for d, t in phi.items() if t <= top)
+        assert cyclotomic_orders(top) == want, f"orders of degree <= {top}"
 
 
 def test_cyclotomic_roots_have_exact_order():
@@ -193,10 +210,3 @@ def test_cyclotomic_roots_have_exact_order():
         assert pow(zeta, d, ell) == 1, f"zeta^{d} != 1 mod {ell}"
         for q in sympy.primefactors(d):
             assert pow(zeta, d // q, ell) != 1, f"zeta has order dividing {d // q}, not {d}"
-
-
-def test_euler_phi_against_sympy():
-    for n in range(1, 201):
-        assert euler_phi(n) == sympy.totient(n), f"totient mismatch at {n}"
-    with pytest.raises(SeriesError, match=">= 1"):
-        euler_phi(0)

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import pytest
 import sympy
@@ -38,7 +40,7 @@ from trainyard import expansion, structure
 from trainyard._cyclotomic import cyclotomic_orders, cyclotomic_screen
 from trainyard.series import char_terms, poly_trim
 
-from conftest import PROPERTY
+from conftest import PROPERTY, oracle_window_period
 
 X = sympy.symbols("x")
 
@@ -174,6 +176,41 @@ def test_window_period_scan():
         window_period_scan(parse_rodset("[1]"), 0)
     with pytest.raises(StructureError, match="nonempty"):
         window_period_scan(RodSet(), 10)
+
+
+SIGNED_SETS = st.lists(st.tuples(st.integers(1, 6), st.sampled_from((-1, 1))),
+                       min_size=1, max_size=4, unique_by=lambda t: t[0])
+
+
+@PROPERTY
+@given(
+    rods=st.one_of(
+        # Periods 6, 3, 30, 12 and 20 run across blocks of 1..8 terms.
+        st.sampled_from(
+            ["[1,-2]", "[-1,-2]", "[-1,3,4,5,-7,-8]", "[2,-4]", "[-1,-2^2,-3^2,-4^2,-5,-6]"]
+        ).map(parse_rodset),
+        SIGNED_SETS.map(lambda pairs: RodSet(tuple(sorted(pairs)))),
+        cyclotomic_products(),
+    ),
+    block=st.integers(1, 8),
+    horizon=st.integers(1, 150),
+)
+def test_window_period_scan_blocks_match_whole_sequence(rods, block, horizon):
+    want = oracle_window_period(rods, horizon, structure._WINDOW_PRIME)
+    with mock.patch.object(structure, "_SCAN_BLOCK", block):
+        assert window_period_scan(rods, horizon) == want, f"{rods} at block {block}"
+
+
+def test_window_period_scan_memory_is_one_block(monkeypatch):
+    # The whole modular sequence to 50,000 terms would take about 2 MB.
+    monkeypatch.setattr(structure, "_SCAN_BLOCK", 256)
+    tracemalloc.start()
+    try:
+        assert window_period_scan(parse_rodset("[1,2]"), 50_000) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000, f"the scan peaked at {peak} bytes"
 
 
 def test_algebraic_and_window_verdicts_agree():
