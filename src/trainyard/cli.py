@@ -21,13 +21,11 @@ import sys
 from .counts import (
     ArithmeticRods,
     DEFAULT_ENUMERATION_CAP,
-    PrefixRods,
     RodSource,
     TrainsOf,
     binomial_count,
     discrepancies,
     enumerate_trains,
-    source_to_json,
     train_counts,
 )
 from .expansion import (
@@ -119,12 +117,6 @@ def _format() -> str:
     return value
 
 
-def _render_source(src: RodSet | PrefixRods) -> str:
-    if isinstance(src, RodSet):
-        return format_rodset(src)
-    return "counts:" + _csv(src.mults)
-
-
 def _csv(values) -> str:
     return ",".join(str(v) for v in values)
 
@@ -166,32 +158,32 @@ def _cmd_discrep(args):
 
 def _cmd_expand(args):
     exp = expand(_rodset_arg(args.r), _rodset_arg(args.q), _horizon(args))
-    return exp.to_json(), [f"S={_render_source(exp.s)}"]
+    return exp.to_json(), [f"S={exp.s}"]
 
 
 def _cmd_solveq(args):
     exp = solve_Q(_rodset_arg(args.r), _rodset_arg(args.s), _horizon(args))
-    return exp.to_json(), [f"Q={_render_source(exp.q)}", f"finite={str(exp.q_finite).lower()}"]
+    return exp.to_json(), [f"Q={exp.q}", f"finite={str(exp.q_finite).lower()}"]
 
 
 def _cmd_solver(args):
     exp = solve_R(_rodset_arg(args.q), _rodset_arg(args.s), _horizon(args))
-    return exp.to_json(), [f"R={_render_source(exp.r)}", f"finite={str(exp.r_finite).lower()}"]
+    return exp.to_json(), [f"R={exp.r}", f"finite={str(exp.r_finite).lower()}"]
 
 
 def _cmd_dual(args):
     result = dual(_rodset_arg(args.q), _horizon(args))
-    return source_to_json(result), [_render_source(result)]
+    return result.to_json(), [str(result)]
 
 
 def _cmd_compose(args):
     result = compose(_rodset_arg(args.q1), _rodset_arg(args.q2))
-    return source_to_json(result), [format_rodset(result)]
+    return result.to_json(), [str(result)]
 
 
 def _cmd_fromseq(args):
     result = rodset_from_counts(_int_csv(args.values))
-    return source_to_json(result), [format_rodset(result)]
+    return result.to_json(), [str(result)]
 
 
 def _cmd_expandmin(args):

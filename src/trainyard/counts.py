@@ -15,14 +15,18 @@ the recursion.
 
 Rod sources generalize finite rod sets to the infinite families the
 algebra produces: arithmetic progressions, the trains-of-a-set family,
-and rod sets known only by a multiplicity prefix.  The first two are
-rational: their rod generating function is a quotient C = N/D of
-polynomials with D(0) = 1, and a finite set is N = C, D = 1.  Every
-operation on a source is then one series division over the nonzero
-terms of N and D: multiplicities are N/D, train counts 1/(1 - C) =
-D/(D - N), a recurrence as deep as D - N has terms, and the
-discrepancies of r against s the series (1 - C_S)/(1 - C_R).  A prefix
-source reads as N = its prefix, D = 1, through its horizon only.
+and rod sets known only by a multiplicity prefix.  Each kind, ``RodSet``
+included, answers for itself.  ``fraction(n)`` gives its rod generating
+function as a quotient C = N/D of coprime polynomials with D(0) = 1, in
+nonzero (degree, coeff) terms: a finite set is N = C, D = 1, and a
+prefix is N = its prefix, D = 1, read through degree n and no further,
+so ``exact`` is False for a prefix alone.  ``to_json()`` and ``str()``
+give a source's JSON and text, and the two kinds a solver returns,
+``RodSet`` and ``PrefixRods``, negate with unary minus.  Every operation
+on a source is one series division over the nonzero terms of N and D:
+multiplicities are N/D, train counts 1/(1 - C) = D/(D - N), a recurrence
+as deep as D - N has terms, and the discrepancies of r against s the
+series (1 - C_S)/(1 - C_R).
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from math import comb
 from typing import Sequence, Union
 
 from .rodset import RodSet, format_rodset
-from .series import char_terms, nonzero_terms, series_mul, series_quotient, sparse_add, sparse_mul
+from .series import char_terms, series_mul, series_quotient, sparse_add, sparse_mul
 
 DEFAULT_ENUMERATION_CAP = 10**6
 
@@ -48,12 +52,13 @@ class ArithmeticRods:
     first: int
     step: int
     sign: int = 1
+    exact = True
 
     def __post_init__(self) -> None:
         if self.first < 1 or self.step < 1 or self.sign not in (1, -1):
             raise CountsError("arithmetic rods need first >= 1, step >= 1, sign +-1")
 
-    def fraction(self) -> tuple:
+    def fraction(self, n: int | None = None) -> tuple:
         """C = sign * x^first / (1 - x^step), as the nonzero terms of N and D."""
         return ((self.first, self.sign),), ((0, 1), (self.step, -1))
 
@@ -71,12 +76,13 @@ class TrainsOf:
 
     base: RodSet
     sign: int = 1
+    exact = True
 
     def __post_init__(self) -> None:
         if self.sign not in (1, -1):
             raise CountsError("trains-of source sign must be +-1")
 
-    def fraction(self) -> tuple:
+    def fraction(self, n: int | None = None) -> tuple:
         """C = sign * (1/char(base) - 1) = sign * C(base) / char(base), as terms of N and D."""
         return tuple((k, self.sign * m) for k, m in self.base.pairs), char_terms(self.base)
 
@@ -94,31 +100,27 @@ class PrefixRods:
     """
 
     mults: tuple
+    exact = False
 
-    def mults_upto(self, n: int) -> list:
+    def fraction(self, n: int) -> tuple:
+        """C = the prefix through degree n over D = 1; past the prefix there is no C to give."""
         if n > len(self.mults):
             raise CountsError(
                 f"prefix source holds multiplicities up to {len(self.mults)}, asked for {n}"
             )
-        return [0] + list(self.mults[:n])
+        return [(k, m) for k, m in enumerate(self.mults[:n], 1) if m], ((0, 1),)
 
     def to_json(self) -> dict:
         return {"kind": "counts", "values": list(self.mults)}
 
+    def __str__(self) -> str:
+        return "counts:" + ",".join(str(m) for m in self.mults)
+
+    def __neg__(self) -> PrefixRods:
+        return PrefixRods(tuple(-m for m in self.mults))
+
 
 RodSource = Union[RodSet, ArithmeticRods, TrainsOf, PrefixRods]
-
-
-def _fraction(rods: RodSource, n: int) -> tuple:
-    """C(x, rods) = N/D through degree n, as the nonzero (degree, coeff) terms of N and D.
-
-    N and D are coprime and D(0) = 1.
-    """
-    if isinstance(rods, RodSet):
-        return rods.pairs, ((0, 1),)
-    if isinstance(rods, PrefixRods):
-        return nonzero_terms(rods.mults_upto(n)), ((0, 1),)
-    return rods.fraction()
 
 
 def _one_minus(num, den) -> list:
@@ -132,8 +134,8 @@ def _mediator(r: RodSource, s: RodSource, n: int) -> tuple:
     That is (D_S - N_S) * D_R / (D_S * (D_R - N_R)), through degree n
     for prefix sources; both constant terms are 1.
     """
-    num_r, den_r = _fraction(r, n)
-    num_s, den_s = _fraction(s, n)
+    num_r, den_r = r.fraction(n)
+    num_s, den_s = s.fraction(n)
     num = sparse_mul(_one_minus(num_s, den_s), den_r)
     den = sparse_mul(den_s, _one_minus(num_r, den_r))
     return sorted(num.items()), sorted(den.items())
@@ -154,20 +156,14 @@ def _quotient(num_terms, den_terms, n: int) -> list:
 
 def source_mults_upto(rods: RodSource, n: int) -> list:
     """Multiplicities m(0..n) of a rod source as a dense list (m(0) is always 0): N/D."""
-    return _quotient(*_fraction(rods, n), n)
-
-
-def source_to_json(rods: RodSource) -> dict:
-    if isinstance(rods, RodSet):
-        return {"kind": "finite", "rods": format_rodset(rods)}
-    return rods.to_json()
+    return _quotient(*rods.fraction(n), n)
 
 
 def train_counts(rods: RodSource, n_max: int) -> list:
     """Net train counts F(0..n_max) for a rod set or rod source: 1/(1 - C) = D/(D - N)."""
     if n_max < 0:
         raise CountsError("count horizon must be >= 0")
-    num, den = _fraction(rods, n_max)
+    num, den = rods.fraction(n_max)
     return _quotient(den, _one_minus(num, den), n_max)
 
 

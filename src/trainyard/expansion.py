@@ -36,8 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .counts import PrefixRods, RodSource, _fraction, _mediator, _one_minus, _quotient, source_to_json
-from .rodset import RodSet, concat, negate, union
+from .counts import PrefixRods, RodSource, _mediator, _one_minus, _quotient
+from .rodset import RodSet, concat, union
 from .series import char_terms, nonzero_terms, series_quotient, sparse_add, sparse_mul
 
 DEFAULT_HORIZON = 64
@@ -68,9 +68,9 @@ class Expansion:
 
     def to_json(self) -> dict:
         return {
-            "R": source_to_json(self.r),
-            "Q": source_to_json(self.q),
-            "S": source_to_json(self.s),
+            "R": self.r.to_json(),
+            "Q": self.q.to_json(),
+            "S": self.s.to_json(),
             "horizon": self.horizon,
             "q_finite": self.q_finite,
             "identity_checked": True,
@@ -82,21 +82,15 @@ def _one_plus_terms(q: RodSet) -> tuple:
     return ((0, 1),) + q.pairs
 
 
-def _negate_source(rods: RodSet | PrefixRods) -> RodSet | PrefixRods:
-    if isinstance(rods, RodSet):
-        return negate(rods)
-    return PrefixRods(tuple(-m for m in rods.mults))
-
-
 def _identity_holds(r: RodSource, q: RodSource, s: RodSource, horizon: int) -> bool:
     """Check (1 - C_S) = (1 - C_R)(1 + C_Q) on N/D forms: exact unless an input is a prefix."""
     if isinstance(r, RodSet) and isinstance(q, RodSet) and isinstance(s, RodSet):
         # D = 1 for all three; over the rod pairs only, so long rods never densify.
         return sparse_mul(char_terms(r), _one_plus_terms(q)) == dict(char_terms(s))
-    (num_r, den_r), (num_q, den_q), (num_s, den_s) = (_fraction(x, horizon) for x in (r, q, s))
+    (num_r, den_r), (num_q, den_q), (num_s, den_s) = (x.fraction(horizon) for x in (r, q, s))
     lhs = sparse_mul(sparse_mul(_one_minus(num_s, den_s), den_r).items(), den_q)
     rhs = sparse_mul(sparse_mul(_one_minus(num_r, den_r), sparse_add(den_q, num_q)).items(), den_s)
-    if any(isinstance(x, PrefixRods) for x in (r, q, s)):
+    if not (r.exact and q.exact and s.exact):
         lhs = {k: c for k, c in lhs.items() if k <= horizon}
         rhs = {k: c for k, c in rhs.items() if k <= horizon}
     return lhs == rhs
@@ -110,7 +104,7 @@ def _verified(r, q, s, horizon, q_finite) -> Expansion:
 
 def expand(r: RodSet, q: RodSet, horizon: int = DEFAULT_HORIZON) -> Expansion:
     """Expand finite r by finite q: S = r + anti(q) + q.r, exact at all degrees."""
-    s = union(r, union(negate(q), concat(q, r)))
+    s = union(r, union(-q, concat(q, r)))
     return _verified(r, q, s, horizon, q_finite=True)
 
 
@@ -126,7 +120,7 @@ def solve_Q(r: RodSource, s: RodSource, horizon: int | None = None) -> Expansion
     """
     h = DEFAULT_HORIZON if horizon is None else horizon
     num, den = _mediator(r, s, h)
-    exact = not isinstance(r, PrefixRods) and not isinstance(s, PrefixRods)
+    exact = r.exact and s.exact
     if exact:
         top = num[-1][0] - den[-1][0]
         if len(den) > 1 and top > QUOTIENT_DEGREE_LIMIT:
@@ -150,10 +144,8 @@ def solve_R(q: RodSet, s: RodSource, horizon: int | None = None) -> Expansion:
     Q-solver finds for (anti(q), s).  The witness of that answer is this
     record's witness with its factors swapped, so it is not run again.
     """
-    inner = solve_Q(negate(q), s, horizon)
-    return Expansion(
-        _negate_source(inner.q), q, s, inner.horizon, q_finite=True, r_finite=inner.q_finite
-    )
+    inner = solve_Q(-q, s, horizon)
+    return Expansion(-inner.q, q, s, inner.horizon, q_finite=True, r_finite=inner.q_finite)
 
 
 def dual(q: RodSource, horizon: int | None = None) -> RodSet | PrefixRods:
@@ -167,12 +159,11 @@ def dual(q: RodSource, horizon: int | None = None) -> RodSet | PrefixRods:
     by prefix the answer is the prefix, cut at the input's length.
     """
     h = DEFAULT_HORIZON if horizon is None else horizon
-    exact = not isinstance(q, PrefixRods)
-    if not exact:
+    if not q.exact:
         h = min(h, len(q.mults))
-    num, den = _fraction(q, h)
+    num, den = q.fraction(h)
     plus = sparse_add(den, num)
-    if exact and plus == [(0, 1)]:
+    if q.exact and plus == [(0, 1)]:
         return RodSet(tuple(den[1:]))
     return PrefixRods(tuple(_quotient(den, plus, h)[1:]))
 

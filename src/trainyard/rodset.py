@@ -52,6 +52,7 @@ class RodSet:
     """
 
     pairs: tuple[tuple[int, int], ...] = ()
+    exact = True
 
     def __post_init__(self) -> None:
         lengths = [k for k, _ in self.pairs]
@@ -108,6 +109,16 @@ class RodSet:
 
     def __str__(self) -> str:
         return format_rodset(self)
+
+    def __neg__(self) -> RodSet:
+        return negate(self)
+
+    def fraction(self, n: int | None = None) -> tuple:
+        """C = N/1 with N the rod pairs, as the nonzero terms of N and D."""
+        return self.pairs, ((0, 1),)
+
+    def to_json(self) -> dict:
+        return {"kind": "finite", "rods": format_rodset(self)}
 
 
 @dataclass(frozen=True)

@@ -208,7 +208,13 @@ def cyclotomic(d: int) -> Poly:
 
 
 def euler_phi(n: int) -> int:
-    """Euler's totient, from the primes dividing n (no table, so any n)."""
+    """Euler's totient, from the primes dividing n.
+
+    There is no table, but ``_prime_divisors`` trial-divides up to the
+    second-largest prime factor of n, so the cost grows with that factor.
+    The library only asks for orders of a few thousand; for a product of
+    two 10-digit primes it would take about 5·10^8 odd trial divisors.
+    """
     if n < 1:
         raise SeriesError("totient argument must be >= 1")
     for p in _prime_divisors(n):

@@ -122,6 +122,10 @@ def test_scan2_at_a_large_bound_prints_the_padovan_golden(run):
             "a=2 b=4 alpha=3 S=[2^3,-4] Q=[1,-2]\n"
             "a=3 b=4 alpha=3 S=[3^3,4^2] Q=[1,2^2]\n",
         ),
+        (
+            ["solver", "[2]", "[1]", "-n", "12"],
+            "R=counts:1,1,-1,-1,1,1,-1,-1,1,1,-1,-1\nfinite=false\n",
+        ),
     ],
 )
 def test_text_outputs(run, argv, expected):
@@ -271,11 +275,17 @@ def test_deterministic_output(run):
     assert first == second, "repeated runs must match byte for byte"
 
 
+def _src_env() -> dict:
+    """The caller's environment, with PYTHONPATH set to this checkout's ``src``."""
+    return {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "trainyard", "counts", "[1,2]", "-n", "5"],
         capture_output=True,
         text=True,
+        env=_src_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout == "1,1,2,3,5,8\n"
@@ -284,7 +294,9 @@ def test_module_entry_point():
 def test_import_leaves_the_cyclotomic_module_unloaded():
     # _cyclotomic is imported on first use, so that it stays off every process's startup.
     probe = "import sys, trainyard, trainyard.cli; print('trainyard._cyclotomic' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_src_env()
+    )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
 

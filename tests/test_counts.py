@@ -112,12 +112,37 @@ def test_trains_of_source():
 
 
 def test_prefix_rods_source():
-    prefix = PrefixRods((1, -1, 0))
-    assert source_mults_upto(prefix, 3) == [0, 1, -1, 0]
-    assert source_mults_upto(prefix, 2) == [0, 1, -1]
-    assert train_counts(prefix, 3) == [1, 1, 0, -1]
-    with pytest.raises(CountsError, match="up to 3, asked for 4"):
-        train_counts(prefix, 4)
+    for mults in ((1, -1, 0), [1, -1, 0]):
+        prefix = PrefixRods(mults)
+        assert source_mults_upto(prefix, 3) == [0, 1, -1, 0]
+        assert source_mults_upto(prefix, 2) == [0, 1, -1]
+        assert train_counts(prefix, 3) == [1, 1, 0, -1]
+        with pytest.raises(CountsError, match="up to 3, asked for 4"):
+            train_counts(prefix, 4)
+
+
+@pytest.mark.parametrize(
+    "source, exact, kind, text, negated",
+    [
+        (parse_rodset("[1,-2^3]"), True, "finite", "[1,-2^3]", parse_rodset("[-1,2^3]")),
+        (ArithmeticRods(1, 2, -1), True, "arith", None, None),
+        (TrainsOf(parse_rodset("[2]")), True, "trains", None, None),
+        (PrefixRods((1, -1, 0)), False, "counts", "counts:1,-1,0", PrefixRods((-1, 1, 0))),
+    ],
+)
+def test_each_source_kind_answers_for_itself(source, exact, kind, text, negated):
+    assert source.exact is exact
+    assert source.to_json()["kind"] == kind
+    if text is not None:
+        assert str(source) == text
+    if negated is not None:
+        assert -source == negated
+    if exact:
+        assert source.fraction() == source.fraction(10**9), "an exact source reads no horizon"
+    else:
+        assert source.fraction(3) == ([(1, 1), (2, -1)], ((0, 1),))
+        with pytest.raises(CountsError, match="up to 3, asked for 4"):
+            source.fraction(4)
 
 
 def test_discrepancies_between_rod_sets():
