@@ -4,8 +4,9 @@ Phi_d is built as a Moebius product over the squarefree divisors of d;
 the candidate orders of a periodicity test are listed, with their phi,
 by a walk over prime powers; and a candidate d is screened by evaluating
 a sparse polynomial at a root of unity of order exactly d modulo a prime.
-Each order is factored by trial division when it is first needed.  On
-cyclotomic factors of integer polynomials see Bradford & Davenport,
+Each order is factored by trial division when it is first needed.  A
+polynomial that is not +-(a product of distinct cyclotomics) is
+certified so by Graeffe root squaring, after Bradford & Davenport,
 "Effective tests for cyclotomic polynomials", ISSAC '88.  Nothing here
 runs at import: the orders, the polynomials and the roots are cached.
 """
@@ -16,6 +17,7 @@ import math
 from functools import lru_cache
 from itertools import accumulate
 
+from . import series  # looked up at each call, so that wrappers installed on series see them
 from .series import _is_prime, _prime_divisors
 
 
@@ -103,3 +105,61 @@ def cyclotomic_screen(terms, d: int) -> bool:
     """
     ell, zeta = cyclotomic_root(d)
     return sum(c * pow(zeta, k % d, ell) for k, c in terms) % ell == 0
+
+
+def graeffe_step(f: list) -> list:
+    """g with g(x^2) = f(x) * f(-x): the polynomial whose roots are the squares of f's.
+
+    Writing f(x) = E(x^2) + x*O(x^2) gives g(y) = E(y)^2 - y*O(y)^2, so
+    g keeps f's degree and its constant term is f(0)^2.
+    """
+    even, odd = f[0::2], f[1::2]
+    g = series.poly_mul(even, even)
+    g += [0] * (len(f) - len(g))
+    for k, c in enumerate(series.poly_mul(odd, odd), 1):
+        g[k] -= c
+    return g
+
+
+def graeffe_certificate(char: list, residual: list, peeled) -> tuple:
+    """(which, steps): the fact showing that char is not +-(distinct cyclotomics), or None.
+
+    char has constant term 1 and degree m; residual is what is left of it
+    after dividing out each Phi_d, d in ``peeled``, once.  Three facts
+    certify the verdict, tried in this order:
+
+    * "lead": char's leading coefficient is not +-1, as a product of
+      cyclotomic polynomials has.
+    * "bound": a Graeffe iterate (see graeffe_step; each keeps degree m,
+      constant term 1 and a unit leading coefficient) has a coefficient
+      above C(m, floor(m/2)).  With every root on the unit circle no
+      coefficient can pass that bound, so some root lies off it.
+    * "repeat": an iterate equals its predecessor.  Then squaring maps
+      the multiset of roots onto itself, so every root is a root of
+      unity and char is +-(a product of cyclotomics); the residual is
+      divided by each peeled Phi_d, and one that divides it again shows
+      a repeated factor.
+
+    One of the first two facts holds or the iterates reach a fixed
+    point: a root off the unit circle makes the Mahler measure, and with
+    it the coefficients, grow without bound, and a product of
+    cyclotomics settles within max v_2(d) + 1 steps.  None is returned
+    when the fixed point shows no repeated factor; a complete peel then
+    leaves no residual, so a None over a nonempty residual means the peel
+    missed an order.  ``steps`` counts the Graeffe steps taken.
+    """
+    if char[-1] not in (1, -1):
+        return "lead", 0
+    m = len(char) - 1
+    bound = math.comb(m, m // 2)
+    f, steps = char, 0
+    while max(f) <= bound and -min(f) <= bound:
+        g = graeffe_step(f)
+        steps += 1
+        if g == f:
+            repeated = any(
+                series.poly_divexact(residual, moebius_cyclotomic(d)) is not None for d in peeled
+            )
+            return ("repeat" if repeated else None), steps
+        f = g
+    return "bound", steps

@@ -8,12 +8,18 @@ an option on most shells — or "@file" / "@file:3" to read the first
 (or third) non-comment line of a plain-text file of literals.
 
 Exit codes: 0 success, 1 domain error (reported to stderr), 2 usage.
+An output integer longer than OUTPUT_INT_BITS_LIMIT bits is a domain
+error, as are an integer literal of more digits than such an integer has
+and a reader that closes stdout before the output is all written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
+import math
 import os
 import re
 import sys
@@ -49,8 +55,42 @@ from .structure import (
 )
 
 
+# Longest integer the CLI prints, in bits.  Decimal conversion is quadratic in
+# the length: one int of 800k bits takes 1.2 s (2-vCPU VM, Python 3.11).  That
+# is why CPython refuses ints of more than 4,300 digits.  Handlers check their
+# results against this bound before anything is converted, and main raises
+# CPython's cap to the bound's digits, so that parsing a literal stays bounded.
+OUTPUT_INT_BITS_LIMIT = 1 << 18
+_OUTPUT_DIGITS = int(OUTPUT_INT_BITS_LIMIT * math.log10(2)) + 1  # 78,914
+
+
 class _CliError(ValueError):
     """Domain-level failure raised by CLI plumbing (file handling etc.)."""
+
+
+def _bounded(result):
+    """result, once no int in it has more than OUTPUT_INT_BITS_LIMIT bits.
+
+    Walks lists, tuples, dict values and dataclass fields (rod sets,
+    sources, records and hits), so it runs on a handler's result before
+    any of it is rendered.
+    """
+    stack = [result]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, int):
+            if item.bit_length() > OUTPUT_INT_BITS_LIMIT:
+                raise _CliError(
+                    f"an output integer has {item.bit_length()} bits, over the limit "
+                    f"OUTPUT_INT_BITS_LIMIT = {OUTPUT_INT_BITS_LIMIT} bits"
+                )
+        elif isinstance(item, (list, tuple)):
+            stack.extend(item)
+        elif isinstance(item, dict):
+            stack.extend(item.values())
+        elif dataclasses.is_dataclass(item):
+            stack.extend(getattr(item, field.name) for field in dataclasses.fields(item))
+    return result
 
 
 def _read_rodset_file(arg: str) -> str:
@@ -146,48 +186,48 @@ def _cmd_counts(args):
         source = TrainsOf(_rodset_arg(raw), sign)
     else:
         source = _rodset_arg(args.rodset)
-    values = train_counts(source, _horizon(args))
+    values = _bounded(train_counts(source, _horizon(args)))
     return {"start": 0, "values": values}, [_csv(values)]
 
 
 def _cmd_discrep(args):
     n = _horizon(args)
-    values = discrepancies(_rodset_arg(args.r), _rodset_arg(args.s), n)
+    values = _bounded(discrepancies(_rodset_arg(args.r), _rodset_arg(args.s), n))
     return {"start": 1, "values": values}, [_csv(values)]
 
 
 def _cmd_expand(args):
-    exp = expand(_rodset_arg(args.r), _rodset_arg(args.q), _horizon(args))
+    exp = _bounded(expand(_rodset_arg(args.r), _rodset_arg(args.q), _horizon(args)))
     return exp.to_json(), [f"S={exp.s}"]
 
 
 def _cmd_solveq(args):
-    exp = solve_Q(_rodset_arg(args.r), _rodset_arg(args.s), _horizon(args))
+    exp = _bounded(solve_Q(_rodset_arg(args.r), _rodset_arg(args.s), _horizon(args)))
     return exp.to_json(), [f"Q={exp.q}", f"finite={str(exp.q_finite).lower()}"]
 
 
 def _cmd_solver(args):
-    exp = solve_R(_rodset_arg(args.q), _rodset_arg(args.s), _horizon(args))
+    exp = _bounded(solve_R(_rodset_arg(args.q), _rodset_arg(args.s), _horizon(args)))
     return exp.to_json(), [f"R={exp.r}", f"finite={str(exp.r_finite).lower()}"]
 
 
 def _cmd_dual(args):
-    result = dual(_rodset_arg(args.q), _horizon(args))
+    result = _bounded(dual(_rodset_arg(args.q), _horizon(args)))
     return result.to_json(), [str(result)]
 
 
 def _cmd_compose(args):
-    result = compose(_rodset_arg(args.q1), _rodset_arg(args.q2))
+    result = _bounded(compose(_rodset_arg(args.q1), _rodset_arg(args.q2)))
     return result.to_json(), [str(result)]
 
 
 def _cmd_fromseq(args):
-    result = rodset_from_counts(_int_csv(args.values))
+    result = _bounded(rodset_from_counts(_int_csv(args.values)))
     return result.to_json(), [str(result)]
 
 
 def _cmd_expandmin(args):
-    q, s = expand_minimal(_rodset_arg(args.r))
+    q, s = _bounded(expand_minimal(_rodset_arg(args.r)))
     return {"Q": format_rodset(q), "S": format_rodset(s)}, [
         f"Q={format_rodset(q)}",
         f"S={format_rodset(s)}",
@@ -195,7 +235,7 @@ def _cmd_expandmin(args):
 
 
 def _cmd_period(args):
-    report = detect_period(_rodset_arg(args.r))
+    report = _bounded(detect_period(_rodset_arg(args.r)))
     obj = {
         "periodic": report.periodic,
         "period": report.least_period,
@@ -211,13 +251,14 @@ def _cmd_period(args):
 
 
 def _cmd_scan1(args):
-    hits = scan_one_expansions(_rodset_arg(args.r), args.bound)
+    hits = _bounded(scan_one_expansions(_rodset_arg(args.r), args.bound))
     return [{"a": a, "mult": m} for a, m in hits], [
         f"a={a} mult={m}" for a, m in hits
     ] or ["none"]
 
 
 def _hits_output(hits):
+    _bounded(hits)
     obj = [
         {"a": h.a, "b": h.b, "alpha": h.alpha, "S": format_rodset(h.s), "Q": format_rodset(h.q)}
         for h in hits
@@ -305,16 +346,16 @@ def _cmd_enumerate(args):
 
 
 def _cmd_binom(args):
-    value = binomial_count(_rodset_arg(args.r), args.n)
+    value = _bounded(binomial_count(_rodset_arg(args.r), args.n))
     return {"value": value}, [str(value)]
 
 
 def _cmd_poly(args):
     p1, p2 = _int_csv(args.p1), _int_csv(args.p2)
     if args.op == "mul":
-        result = poly_mul(p1, p2)
+        result = _bounded(poly_mul(p1, p2))
         return {"coefficients": result}, [poly_text(result)]
-    quotient = poly_divexact(p1, p2)
+    quotient = _bounded(poly_divexact(p1, p2))
     return {"quotient": quotient}, ["not divisible" if quotient is None else poly_text(quotient)]
 
 
@@ -440,6 +481,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # Python 3.10.0 to 3.10.6 have no cap to raise.
+    cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if cap is not None:
+        sys.set_int_max_str_digits(_OUTPUT_DIGITS)
+    try:
+        return _run(args)
+    finally:
+        if cap is not None:
+            sys.set_int_max_str_digits(cap)
+
+
+def _run(args: argparse.Namespace) -> int:
     try:
         obj, lines = args.handler(args)
         text = [json.dumps(obj)] if _format() == "json" else lines
@@ -450,8 +503,17 @@ def main(argv: list[str] | None = None) -> int:
     except (RecursionError, MemoryError) as exc:
         print(f"error: input too large to compute ({type(exc).__name__})", file=sys.stderr)
         return 1
-    for line in text:
-        print(line)
+    try:
+        for line in text:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at devnull, so that the flush at
+        # shutdown finds nothing to write and reports no second error.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with contextlib.suppress(BrokenPipeError):
+            print("error: stdout was closed before the output was all written", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -7,9 +7,13 @@ Four families of questions about a finite rod set R:
   when the characteristic polynomial is (up to sign) a product of
   distinct cyclotomic polynomials; the least period is the lcm of their
   orders.  Each candidate Phi_d is screened at a root of unity of order
-  d modulo a prime and only the survivors are divided exactly.  The
-  counts confirm every verdict, within one bound on the work of that
-  confirmation (PERIOD_WORK_LIMIT).
+  d modulo a prime and only the survivors are divided exactly.  A
+  period is confirmed on the counts; a non-periodic verdict by the
+  Graeffe root-squaring test, which certifies that the characteristic
+  polynomial has a leading coefficient other than +-1, a root off the
+  unit circle (an iterate's coefficient passes C(m, floor(m/2)),
+  m = max R), or a repeated cyclotomic factor.  One bound on the work
+  (PERIOD_WORK_LIMIT) is checked before either.
 
 * **Expandability scans** — which one- and two-rod sets does R expand
   to?  Both scans read one table of window classes.  For each length
@@ -53,11 +57,15 @@ from .rodset import RodSet, format_rodset
 from .series import char_poly, char_terms, cyclotomic, poly_divexact, series_mul, series_quotient
 
 _WINDOW_PRIME = 1073741789  # the largest prime below 2^30
-# Largest confirmation pass detect_period takes on, in counted terms times
-# nonzero char terms.  A unit costs 0.14 to 0.23 us with the peel and the
-# witness included (2-vCPU Xeon VM, Python 3.11): [1, 1118^-1] (1.5e7 units)
-# takes 3.3 s and the dense max R 128 set [1, 2, ..., 128] (8.5e6) 1.2 s; the
-# Phi_3*Phi_5*Phi_7*Phi_8*Phi_11*Phi_13 set (p = 120120, 39 terms) needs 1.41e7.
+# Largest confirmation detect_period takes on, in counted terms times nonzero
+# char terms: 3p terms for a period p, and 4 * (max R)^2 before the peel, which
+# refuses a set before its dense char is built.  Timed on a 2-vCPU Xeon VM,
+# Python 3.11.  A period pass costs about 0.2 us a unit with the witness: the
+# Phi_3*Phi_5*Phi_7*Phi_8*Phi_11*Phi_13 set (p = 120120, 39 terms, 1.41e7)
+# takes 2.7 to 3.5 s.  The non-periodic side, now the peel and the Graeffe
+# certificate (about (max R)^2 / 2 products a step, 9 to 13 steps on chains),
+# costs far less than its units: [1, 1118^-1] (1.5e7) 0.75 s, [1, 2, ..., 128]
+# (8.5e6) 0.05 s; [1, 2000^-1] (4.8e7, refused) would take 5.5 s.
 PERIOD_WORK_LIMIT = 15 * 10**6
 _SCAN_BLOCK = 1 << 14  # terms per block of window_period_scan
 
@@ -79,7 +87,10 @@ class PeriodReport:
     their product is the whole polynomial up to sign and
     ``least_period`` is their lcm.  ``q_to_period`` is the finite Q
     with R -> Q -> [least_period].  ``window_confirmed`` records that
-    the independent sequence scan agreed with the algebraic verdict.
+    the verdict was certified independently of the peel: a period by the
+    counts, which repeat first at it, and a non-periodic verdict by the
+    Graeffe certificate (see detect_period).  False means the check
+    disagreed with the peel, which is a bug.
     """
 
     periodic: bool
@@ -87,6 +98,17 @@ class PeriodReport:
     cyclotomic_factors: tuple[int, ...]
     q_to_period: RodSet | None
     window_confirmed: bool
+
+
+def _ones(seq: list, lo: int, hi: int):
+    """The indices lo <= i < hi with seq[i] == 1, ascending, each found by list.index."""
+    while True:
+        try:
+            lo = seq.index(1, lo, hi)
+        except ValueError:
+            return
+        yield lo
+        lo += 1
 
 
 def window_period_scan(rods: RodSet, horizon: int) -> int | None:
@@ -114,8 +136,8 @@ def window_period_scan(rods: RodSet, horizon: int) -> int | None:
         size = min(_SCAN_BLOCK, horizon + w - start)
         num = series_mul(char, tail, w - 1)
         seq = series_quotient(num, terms, w - 1 + size, modulus=_WINDOW_PRIME)  # F(start - w..)
-        for i in range(max(1, w + 1 - start), size + 1):  # the windows at p = start - w + i >= 1
-            if seq[i] == 1 and seq[i:i + w] == init:
+        for i in _ones(seq, max(1, w + 1 - start), size + 1):  # windows at p = start - w + i
+            if seq[i:i + w] == init:
                 p = start - w + i
                 exact = train_counts(rods, p + w - 1)
                 if exact[p:p + w] == exact[:w]:
@@ -147,24 +169,31 @@ def detect_period(rods: RodSet) -> PeriodReport:
     decided by exact division, and each is peeled at most once: a
     repeated cyclotomic factor means polynomial growth, not periodicity.
 
-    Every verdict is confirmed on the counts.  A non-periodic verdict by
-    the modular window scan to 4 * (max R)^2; a period p by one exact
-    count pass to 3p, which shows F(n + p) = F(n) for n <= 2p, finds no
-    window repeat before p, and gives Q to [p] as the counts F(1..p - max R),
-    confirmed by the exact witness.  Each pass costs its counted terms
-    times the nonzero char terms, and is refused past PERIOD_WORK_LIMIT
-    before anything is counted.  The non-periodic bound is checked
-    first, so that a set too large to confirm is refused before its
-    dense characteristic polynomial is built.
+    Every verdict is confirmed.  A non-periodic verdict by the Graeffe
+    root-squaring test (_cyclotomic.graeffe_certificate), iterated on
+    char_poly(rods) with g(x^2) = f(x) * f(-x).  Any one of three facts
+    certifies it: the leading coefficient is not +-1; an iterate has a
+    coefficient above C(m, floor(m/2)), m = max R, so a root lies off
+    the unit circle; or the iterates reach a fixed point, so every root
+    is a root of unity, and the residual the peel left divides by a
+    peeled Phi_d once more, a repeated factor.  A period p is confirmed
+    by one exact count pass to 3p, which shows F(n + p) = F(n) for
+    n <= 2p, finds no window repeat before p, and gives Q to [p] as the
+    counts F(1..p - max R), confirmed by the exact witness.  Work is
+    bounded by PERIOD_WORK_LIMIT in counted terms times nonzero char
+    terms: 4 * (max R)^2 terms first, so that a set too large is refused
+    before its dense characteristic polynomial is built, and 3p terms
+    before the count pass.
     """
-    from ._cyclotomic import cyclotomic_orders, cyclotomic_screen  # built on first use
+    # built on first use
+    from ._cyclotomic import cyclotomic_orders, cyclotomic_screen, graeffe_certificate
 
     if not rods.pairs:
         raise StructureError("periodicity is about nonempty rod sets")
     top = rods.max_length
     terms = char_terms(rods)
     _check_work(4 * top * top, len(terms), "non-periodic")
-    residual = char_poly(rods)
+    char = residual = char_poly(rods)
     factors: list[int] = []
     for d, degree in cyclotomic_orders(top):
         if degree >= len(residual) or not cyclotomic_screen(terms, d):
@@ -176,8 +205,8 @@ def detect_period(rods: RodSet) -> PeriodReport:
             if len(residual) == 1:
                 break
     if len(residual) != 1:
-        confirmed = window_period_scan(rods, 4 * top * top) is None
-        return PeriodReport(False, None, tuple(factors), None, confirmed)
+        certified = graeffe_certificate(char, residual, factors)[0] is not None
+        return PeriodReport(False, None, tuple(factors), None, certified)
     assert residual[0] in (1, -1), "peeling left a non-unit constant; this is a bug"
     period = math.lcm(*factors)
     _check_work(3 * period, len(terms), "periodic")

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trainyard import cli
+from trainyard import cli, parse_rodset, train_counts
 
 from conftest import PROPERTY
 
@@ -204,8 +204,69 @@ def test_period_past_the_length_limit_fails_at_once(run):
 
 
 def test_period_accepts_a_long_chain(run):
-    # max R 256 was past the old length limit; its non-periodic window runs to 4 * 256^2.
+    # max R 256 was past the old length limit; its non-periodic bound is 4 * 256^2 x 3 terms.
     assert run(["period", "[1,-256]"]) == (0, "not periodic\n", "")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_counts_past_the_decimal_digit_cap_of_cpython(run, fmt):
+    # F(n) of [1^(10^100)] is 10^(100n): F(44) has 4401 digits, past CPython's 4,300-digit cap.
+    literal = f"[1^{10 ** 100}]"
+    code, out, err = run(["counts", literal, "-n", "44"], {"TRAINYARD_FORMAT": fmt})
+    assert (code, err) == (0, "")
+    assert train_counts(parse_rodset(literal), 44) == [10 ** (100 * n) for n in range(45)]
+    # The expected digits are written out, since str() of F(44) is what the cap refuses.
+    digits = ["1" + "0" * (100 * n) for n in range(45)]
+    if fmt == "text":
+        assert out == ",".join(digits) + "\n"
+    else:
+        assert out == '{"start": 0, "values": [' + ", ".join(digits) + "]}\n"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no cap to lift")
+def test_main_gives_the_caller_back_its_digit_cap(run):
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        assert run(["counts", "[1,2]", "-n", "3"]) == (0, "1,1,2,3\n", "")
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def test_output_past_the_int_bits_limit_is_a_domain_error(run, monkeypatch):
+    # F(263) of [1^(2^1000)] is 2^263000, over the 2^18-bit bound.
+    code, out, err = run(["counts", f"[1^{2 ** 1000}]", "-n", "263"])
+    assert code == 1 and out == ""
+    assert err == (
+        "error: an output integer has 263001 bits, over the limit "
+        "OUTPUT_INT_BITS_LIMIT = 262144 bits\n"
+    )
+    # A literal past the bound's 78,914 digits is refused before it is parsed.
+    code, out, err = run(["counts", f"[1^{'7' * 80_000}]", "-n", "1"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "78914 digits" in err
+    # The bound covers every kind of result: here the multiplicities of scan hits.
+    monkeypatch.setattr(cli, "OUTPUT_INT_BITS_LIMIT", 2)
+    code, out, err = run(["scan2", "[2,3]", "-b", "16"])
+    assert code == 1 and out == "" and "OUTPUT_INT_BITS_LIMIT = 2 bits" in err
+
+
+def test_closed_stdout_keeps_the_contract():
+    # The reader takes ten bytes of a 2.6 MB answer and closes the pipe.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "trainyard", "counts", "[1,2]", "-n", "5000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_src_env(),
+    )
+    assert proc.stdout.read(10) == b"1,1,2,3,5,"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_long_walks_and_resource_exhaustion_keep_the_contract(run, monkeypatch):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import tracemalloc
@@ -36,8 +37,8 @@ from trainyard import (
     train_counts,
     window_period_scan,
 )
-from trainyard import expansion, structure
-from trainyard._cyclotomic import cyclotomic_orders, cyclotomic_screen
+from trainyard import _cyclotomic, expansion, structure
+from trainyard._cyclotomic import cyclotomic_orders, cyclotomic_screen, graeffe_certificate
 from trainyard.series import char_terms, poly_trim
 
 from conftest import PROPERTY, oracle_window_period
@@ -79,7 +80,7 @@ def test_detect_period_negative_and_errors():
     assert not report.periodic
     assert report.least_period is None
     assert report.q_to_period is None
-    assert report.window_confirmed is True, "scan horizon found no period either"
+    assert report.window_confirmed is True, "(1 - x)^2 is a repeated factor, which certifies it"
     with pytest.raises(StructureError, match="nonempty"):
         detect_period(RodSet())
 
@@ -113,6 +114,91 @@ def test_detect_period_long_period_is_witnessed():
     char = sympy.Poly.from_dict({(0,): 1, **{(k,): -m for k, m in rods.pairs}}, X)
     one_plus_q = sympy.Poly.from_dict({(0,): 1, **{(k,): m for k, m in q.pairs}}, X)
     assert char * one_plus_q == sympy.Poly(1 - X**120120, X), "Q to [p] fails the witness"
+
+
+def test_graeffe_certificate_catches_a_skipped_order(monkeypatch):
+    # A screen that wrongly rejects order 13 makes the p = 120120 set look non-periodic.
+    rods = rodset_from_char_poly(_cyclotomic_product((3, 5, 7, 8, 11, 13)))
+    screen = _cyclotomic.cyclotomic_screen
+    monkeypatch.setattr(
+        _cyclotomic, "cyclotomic_screen", lambda terms, d: d != 13 and screen(terms, d)
+    )
+    report = detect_period(rods)
+    assert not report.periodic and report.cyclotomic_factors == (3, 5, 7, 8, 11)
+    assert report.window_confirmed is False, "the certificate must not back a missed order"
+    # The window scan it replaces stops at 4 * 38^2, far short of the period.
+    assert window_period_scan(rods, 4 * 38 * 38) is None
+
+
+def _binomial_power(m):
+    """(1 - x)^m."""
+    return [(-1) ** k * math.comb(m, k) for k in range(m + 1)]
+
+
+@pytest.mark.parametrize("m", [2, 6, 12])
+def test_graeffe_certificate_reaches_the_fixed_point_at_the_coefficient_bound(m):
+    # The middle coefficient is C(m, m/2), the bound itself: only a coefficient above it counts.
+    char = _binomial_power(m)
+    assert max(map(abs, char)) == math.comb(m, m // 2)
+    assert graeffe_certificate(char, _binomial_power(m - 1), (1,)) == ("repeat", 1)
+    report = detect_period(rodset_from_char_poly(char))
+    assert not report.periodic and report.cyclotomic_factors == (1,)
+    assert report.window_confirmed is True
+
+
+def test_graeffe_certificate_takes_every_step_to_the_fixed_point():
+    # Phi_24 -> Phi_12^2 -> Phi_6^4 -> Phi_3^8, and the fourth step repeats it: v_2(24) + 1.
+    assert graeffe_certificate(cyclotomic(24), [1], (24,)) == (None, 4)
+    # Phi_3 * Phi_6 * Phi_12 peeled once each, with a second Phi_12 left over.
+    char = _cyclotomic_product((3, 6, 12, 12))
+    assert graeffe_certificate(char, cyclotomic(12), (3, 6, 12)) == ("repeat", 3)
+
+
+def test_graeffe_certificate_lead_and_bound():
+    assert graeffe_certificate(char_poly(parse_rodset("[1^2]")), [1, -2], ()) == ("lead", 0)
+    # 1 - x - x^2 has a root inside the unit circle; one step gives 1 - 3y + y^2, past C(2, 1).
+    assert graeffe_certificate([1, -1, -1], [1, -1, -1], ()) == ("bound", 1)
+
+
+_CYCLOTOMIC_ORDERS = [d for d in range(1, 300) if sympy.totient(d) <= 12]
+
+
+@st.composite
+def cyclotomic_products_with_repeats(draw):
+    """char = +-(Phi_d, repeats allowed) * g, g sometimes sparse, constant term 1, max R <= 12."""
+    budget, poly = draw(st.integers(0, 12)), [1]
+    orders = draw(st.lists(st.sampled_from(_CYCLOTOMIC_ORDERS), max_size=4))
+    if orders and draw(st.booleans()):
+        orders.insert(0, orders[-1])  # a repeat, placed first so that it fits the budget
+    for d in orders:
+        if len(poly) - 1 + sympy.totient(d) <= budget:
+            poly = poly_mul(poly, cyclotomic(d))
+    room = 13 - len(poly)
+    if room and (poly == [1] or draw(st.booleans())):
+        terms = draw(st.dictionaries(st.integers(1, room), st.sampled_from((1, -1, 1, -1, 2, -3)),
+                                     min_size=1, max_size=3))
+        poly = poly_mul(poly, [1] + [terms.get(k, 0) for k in range(1, max(terms) + 1)])
+    return rodset_from_char_poly(poly if poly[0] == 1 else [-c for c in poly])
+
+
+@functools.cache
+def _sympy_cyclotomics():
+    """The monic cyclotomic polynomials of degree <= 12, as sympy polynomials."""
+    return {sympy.Poly(sympy.cyclotomic_poly(d, X), X) for d in _CYCLOTOMIC_ORDERS}
+
+
+@PROPERTY
+@given(cyclotomic_products_with_repeats())
+def test_detect_period_agrees_with_sympy_factoring(rods):
+    char = sympy.Poly(1 - sum(m * X**k for k, m in rods.pairs), X)
+    content, factors = sympy.factor_list(char)
+    distinct_cyclotomics = abs(content) == 1 and all(
+        mult == 1 and (f in _sympy_cyclotomics() or -f in _sympy_cyclotomics())
+        for f, mult in factors
+    )
+    report = detect_period(rods)
+    assert report.periodic == distinct_cyclotomics, f"verdict on {char} disagrees with sympy"
+    assert report.window_confirmed is True, f"no certificate for the verdict on {char}"
 
 
 def test_detect_period_refuses_a_period_past_the_work_limit():
