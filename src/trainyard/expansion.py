@@ -96,6 +96,14 @@ def _identity_holds(r: RodSource, q: RodSource, s: RodSource, horizon: int) -> b
     return lhs == rhs
 
 
+def _horizon(horizon: int | None) -> int:
+    """The horizon a solver works to: DEFAULT_HORIZON unless given, never negative."""
+    h = DEFAULT_HORIZON if horizon is None else horizon
+    if h < 0:
+        raise ExpansionError(f"horizon must be >= 0, got {h}")
+    return h
+
+
 def _verified(r, q, s, horizon, q_finite) -> Expansion:
     if not _identity_holds(r, q, s, horizon):
         raise ExpansionError("expansion witness identity failed; this is a bug")
@@ -118,7 +126,7 @@ def solve_Q(r: RodSource, s: RodSource, horizon: int | None = None) -> Expansion
     horizon, witnessed through the horizon.  With a prefix input only
     the prefix is known (q_finite None).
     """
-    h = DEFAULT_HORIZON if horizon is None else horizon
+    h = _horizon(horizon)
     num, den = _mediator(r, s, h)
     exact = r.exact and s.exact
     if exact:
@@ -158,7 +166,7 @@ def dual(q: RodSource, horizon: int | None = None) -> RodSet | PrefixRods:
     nonempty finite Q never has a finite dual.  For a rod set known only
     by prefix the answer is the prefix, cut at the input's length.
     """
-    h = DEFAULT_HORIZON if horizon is None else horizon
+    h = _horizon(horizon)
     if not q.exact:
         h = min(h, len(q.mults))
     num, den = q.fraction(h)

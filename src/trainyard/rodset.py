@@ -26,9 +26,9 @@ error.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Mapping
 
 
 class RodSetError(ValueError):

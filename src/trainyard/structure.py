@@ -63,9 +63,10 @@ _WINDOW_PRIME = 1073741789  # the largest prime below 2^30
 # Python 3.11.  A period pass costs about 0.2 us a unit with the witness: the
 # Phi_3*Phi_5*Phi_7*Phi_8*Phi_11*Phi_13 set (p = 120120, 39 terms, 1.41e7)
 # takes 2.7 to 3.5 s.  The non-periodic side, now the peel and the Graeffe
-# certificate (about (max R)^2 / 2 products a step, 9 to 13 steps on chains),
-# costs far less than its units: [1, 1118^-1] (1.5e7) 0.75 s, [1, 2, ..., 128]
-# (8.5e6) 0.05 s; [1, 2000^-1] (4.8e7, refused) would take 5.5 s.
+# certificate (at most about (max R)^2 / 4 products a step, fewer while the
+# iterates are sparse, 9 to 13 steps on chains), costs far less than its
+# units: [1, 1118^-1] (1.5e7) 0.17 s, [1, 2, ..., 128] (8.5e6) 0.02 s;
+# [1, 2000^-1] (4.8e7, refused) would take 1.7 s.
 PERIOD_WORK_LIMIT = 15 * 10**6
 _SCAN_BLOCK = 1 << 14  # terms per block of window_period_scan
 

@@ -338,6 +338,32 @@ def test_rodset_from_counts_round_trip():
         assert train_counts(recovered, 16) == counts, f"count inversion broke on {rods}"
 
 
+@PROPERTY
+@given(
+    rods=st.dictionaries(st.integers(1, 30), st.integers(-5, 5).filter(bool), max_size=8).map(
+        RodSet.from_mults
+    ),
+    extra=st.integers(0, 40),
+)
+def test_rodset_from_counts_inverts_train_counts(rods, extra):
+    n = (rods.max_length or 0) + extra
+    assert rodset_from_counts(train_counts(rods, n)) == rods
+
+
+@PROPERTY
+@given(first=st.integers(1, 6), step=st.integers(1, 6), sign=st.sampled_from((1, -1)), n=st.integers(0, 300))
+def test_rodset_from_counts_inverts_an_arithmetic_source(first, step, sign, n):
+    # Every multiplicity is +-1, the outputs the kernel pushes without a product.
+    want = RodSet(tuple((k, sign) for k in range(first, n + 1, step)))
+    assert rodset_from_counts(train_counts(ArithmeticRods(first, step, sign), n)) == want
+
+
+@pytest.mark.parametrize("solve", [solve_Q, solve_R, lambda q, s, h: dual(q, h)], ids=["solve_Q", "solve_R", "dual"])
+def test_solvers_refuse_a_negative_horizon(solve):
+    with pytest.raises(ExpansionError, match="horizon must be >= 0"):
+        solve(parse_rodset("[1]"), parse_rodset("[2]"), -5)
+
+
 def test_expand_minimal():
     q, s = expand_minimal(parse_rodset("[1^3,2^2]"))
     assert q == parse_rodset("[1^3]")

@@ -1,38 +1,55 @@
-"""Property tests of the sparse series kernel, against sympy.
+"""Property tests of the sparse series kernel, against sympy and conftest's recurrence.
 
 Examples are derandomized and capped, so every run checks the same
 inputs and the suite stays fast.  sympy's ring series and polynomial
-remainders share no code with the package.
+remainders, and the count recurrence in conftest, share no code with
+the package.
 """
 
 from __future__ import annotations
 
+import random
+from itertools import accumulate
+
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from sympy import QQ, ZZ
 from sympy.polys.densearith import dup_rem
 from sympy.polys.rings import ring
 from sympy.polys.ring_series import rs_mul, rs_series_inversion
 
-from trainyard import SeriesError, borwein_classify, poly_divexact
-from trainyard.series import series_quotient
+from trainyard import RodSet, SeriesError, borwein_classify, poly_divexact, series_inverse, train_counts
+from trainyard.series import PULL_DEGREE_LIMIT, char_poly, series_quotient
 
-from conftest import PROPERTY
+from conftest import PROPERTY, _recurrence_counts
 
 X = sympy.symbols("x")
 RING, Y = ring("y", QQ)
 
 coefficient = st.integers(-6, 6).filter(bool)
+divisor_coefficient = st.one_of(
+    st.sampled_from((1, -1)),
+    coefficient,
+    st.integers(1 << 69, 1 << 70),
+    st.integers(-(1 << 70), -(1 << 69)),
+)
 
 
 @st.composite
 def sparse_divisors(draw):
-    """Nonzero (degree, coeff) terms with d_0 = +-1 and gaps of up to 40 degrees."""
+    """Nonzero (degree, coeff) terms with d_0 = +-1 and up to 12 more: short
+    divisors the kernel pulls, long ones with gaps of up to 40 degrees that it
+    pushes, terms past the horizon, and coefficients of +-1, small or 70 bits."""
     terms = [(0, draw(st.sampled_from((1, -1))))]
-    for gap, c in draw(st.lists(st.tuples(st.integers(1, 40), coefficient), max_size=4)):
-        terms.append((terms[-1][0] + gap, c))
+    if draw(st.booleans()):
+        degrees = sorted(draw(st.sets(st.integers(1, PULL_DEGREE_LIMIT), min_size=1)))
+    else:
+        size = draw(st.integers(1, 12))
+        degrees = list(accumulate(draw(st.lists(st.integers(1, 40), min_size=size, max_size=size))))
+    for k in degrees:
+        terms.append((k, draw(divisor_coefficient)))
     return terms
 
 
@@ -52,6 +69,10 @@ def sympy_series(num, den_terms, n_terms):
 
 @PROPERTY
 @given(num=st.lists(st.integers(-9, 9), max_size=8), den=sparse_divisors(), n_terms=st.integers(0, 60))
+@example(num=[3, 1], den=[(0, -1), (1, 1), (3, -2), (PULL_DEGREE_LIMIT, 1)], n_terms=40)
+@example(num=[1], den=[(0, 1), (1, -1), (2, -1)], n_terms=60)  # every term -1
+@example(num=[2, -1], den=[(0, -1), (1, -1), (3, -1)], n_terms=60)  # every term +1 after d_0
+@example(num=[3, 1], den=[(0, -1), (1, 1), (3, -2), (PULL_DEGREE_LIMIT + 1, 1)], n_terms=40)
 def test_kernel_matches_sympy_series(num, den, n_terms):
     assert series_quotient(num, den, n_terms) == sympy_series(num, den, n_terms)
 
@@ -72,6 +93,31 @@ def test_kernel_needs_a_unit_constant_term():
     for den in ([], [(0, 2)], [(1, 1)], [(0, 0), (1, 1)]):
         with pytest.raises(SeriesError, match="constant term"):
             series_quotient([1], den, 5)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: series_quotient([1, 2, 3], [(0, 1), (1, -1)], -2),
+        lambda: series_inverse([1, -1], -1),
+    ],
+    ids=["series_quotient", "series_inverse"],
+)
+def test_kernel_refuses_a_negative_horizon(call):
+    with pytest.raises(SeriesError, match=">= 0"):
+        call()
+
+
+@pytest.mark.parametrize("seed, n", [(1, 1000), (2, 2500), (3, 4000), (4, 6000)])
+def test_long_counts_match_the_recurrence(seed, n):
+    # Four rods of length <= 8 at the benchmark's sizes: the pull on coefficients of thousands of bits.
+    rng = random.Random(seed)
+    rods = RodSet.from_mults((k, rng.choice((-3, -2, -1, 1, 2, 3))) for k in rng.sample(range(1, 9), 4))
+    want = _recurrence_counts(rods, n)
+    assert train_counts(rods, n) == want
+    char = char_poly(rods)
+    assert series_inverse(char, n) == want
+    assert series_inverse([-c for c in char], n) == [-f for f in want]
 
 
 def dense(poly):

@@ -38,7 +38,7 @@ from trainyard import (
     window_period_scan,
 )
 from trainyard import _cyclotomic, expansion, structure
-from trainyard._cyclotomic import cyclotomic_orders, cyclotomic_screen, graeffe_certificate
+from trainyard._cyclotomic import cyclotomic_orders, cyclotomic_screen, graeffe_certificate, graeffe_step
 from trainyard.series import char_terms, poly_trim
 
 from conftest import PROPERTY, oracle_window_period
@@ -152,6 +152,19 @@ def test_graeffe_certificate_takes_every_step_to_the_fixed_point():
     # Phi_3 * Phi_6 * Phi_12 peeled once each, with a second Phi_12 left over.
     char = _cyclotomic_product((3, 6, 12, 12))
     assert graeffe_certificate(char, cyclotomic(12), (3, 6, 12)) == ("repeat", 3)
+
+
+@PROPERTY
+@given(f=st.lists(st.integers(-5, 5) | st.integers(1 << 60, 1 << 61), min_size=1, max_size=15).filter(any))
+def test_graeffe_step_squares_the_roots(f):
+    # g(x^2) = f(x) * f(-x), against sympy's product.
+    g = graeffe_step(f)
+    assert len(g) == len(f)
+    g_of_x_squared = [0] * (2 * len(g) - 1)
+    g_of_x_squared[::2] = g
+    f_of_minus_x = [(-1) ** k * c for k, c in enumerate(f)]
+    product = sympy.Poly(f[::-1], X) * sympy.Poly(f_of_minus_x[::-1], X)
+    assert poly_trim(g_of_x_squared) == [int(c) for c in reversed(product.all_coeffs())]
 
 
 def test_graeffe_certificate_lead_and_bound():
