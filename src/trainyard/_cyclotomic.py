@@ -107,28 +107,16 @@ def cyclotomic_screen(terms, d: int) -> bool:
     return sum(c * pow(zeta, k % d, ell) for k, c in terms) % ell == 0
 
 
-def _square(p: list) -> list:
-    """p(x)^2 over p's nonzero terms: L(L + 1)/2 products for L terms, each
-    square once and each cross product once, doubled."""
-    terms = [(k, c) for k, c in enumerate(p) if c]
-    out = [0] * (2 * len(p) - 1) if p else []
-    for i, (k, a) in enumerate(terms):
-        out[2 * k] += a * a
-        twice = a + a
-        for j, b in terms[i + 1:]:
-            out[k + j] += twice * b
-    return out
-
-
 def graeffe_step(f: list) -> list:
     """g with g(x^2) = f(x) * f(-x): the polynomial whose roots are the squares of f's.
 
     Writing f(x) = E(x^2) + x*O(x^2) gives g(y) = E(y)^2 - y*O(y)^2, so
     g keeps f's degree and its constant term is f(0)^2.
     """
-    g = _square(f[0::2])
+    even, odd = f[0::2], f[1::2]
+    g = series.poly_mul(even, even)
     g += [0] * (len(f) - len(g))
-    for k, c in enumerate(_square(f[1::2]), 1):
+    for k, c in enumerate(series.poly_mul(odd, odd), 1):
         g[k] -= c
     return g
 

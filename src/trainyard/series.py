@@ -104,9 +104,13 @@ def nonzero_terms(p: Poly) -> list:
 # recurrence would then give zeros forever), so at d <= 8 a pull makes at
 # most 8 times the push's term visits.  Timed against the push on a 2-vCPU
 # Xeon VM, Python 3.11: the counts of four rods of length <= 8 at n = 6,000
-# pull 21% faster, 1/(1 + x + x^2 + x^3), half zeros, within 5%, and the
-# sparsest series of degree 8, 1/(1 - x^8) and 1/(1 - x + x^2 - ... + x^8),
-# 1.8x and 2.2x slower.
+# pull 21% faster and 1/(1 + x + x^2 + x^3), half zeros, within 5%.  A
+# single term c*x^k with k >= 2 leaves k - 1 zeros in every k coefficients
+# of 1/den, so it is pushed (pulled, 1/(1 - x^8) took twice as long).  Other
+# short divisors still pull, and no cheap look at den finds the ones whose
+# series is sparse enough to lose: 1/(1 - x^2 - x^4), half zeros, pulls 36%
+# faster than it pushes, but 1/(1 - x + x^2 - ... + x^8) = (1 + x)/(1 + x^9),
+# nonzero on 2 of every 9 coefficients, takes 2.0x to 2.4x as long.
 PULL_DEGREE_LIMIT = 8
 
 
@@ -119,15 +123,17 @@ def series_quotient(num: Poly, den_terms: list, n_terms: int, modulus: int | Non
     ascending degree, starting with (0, +-1) so that the recurrence stays
     in the integers.  The loop is chosen from den alone:
 
-    * deg den <= PULL_DEGREE_LIMIT, exact: each coefficient is pulled
-      from the ones before it and stored once, (n_terms + 1) x (den
-      terms) work; only the first deg den coefficients test which terms
-      reach back past 0, and a den whose other terms are all +1 or all
-      -1 is pulled by one loop with no tests.
-    * a longer den, or a ``modulus``: each nonzero coefficient, once
-      final, is pushed into the ones it feeds, (nonzero outputs) x (den
-      terms) work.  The inversion of a whole count sequence has a long
-      den and few nonzero outputs, most of them +-1.
+    * deg den <= PULL_DEGREE_LIMIT, exact, and den not 1 - c*x^k with
+      k >= 2: each coefficient is pulled from the ones before it and
+      stored once, (n_terms + 1) x (den terms) work; only the first
+      deg den coefficients test which terms reach back past 0, and a
+      den whose other terms are all +1 or all -1 is pulled by a loop of
+      its own.
+    * otherwise (a longer den, one such single term, or a
+      ``modulus``): each nonzero coefficient, once final, is pushed
+      into the ones it feeds, (nonzero outputs) x (den terms) work.  The
+      inversion of a whole count sequence has a long den and few
+      nonzero outputs, most of them +-1.
 
     A term with coefficient +-1 on either side is added or subtracted
     without a product.  With ``modulus`` every coefficient is reduced
@@ -144,7 +150,8 @@ def series_quotient(num: Poly, den_terms: list, n_terms: int, modulus: int | Non
         terms = [(k, -c) for k, c in den_terms[1:]]
         out = [-c for c in num[:n_terms + 1]]
     out += [0] * (n_terms + 1 - len(out))
-    if not modulus and terms and terms[-1][0] <= PULL_DEGREE_LIMIT:
+    one_gapped_term = len(terms) == 1 and terms[0][0] > 1  # den = 1 - c*x^k, k >= 2
+    if not modulus and terms and terms[-1][0] <= PULL_DEGREE_LIMIT and not one_gapped_term:
         _pull(out, terms)
     elif modulus or terms:
         _push(out, terms, modulus)
@@ -169,6 +176,12 @@ def _pull(out: list, terms: list) -> None:
             subs.append(k)
         else:
             products.append((k, c))
+    # Entering a loop over an empty list costs about as much as one term of a
+    # short sum.  The general loop tests each list first (without the tests
+    # solver-mix's short series, n < 20, divide 8% slower), and a den whose
+    # terms share one unit coefficient gets a loop of its own: all -1 for the
+    # counts of [1] (the general loop takes 1.6x as long to 10^5) and of
+    # arithmetic sources, all +1 for those of [-1,-2,-3] (1.4x).
     if products or (adds and subs):
         for n in range(top, len(out)):
             acc = out[n]
@@ -182,13 +195,13 @@ def _pull(out: list, terms: list) -> None:
                 for k, c in products:
                     acc -= c * out[n - k]
             out[n] = acc
-    elif adds:  # every term is -1, as for rods of multiplicity 1: one loop, no tests
+    elif adds:
         for n in range(top, len(out)):
             acc = out[n]
             for k in adds:
                 acc += out[n - k]
             out[n] = acc
-    else:  # every term is +1, as for rods of multiplicity -1
+    else:
         for n in range(top, len(out)):
             acc = out[n]
             for k in subs:
@@ -229,9 +242,24 @@ def series_inverse(p: Poly, n_terms: int) -> list:
 
 
 def series_mul(p: Poly, q: Poly, n_terms: int) -> list:
-    """Coefficients 0..n_terms of the product p*q, over nonzero terms of each."""
+    """Coefficients 0..n_terms of the product p*q, over nonzero terms of each.
+
+    A square (q is p) forms each square once and each cross product once,
+    doubled: L(L + 1)/2 products for L nonzero terms instead of L^2.
+    """
     out = [0] * (n_terms + 1)
     q_terms = nonzero_terms(q[:n_terms + 1])
+    if q is p:
+        for i, (k, a) in enumerate(q_terms):
+            if 2 * k > n_terms:
+                break
+            out[2 * k] += a * a
+            twice = a + a
+            for j, b in q_terms[i + 1:]:
+                if k + j > n_terms:
+                    break
+                out[k + j] += twice * b
+        return out
     for i, a in enumerate(p[:n_terms + 1]):
         if a:
             for j, b in q_terms:

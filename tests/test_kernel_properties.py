@@ -40,13 +40,14 @@ divisor_coefficient = st.one_of(
 @st.composite
 def sparse_divisors(draw):
     """Nonzero (degree, coeff) terms with d_0 = +-1 and up to 12 more: short
-    divisors the kernel pulls, long ones with gaps of up to 40 degrees that it
-    pushes, terms past the horizon, and coefficients of +-1, small or 70 bits."""
+    divisors the kernel pulls (or pushes, when they are one term c*x^k, k >= 2),
+    long ones with gaps of up to 40 degrees that it pushes, a bare d_0, terms
+    past the horizon, and coefficients of +-1, small or 70 bits."""
     terms = [(0, draw(st.sampled_from((1, -1))))]
     if draw(st.booleans()):
         degrees = sorted(draw(st.sets(st.integers(1, PULL_DEGREE_LIMIT), min_size=1)))
     else:
-        size = draw(st.integers(1, 12))
+        size = draw(st.integers(0, 12))
         degrees = list(accumulate(draw(st.lists(st.integers(1, 40), min_size=size, max_size=size))))
     for k in degrees:
         terms.append((k, draw(divisor_coefficient)))
@@ -73,6 +74,11 @@ def sympy_series(num, den_terms, n_terms):
 @example(num=[1], den=[(0, 1), (1, -1), (2, -1)], n_terms=60)  # every term -1
 @example(num=[2, -1], den=[(0, -1), (1, -1), (3, -1)], n_terms=60)  # every term +1 after d_0
 @example(num=[3, 1], den=[(0, -1), (1, 1), (3, -2), (PULL_DEGREE_LIMIT + 1, 1)], n_terms=40)
+@example(num=[1, 4], den=[(0, -1), (PULL_DEGREE_LIMIT, 1)], n_terms=40)  # one short term: pushed
+@example(num=[1, 0, -1], den=[(0, 1), (2, -2)], n_terms=40)  # the counts of TrainsOf([2]): pushed
+@example(num=[3], den=[(0, 1), (1, 2)], n_terms=40)  # one term of degree 1: pulled
+@example(num=[5, -2, 7], den=[(0, 1)], n_terms=6)  # a bare d_0
+@example(num=[5, -2, 7], den=[(0, -1)], n_terms=6)
 def test_kernel_matches_sympy_series(num, den, n_terms):
     assert series_quotient(num, den, n_terms) == sympy_series(num, den, n_terms)
 
@@ -84,6 +90,8 @@ def test_kernel_matches_sympy_series(num, den, n_terms):
     n_terms=st.integers(0, 80),
     modulus=st.sampled_from((2, 7, 101, (1 << 61) - 1)),
 )
+@example(num=[5, -2, 7], den=[(0, 1)], n_terms=6, modulus=7)  # a bare d_0, no terms to push
+@example(num=[5, -2, 7], den=[(0, -1)], n_terms=6, modulus=101)
 def test_kernel_modular_path_reduces_the_exact_series(num, den, n_terms, modulus):
     exact = series_quotient(num, den, n_terms)
     assert series_quotient(num, den, n_terms, modulus=modulus) == [c % modulus for c in exact]

@@ -53,7 +53,11 @@ def test_poly_add_and_mul_against_sympy():
         if want_prod == [0]:
             want_prod = []
         assert poly_mul(p, q) == want_prod, f"product mismatch for {p} * {q}"
+        # The same list twice takes the squaring loop, which doubles each cross product.
+        want_square = from_sympy(to_sympy(p) ** 2)
+        assert poly_mul(p, p) == ([] if want_square == [0] else want_square), f"square mismatch for {p}"
     assert poly_mul([], [1, 2]) == []
+    assert poly_mul([], []) == []
 
 
 def test_poly_divexact_recovers_cofactor():
@@ -138,6 +142,8 @@ def test_series_mul_is_truncated_poly_mul():
         n = rng.randint(0, 8)
         want = (full + [0] * (n + 1))[: n + 1]
         assert series_mul(p, q, n) == want
+        square = poly_mul(p, list(p))
+        assert series_mul(p, p, n) == (square + [0] * (n + 1))[: n + 1]
 
 
 def test_char_poly_round_trip():
