@@ -37,9 +37,7 @@ from .rodset import (
     RodSet,
     RodSetError,
     RodSetParseError,
-    ShapeReport,
     concat,
-    describe,
     format_rodset,
     negate,
     odd_sign_swap,
@@ -50,7 +48,6 @@ from .series import (
     SeriesError,
     char_poly,
     cyclotomic,
-    euler_phi,
     poly_divexact,
     poly_mul,
     poly_text,
@@ -91,7 +88,6 @@ __all__ = [
     "RodSource",
     "ScalingHit",
     "SeriesError",
-    "ShapeReport",
     "StructureError",
     "TrainsOf",
     "binomial_count",
@@ -100,12 +96,10 @@ __all__ = [
     "compose",
     "concat",
     "cyclotomic",
-    "describe",
     "detect_period",
     "discrepancies",
     "dual",
     "enumerate_trains",
-    "euler_phi",
     "expand",
     "expand_minimal",
     "format_rodset",

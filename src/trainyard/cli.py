@@ -211,19 +211,21 @@ def _cmd_solver(args):
     return exp.to_json(), [f"R={exp.r}", f"finite={str(exp.r_finite).lower()}"]
 
 
+def _rendered(record):
+    """A record's own JSON and text, for a handler to return."""
+    return record.to_json(), [str(record)]
+
+
 def _cmd_dual(args):
-    result = _bounded(dual(_rodset_arg(args.q), _horizon(args)))
-    return result.to_json(), [str(result)]
+    return _rendered(_bounded(dual(_rodset_arg(args.q), _horizon(args))))
 
 
 def _cmd_compose(args):
-    result = _bounded(compose(_rodset_arg(args.q1), _rodset_arg(args.q2)))
-    return result.to_json(), [str(result)]
+    return _rendered(_bounded(compose(_rodset_arg(args.q1), _rodset_arg(args.q2))))
 
 
 def _cmd_fromseq(args):
-    result = _bounded(rodset_from_counts(_int_csv(args.values)))
-    return result.to_json(), [str(result)]
+    return _rendered(_bounded(rodset_from_counts(_int_csv(args.values))))
 
 
 def _cmd_expandmin(args):
@@ -235,19 +237,7 @@ def _cmd_expandmin(args):
 
 
 def _cmd_period(args):
-    report = _bounded(detect_period(_rodset_arg(args.r)))
-    obj = {
-        "periodic": report.periodic,
-        "period": report.least_period,
-        "factors": list(report.cyclotomic_factors),
-        "Q": format_rodset(report.q_to_period) if report.periodic else None,
-    }
-    if not report.periodic:
-        return obj, ["not periodic"]
-    return obj, [
-        f"periodic p={report.least_period} factors={_csv(report.cyclotomic_factors)} "
-        f"Q={format_rodset(report.q_to_period)}"
-    ]
+    return _rendered(_bounded(detect_period(_rodset_arg(args.r))))
 
 
 def _cmd_scan1(args):
@@ -258,15 +248,7 @@ def _cmd_scan1(args):
 
 
 def _hits_output(hits):
-    _bounded(hits)
-    obj = [
-        {"a": h.a, "b": h.b, "alpha": h.alpha, "S": format_rodset(h.s), "Q": format_rodset(h.q)}
-        for h in hits
-    ]
-    return obj, [
-        f"a={h.a} b={h.b} alpha={h.alpha} S={format_rodset(h.s)} Q={format_rodset(h.q)}"
-        for h in hits
-    ] or ["none"]
+    return [h.to_json() for h in _bounded(hits)], [str(h) for h in hits] or ["none"]
 
 
 def _cmd_scan2(args):
@@ -277,18 +259,7 @@ def _cmd_scan2(args):
 
 
 def _cmd_lucas(args):
-    report = lucas_check(args.s, args.t, args.sign, _horizon(args))
-    obj = {
-        "s": report.s,
-        "t": report.t,
-        "sign": report.sign,
-        "horizon": report.horizon,
-        "passed": report.passed,
-        "mod_check": report.mod_check,
-        "divisibility_check": report.divisibility_check,
-        "failure": report.failure,
-    }
-    return obj, ["pass" if report.passed else f"fail: {report.failure}"]
+    return _rendered(lucas_check(args.s, args.t, args.sign, _horizon(args)))
 
 
 def _cmd_lucas_shapes(args):
@@ -307,19 +278,7 @@ def _cmd_lucas_shapes(args):
 
 
 def _cmd_borwein(args):
-    table = borwein_classify(args.bound)
-    obj = {
-        "bound": table.bound,
-        "classes": {
-            label: [list(pair) for pair in pairs]
-            for label, pairs in table.classes.items()
-        },
-        "unclassified": [list(entry) for entry in table.unclassified],
-    }
-    lines = [f"{label}: {len(pairs)} hits" for label, pairs in table.classes.items()]
-    if table.unclassified:
-        lines.append(f"unclassified: {len(table.unclassified)}")
-    return obj, lines
+    return _rendered(borwein_classify(args.bound))
 
 
 def _train_token(rod: tuple, rods: RodSet) -> str:

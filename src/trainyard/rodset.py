@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from math import gcd
 
 
 class RodSetError(ValueError):
@@ -84,22 +83,10 @@ class RodSet:
                 return m
         return 0
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.pairs)
-
-    def lengths(self) -> tuple[int, ...]:
-        """The shape: distinct lengths present, ascending."""
-        return tuple(k for k, _ in self.pairs)
-
     @property
     def max_length(self) -> int | None:
         """Largest length present, or None for the empty set."""
         return self.pairs[-1][0] if self.pairs else None
-
-    @property
-    def min_length(self) -> int | None:
-        """Smallest length present, or None for the empty set."""
-        return self.pairs[0][0] if self.pairs else None
 
     def __bool__(self) -> bool:
         return bool(self.pairs)
@@ -119,25 +106,6 @@ class RodSet:
 
     def to_json(self) -> dict:
         return {"kind": "finite", "rods": format_rodset(self)}
-
-
-@dataclass(frozen=True)
-class ShapeReport:
-    """Summary facts about a rod set.
-
-    ``size`` counts rods with multiplicity (sum of |mult|), ``primitive``
-    means the lengths have gcd 1, and ``positive`` means no antirods.
-    The empty set reports min/max as None, primitive False, positive True.
-    """
-
-    empty: bool
-    shape: tuple[int, ...]
-    multiplicities: tuple[int, ...]
-    min_length: int | None
-    max_length: int | None
-    size: int
-    primitive: bool
-    positive: bool
 
 
 def parse_rodset(text: str) -> RodSet:
@@ -239,22 +207,6 @@ def concat(r: RodSet, s: RodSet) -> RodSet:
         for k, mk in s.pairs:
             out[j + k] = out.get(j + k, 0) + mj * mk
     return RodSet.from_mults(out)
-
-
-def describe(r: RodSet) -> ShapeReport:
-    """Shape, multiplicities, and the min/max/size/primitive/positive facts."""
-    shape = r.lengths()
-    mults = tuple(m for _, m in r.pairs)
-    return ShapeReport(
-        empty=not r.pairs,
-        shape=shape,
-        multiplicities=mults,
-        min_length=r.min_length,
-        max_length=r.max_length,
-        size=sum(abs(m) for m in mults),
-        primitive=bool(shape) and gcd(*shape, 0) == 1,
-        positive=all(m > 0 for m in mults),
-    )
 
 
 def odd_sign_swap(r: RodSet) -> RodSet:

@@ -323,64 +323,3 @@ def cyclotomic(d: int) -> Poly:
     from ._cyclotomic import moebius_cyclotomic  # built on first use, not at import
 
     return list(moebius_cyclotomic(d))
-
-
-def euler_phi(n: int) -> int:
-    """Euler's totient, from the primes dividing n.
-
-    There is no table, but ``_prime_divisors`` trial-divides up to the
-    second-largest prime factor of n, so the cost grows with that factor.
-    The library only asks for orders of a few thousand; for a product of
-    two 10-digit primes it would take about 5·10^8 odd trial divisors.
-    """
-    if n < 1:
-        raise SeriesError("totient argument must be >= 1")
-    for p in _prime_divisors(n):
-        n -= n // p
-    return n
-
-
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin over the first twelve primes: deterministic below _PRIME_TEST_BOUND."""
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    if n < 2:
-        return False
-    for p in bases:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in bases:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-# The least composite that passes _is_prime: 399165290221 * 798330580441.
-_PRIME_TEST_BOUND = 318665857834031151167461
-
-
-def _prime_divisors(n: int) -> list:
-    """The distinct primes dividing n >= 1, ascending, by trial division that
-    stops once the cofactor left is prime (a proven test below _PRIME_TEST_BOUND)."""
-    primes = []
-    p = 2
-    while n > 1:
-        if n < _PRIME_TEST_BOUND and _is_prime(n):
-            primes.append(n)
-            break
-        while n % p:
-            p += 1 if p == 2 else 2
-        primes.append(p)
-        while n % p == 0:
-            n //= p
-    return primes

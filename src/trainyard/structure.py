@@ -49,7 +49,7 @@ Four families of questions about a finite rod set R:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .counts import train_counts
 from .expansion import DEFAULT_HORIZON, _verified, expand
@@ -100,15 +100,34 @@ class PeriodReport:
     q_to_period: RodSet | None
     window_confirmed: bool
 
+    def to_json(self) -> dict:
+        return {
+            "periodic": self.periodic,
+            "period": self.least_period,
+            "factors": list(self.cyclotomic_factors),
+            "Q": str(self.q_to_period) if self.periodic else None,
+        }
 
-def _ones(seq: list, lo: int, hi: int):
-    """The indices lo <= i < hi with seq[i] == 1, ascending, each found by list.index."""
+    def __str__(self) -> str:
+        if not self.periodic:
+            return "not periodic"
+        factors = ",".join(map(str, self.cyclotomic_factors))
+        return f"periodic p={self.least_period} factors={factors} Q={self.q_to_period}"
+
+
+def _repeats(seq: list, window: list, lo: int, hi: int):
+    """Each lo <= p < hi with seq[p:p + len(window)] == window, ascending.
+
+    list.index finds the candidates, the p with seq[p] == window[0].
+    """
+    first, width = window[0], len(window)
     while True:
         try:
-            lo = seq.index(1, lo, hi)
+            lo = seq.index(first, lo, hi)
         except ValueError:
             return
-        yield lo
+        if seq[lo:lo + width] == window:
+            yield lo
         lo += 1
 
 
@@ -137,12 +156,11 @@ def window_period_scan(rods: RodSet, horizon: int) -> int | None:
         size = min(_SCAN_BLOCK, horizon + w - start)
         num = series_mul(char, tail, w - 1)
         seq = series_quotient(num, terms, w - 1 + size, modulus=_WINDOW_PRIME)  # F(start - w..)
-        for i in _ones(seq, max(1, w + 1 - start), size + 1):  # windows at p = start - w + i
-            if seq[i:i + w] == init:
-                p = start - w + i
-                exact = train_counts(rods, p + w - 1)
-                if exact[p:p + w] == exact[:w]:
-                    return p
+        for i in _repeats(seq, init, max(1, w + 1 - start), size + 1):  # p = start - w + i
+            p = start - w + i
+            exact = train_counts(rods, p + w - 1)
+            if exact[p:p + w] == exact[:w]:
+                return p
         tail, start = seq[size:], start + size
     return None
 
@@ -213,10 +231,7 @@ def detect_period(rods: RodSet) -> PeriodReport:
     _check_work(3 * period, len(terms), "periodic")
     counts = train_counts(rods, 3 * period)
     agreed = counts[period:] == counts[:2 * period + 1]
-    first, init = counts[0], counts[:top]
-    repeat = next(
-        (p for p in range(1, period + 1) if counts[p] == first and counts[p:p + top] == init), None
-    )
+    repeat = next(_repeats(counts, counts[:top], 1, period + 1), None)
     q = RodSet(tuple([(n, c) for n, c in enumerate(counts[1:period - top + 1], 1) if c]))
     _verified(rods, q, RodSet(((period, 1),)), DEFAULT_HORIZON, q_finite=True)
     return PeriodReport(True, period, tuple(factors), q, agreed and repeat == period)
@@ -244,6 +259,12 @@ class ScalingHit:
     mult_b: int
     s: RodSet
     q: RodSet
+
+    def to_json(self) -> dict:
+        return {"a": self.a, "b": self.b, "alpha": self.alpha, "S": str(self.s), "Q": str(self.q)}
+
+    def __str__(self) -> str:
+        return f"a={self.a} b={self.b} alpha={self.alpha} S={self.s} Q={self.q}"
 
 
 def _window(counts: list[int], n: int, w: int) -> tuple[int, ...]:
@@ -314,20 +335,6 @@ def _scaling_hit(
     return ScalingHit(a, b, alpha, alpha, mult_b, shape, q)
 
 
-def _window_hit(rods: RodSet, counts: list[int], a: int, b: int, w: int) -> ScalingHit | None:
-    """Try the scaling window at one pair 1 <= a < b; a witnessed ScalingHit or None.
-
-    The window scales when v_b = alpha*v_(b-a) for a nonzero integer
-    alpha: both windows are nonzero, share their direction u, and
-    c_(b-a) divides c_b (see _direction).
-    """
-    u_b, scale_b = _direction(_window(counts, b, w))
-    u_m, scale_m = _direction(_window(counts, b - a, w))
-    if not scale_b or not scale_m or u_b != u_m or scale_b % scale_m:
-        return None
-    return _scaling_hit(rods, counts, a, b, scale_b // scale_m, w)
-
-
 def scan_two_expansions(
     rods: RodSet, bound: int, include_trivial: bool = False
 ) -> list[ScalingHit]:
@@ -393,6 +400,12 @@ class LucasReport:
     mod_check: bool | None
     divisibility_check: bool
     failure: str | None
+
+    def to_json(self) -> dict:
+        return asdict(self)
+
+    def __str__(self) -> str:
+        return "pass" if self.passed else f"fail: {self.failure}"
 
 
 def _lucas_rodset(s: int, t: int, sign: int) -> RodSet:
@@ -491,14 +504,15 @@ def lucas_two_shapes(
     def verified(
         counts: list[int], a_len: int, b_len: int, want_a: int, want_b: int
     ) -> ScalingHit:
-        hit = _window_hit(rods, counts, a_len, b_len, w)
+        """The hit of the predicted shape, once v_b = alpha*v_(b-a) with the predicted alpha."""
+        alpha = swap_mult(a_len, want_a)
+        scaled = tuple(alpha * x for x in _window(counts, b_len - a_len, w))
+        hit = None
+        if _window(counts, b_len, w) == scaled:
+            hit = _scaling_hit(rods, counts, a_len, b_len, alpha, w)
         if hit is None:
-            raise StructureError(
-                f"predicted shape ({a_len},{b_len}) failed the scaling window"
-            )
-        want = RodSet(
-            ((a_len, swap_mult(a_len, want_a)), (b_len, swap_mult(b_len, want_b)))
-        )
+            raise StructureError(f"predicted shape ({a_len},{b_len}) failed the scaling window")
+        want = RodSet(((a_len, alpha), (b_len, swap_mult(b_len, want_b))))
         if hit.s != want:
             raise StructureError(
                 f"scan found {format_rodset(hit.s)} where {format_rodset(want)} was predicted"
@@ -509,6 +523,8 @@ def lucas_two_shapes(
     if kind == "adjacent":
         if a_min < 2:
             raise StructureError("adjacent chain starts at a = 2")
+        if a_max < a_min:
+            raise StructureError(f"adjacent range is empty: a_max = {a_max} < a_min = {a_min}")
         counts, f = counted(a_max + 1)
         for a_len in range(a_min, a_max + 1):
             hit = verified(counts, a_len, a_len + 1, f[a_len], t * f[a_len - 1])
@@ -570,6 +586,20 @@ class BorweinTable:
     bound: int
     classes: dict
     unclassified: tuple
+
+    def to_json(self) -> dict:
+        return {
+            "bound": self.bound,
+            "classes": {label: [list(p) for p in pairs] for label, pairs in self.classes.items()},
+            "unclassified": [list(entry) for entry in self.unclassified],
+        }
+
+    def __str__(self) -> str:
+        """One line per class with its hit count, then the unclassified count if any."""
+        lines = [f"{label}: {len(pairs)} hits" for label, pairs in self.classes.items()]
+        if self.unclassified:
+            lines.append(f"unclassified: {len(self.unclassified)}")
+        return "\n".join(lines)
 
 
 def _power_residues(char: list, bound: int) -> list[tuple[int, ...]]:

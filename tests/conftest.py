@@ -42,7 +42,7 @@ def oracle_net_count(rods: RodSet, n: int) -> int:
     product of the parts' net multiplicities, so the net count is the
     sum of those products over all compositions.
     """
-    mult = rods.as_dict()
+    mult = dict(rods.pairs)
     lengths = tuple(sorted(mult))
     return sum(
         math.prod(mult[k] for k in comp) for comp in _compositions(n, lengths)
@@ -51,7 +51,7 @@ def oracle_net_count(rods: RodSet, n: int) -> int:
 
 def _recurrence_counts(rods: RodSet, upto: int) -> list[int]:
     """F(0..upto) from F(0) = 1 and F(n) = sum of m_k * F(n - k) over the rods."""
-    mult = rods.as_dict()
+    mult = dict(rods.pairs)
     counts = [1]
     for n in range(1, upto + 1):
         counts.append(sum(m * counts[n - k] for k, m in mult.items() if k <= n))

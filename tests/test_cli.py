@@ -108,6 +108,23 @@ def test_scan2_at_a_large_bound_prints_the_padovan_golden(run):
         (["scan1", "[1,2]", "-b", "6"], "none\n"),
         (["scan2", "[2,3]", "-b", "4"], "none\n"),
         (["period", "[1,1,-2]"], "not periodic\n"),
+        (
+            ["borwein", "-b", "12"],
+            "(1,5) mod 6: 4 hits\n(1,-2) mod 6: 4 hits\n(-2,-4) mod 6: 4 hits\n"
+            "(-4,5) mod 6: 4 hits\n(-1,-2) mod 3: 16 hits\n",
+        ),
+        (
+            ["lucas-shapes", "3", "2", "+", "--kind", "adjacent"],
+            "a=2 b=3 alpha=11 S=[2^11,3^6] Q=[1^3]\n"
+            "a=3 b=4 alpha=39 S=[3^39,4^22] Q=[1^3,2^11]\n"
+            "a=4 b=5 alpha=139 S=[4^139,5^78] Q=[1^3,2^11,3^39]\n",
+        ),
+        (
+            ["lucas-shapes", "2", "1", "-", "--kind", "adjacent"],
+            "a=2 b=3 alpha=5 S=[2^5,-3^2] Q=[-1^2]\n"
+            "a=3 b=4 alpha=-12 S=[-3^12,4^5] Q=[-1^2,2^5]\n"
+            "a=4 b=5 alpha=29 S=[4^29,-5^12] Q=[-1^2,2^5,-3^12]\n",
+        ),
         (["enumerate", "[2,3,5]", "10"], "net=14 total=14\n"),
         (
             ["lucas-shapes", "3", "2", "+", "--kind", "multiple", "--d", "4", "--k-max", "2"],
@@ -182,6 +199,7 @@ def test_domain_errors_exit_one(run):
         (["counts", "--arith", "0,2,+"], "first >= 1"),
         (["enumerate", "[1^2]", "25", "--cap", "100"], "exceed the enumeration cap"),
         (["counts", "[1,2]", "-n", "0"], "horizon must be at least 1"),
+        (["lucas-shapes", "2", "1", "-", "--kind", "adjacent", "--a-max", "1"], "range is empty"),
     ]
     for argv, fragment in cases:
         code, out, err = run(argv)
@@ -317,6 +335,12 @@ def test_json_outputs_are_single_parseable_lines(run):
         assert code == 0 and err == "", f"{argv} failed under json format"
         assert out.endswith("\n") and "\n" not in out[:-1], f"{argv} not a single line"
         json.loads(out)
+
+
+def test_period_json_when_not_periodic(run):
+    code, out, err = run(["period", "[1,1,-2]"], {"TRAINYARD_FORMAT": "json"})
+    assert code == 0 and err == ""
+    assert out == '{"periodic": false, "period": null, "factors": [1], "Q": null}\n'
 
 
 def test_solveq_json_undecided(run):

@@ -11,7 +11,6 @@ from trainyard import (
     RodSetError,
     RodSetParseError,
     concat,
-    describe,
     format_rodset,
     negate,
     odd_sign_swap,
@@ -93,14 +92,12 @@ def test_from_mults_reduces():
 
 def test_accessors():
     r = parse_rodset("[1,-2^3]")
-    assert r.lengths() == (1, 2)
-    assert (r.min_length, r.max_length) == (1, 2)
+    assert r.max_length == 2
     assert (r.mult(2), r.mult(9)) == (-3, 0)
-    assert r.as_dict() == {1: 1, 2: -3}
     assert list(r) == [(1, 1), (2, -3)]
     assert bool(r) and not bool(RodSet())
     empty = RodSet()
-    assert (empty.min_length, empty.max_length) == (None, None)
+    assert empty.max_length is None
 
 
 def test_format_and_str():
@@ -130,22 +127,6 @@ def test_union_negate_concat_algebra():
         b = random_rodset(rng)
         assert union(a, b) == union(b, a)
         assert concat(a, b) == concat(b, a)
-
-
-def test_describe_reports_shape_facts():
-    report = describe(parse_rodset("[1,-2^3]"))
-    assert report.shape == (1, 2)
-    assert report.multiplicities == (1, -3)
-    assert report.size == 4, "size counts rods with multiplicity magnitude"
-    assert report.primitive and not report.positive and not report.empty
-
-    assert not describe(parse_rodset("[2,4]")).primitive
-    assert not describe(parse_rodset("[3]")).primitive
-    assert describe(parse_rodset("[2,3]")).primitive
-
-    empty = describe(RodSet())
-    assert empty.empty and not empty.primitive and empty.positive
-    assert (empty.min_length, empty.max_length, empty.size) == (None, None, 0)
 
 
 def test_equivalent_is_reduction_equality():

@@ -11,7 +11,6 @@ from trainyard import (
     SeriesError,
     char_poly,
     cyclotomic,
-    euler_phi,
     parse_rodset,
     poly_divexact,
     poly_mul,
@@ -20,8 +19,8 @@ from trainyard import (
     series_inverse,
     series_mul,
 )
-from trainyard._cyclotomic import cyclotomic_orders, cyclotomic_root
-from trainyard.series import _prime_divisors, poly_trim
+from trainyard._cyclotomic import _prime_divisors, cyclotomic_orders, cyclotomic_root
+from trainyard.series import poly_trim
 
 X = sympy.symbols("x")
 
@@ -184,13 +183,6 @@ LARGE = (10**6 + 3, 2**61 - 1, 2 * (2**61 - 1), 999983 * 999979, 2**10 * 3**7 * 
 def test_prime_divisors_against_sympy():
     for n in [*range(1, 5001), *LARGE]:
         assert _prime_divisors(n) == sympy.primefactors(n), f"prime divisors of {n}"
-
-
-def test_euler_phi_against_sympy():
-    for n in [*range(1, 5001), *LARGE]:
-        assert euler_phi(n) == sympy.totient(n), f"totient mismatch at {n}"
-    with pytest.raises(SeriesError, match=">= 1"):
-        euler_phi(0)
 
 
 def test_cyclotomic_of_a_large_prime_order():

@@ -581,6 +581,19 @@ def test_lucas_shapes_validation():
         lucas_two_shapes(3, 2, 1, "weird")
     with pytest.raises(StructureError, match="starts at a = 2"):
         lucas_two_shapes(3, 2, 1, "adjacent", a_min=1)
+    with pytest.raises(StructureError, match="range is empty"):
+        lucas_two_shapes(3, 2, 1, "adjacent", a_max=1)
+
+
+def test_lucas_shapes_refuse_a_predicted_alpha_the_window_denies():
+    # With F(0) doubled, v_(a+1) = (F(a),) is no longer F(a) * v_1: the window
+    # test must refuse the predicted alpha before any Q is built or witnessed.
+    def doubled_start(rods, n):
+        return [2] + train_counts(rods, n)[1:]
+
+    with mock.patch.object(structure, "train_counts", doubled_start):
+        with pytest.raises(StructureError, match="failed the scaling window"):
+            lucas_two_shapes(3, 2, 1, "adjacent")
 
 
 def _trinomial(sa: int, sb: int) -> list:
