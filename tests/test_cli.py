@@ -108,23 +108,6 @@ def test_scan2_at_a_large_bound_prints_the_padovan_golden(run):
         (["scan1", "[1,2]", "-b", "6"], "none\n"),
         (["scan2", "[2,3]", "-b", "4"], "none\n"),
         (["period", "[1,1,-2]"], "not periodic\n"),
-        (
-            ["borwein", "-b", "12"],
-            "(1,5) mod 6: 4 hits\n(1,-2) mod 6: 4 hits\n(-2,-4) mod 6: 4 hits\n"
-            "(-4,5) mod 6: 4 hits\n(-1,-2) mod 3: 16 hits\n",
-        ),
-        (
-            ["lucas-shapes", "3", "2", "+", "--kind", "adjacent"],
-            "a=2 b=3 alpha=11 S=[2^11,3^6] Q=[1^3]\n"
-            "a=3 b=4 alpha=39 S=[3^39,4^22] Q=[1^3,2^11]\n"
-            "a=4 b=5 alpha=139 S=[4^139,5^78] Q=[1^3,2^11,3^39]\n",
-        ),
-        (
-            ["lucas-shapes", "2", "1", "-", "--kind", "adjacent"],
-            "a=2 b=3 alpha=5 S=[2^5,-3^2] Q=[-1^2]\n"
-            "a=3 b=4 alpha=-12 S=[-3^12,4^5] Q=[-1^2,2^5]\n"
-            "a=4 b=5 alpha=29 S=[4^29,-5^12] Q=[-1^2,2^5,-3^12]\n",
-        ),
         (["enumerate", "[2,3,5]", "10"], "net=14 total=14\n"),
         (
             ["lucas-shapes", "3", "2", "+", "--kind", "multiple", "--d", "4", "--k-max", "2"],
@@ -142,6 +125,23 @@ def test_scan2_at_a_large_bound_prints_the_padovan_golden(run):
         (
             ["solver", "[2]", "[1]", "-n", "12"],
             "R=counts:1,1,-1,-1,1,1,-1,-1,1,1,-1,-1\nfinite=false\n",
+        ),
+        (
+            ["borwein", "-b", "12"],
+            "(1,5) mod 6: 4 hits\n(1,-2) mod 6: 4 hits\n(-2,-4) mod 6: 4 hits\n"
+            "(-4,5) mod 6: 4 hits\n(-1,-2) mod 3: 16 hits\n",
+        ),
+        (
+            ["lucas-shapes", "3", "2", "+", "--kind", "adjacent"],
+            "a=2 b=3 alpha=11 S=[2^11,3^6] Q=[1^3]\n"
+            "a=3 b=4 alpha=39 S=[3^39,4^22] Q=[1^3,2^11]\n"
+            "a=4 b=5 alpha=139 S=[4^139,5^78] Q=[1^3,2^11,3^39]\n",
+        ),
+        (
+            ["lucas-shapes", "2", "1", "-", "--kind", "adjacent"],
+            "a=2 b=3 alpha=5 S=[2^5,-3^2] Q=[-1^2]\n"
+            "a=3 b=4 alpha=-12 S=[-3^12,4^5] Q=[-1^2,2^5]\n"
+            "a=4 b=5 alpha=29 S=[4^29,-5^12] Q=[-1^2,2^5,-3^12]\n",
         ),
     ],
 )
