@@ -2,8 +2,7 @@
 
 A polynomial is a plain Python list of ints in ascending degree order
 with no trailing zeros; the zero polynomial is ``[]``.  Everything here
-is exact: no floats; the modulus :func:`series_quotient` takes is for
-residue scans that confirm every match with exact integers.
+is exact: no floats and no residues.
 
 The polynomial of interest for a rod set R is its characteristic
 polynomial 1 - C(x, R), where C is the rod generating function
@@ -114,7 +113,7 @@ def nonzero_terms(p: Poly) -> list:
 PULL_DEGREE_LIMIT = 8
 
 
-def series_quotient(num: Poly, den_terms: list, n_terms: int, modulus: int | None = None) -> list:
+def series_quotient(num: Poly, den_terms: list, n_terms: int) -> list:
     """Coefficients 0..n_terms of the power series num / den, by the recurrence
 
         out[n] = (num[n] - sum over k >= 1 of d_k * out[n - k]) * d_0.
@@ -123,21 +122,19 @@ def series_quotient(num: Poly, den_terms: list, n_terms: int, modulus: int | Non
     ascending degree, starting with (0, +-1) so that the recurrence stays
     in the integers.  The loop is chosen from den alone:
 
-    * deg den <= PULL_DEGREE_LIMIT, exact, and den not 1 - c*x^k with
-      k >= 2: each coefficient is pulled from the ones before it and
-      stored once, (n_terms + 1) x (den terms) work; only the first
-      deg den coefficients test which terms reach back past 0, and a
-      den whose other terms are all +1 or all -1 is pulled by a loop of
-      its own.
-    * otherwise (a longer den, one such single term, or a
-      ``modulus``): each nonzero coefficient, once final, is pushed
-      into the ones it feeds, (nonzero outputs) x (den terms) work.  The
-      inversion of a whole count sequence has a long den and few
-      nonzero outputs, most of them +-1.
+    * deg den <= PULL_DEGREE_LIMIT and den not 1 - c*x^k with k >= 2:
+      each coefficient is pulled from the ones before it and stored
+      once, (n_terms + 1) x (den terms) work; only the first deg den
+      coefficients test which terms reach back past 0, and a den whose
+      other terms are all +1 or all -1 is pulled by a loop of its own.
+    * otherwise (a longer den or one such single term): each nonzero
+      coefficient, once final, is pushed into the ones it feeds,
+      (nonzero outputs) x (den terms) work.  The inversion of a whole
+      count sequence has a long den and few nonzero outputs, most of
+      them +-1.
 
     A term with coefficient +-1 on either side is added or subtracted
-    without a product.  With ``modulus`` every coefficient is reduced
-    into [0, modulus).
+    without a product.
     """
     if n_terms < 0:
         raise SeriesError(f"series horizon must be >= 0, got {n_terms}")
@@ -151,10 +148,10 @@ def series_quotient(num: Poly, den_terms: list, n_terms: int, modulus: int | Non
         out = [-c for c in num[:n_terms + 1]]
     out += [0] * (n_terms + 1 - len(out))
     one_gapped_term = len(terms) == 1 and terms[0][0] > 1  # den = 1 - c*x^k, k >= 2
-    if not modulus and terms and terms[-1][0] <= PULL_DEGREE_LIMIT and not one_gapped_term:
+    if terms and terms[-1][0] <= PULL_DEGREE_LIMIT and not one_gapped_term:
         _pull(out, terms)
-    elif modulus or terms:
-        _push(out, terms, modulus)
+    elif terms:
+        _push(out, terms)
     return out
 
 
@@ -209,15 +206,13 @@ def _pull(out: list, terms: list) -> None:
             out[n] = acc
 
 
-def _push(out: list, terms: list, modulus: int | None) -> None:
-    """For n ascending, reduce out[n] and subtract c * out[n] from out[n + k], in place."""
+def _push(out: list, terms: list) -> None:
+    """For n ascending, subtract c * out[n] from out[n + k] over the (k, c) terms, in place."""
     last = len(out) - 1
-    top = terms[-1][0] if terms else 0
+    top = terms[-1][0]
     degrees = [k for k, _ in terms]
     for n in range(last + 1):
         v = out[n]
-        if modulus:
-            v = out[n] = v % modulus
         if not v:
             continue
         reach = terms if n + top <= last else terms[:bisect_right(degrees, last - n)]

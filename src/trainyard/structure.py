@@ -8,12 +8,13 @@ Four families of questions about a finite rod set R:
   distinct cyclotomic polynomials; the least period is the lcm of their
   orders.  Each candidate Phi_d is screened at a root of unity of order
   d modulo a prime and only the survivors are divided exactly.  A
-  period is confirmed on the counts; a non-periodic verdict by the
-  Graeffe root-squaring test, which certifies that the characteristic
-  polynomial has a leading coefficient other than +-1, a root off the
-  unit circle (an iterate's coefficient passes C(m, floor(m/2)),
-  m = max R), or a repeated cyclotomic factor.  One bound on the work
-  (PERIOD_WORK_LIMIT) is checked before either.
+  period is proved by the counts, whose first max R-window repeats
+  first at it; a non-periodic verdict by the Graeffe root-squaring
+  test, which certifies that the characteristic polynomial has a
+  leading coefficient other than +-1, a root off the unit circle (an
+  iterate's coefficient passes C(m, floor(m/2)), m = max R), or a
+  repeated cyclotomic factor.  One bound on the work (PERIOD_WORK_LIMIT)
+  is checked before either.
 
 * **Expandability scans** — which one- and two-rod sets does R expand
   to?  Both scans read one table of window classes.  For each length
@@ -54,21 +55,19 @@ from dataclasses import asdict, dataclass
 from .counts import train_counts
 from .expansion import DEFAULT_HORIZON, _verified, expand
 from .rodset import RodSet, format_rodset
-from .series import char_poly, char_terms, cyclotomic, poly_divexact, series_mul, series_quotient
+from .series import char_poly, char_terms, cyclotomic, poly_divexact
 
-_WINDOW_PRIME = 1073741789  # the largest prime below 2^30
 # Largest confirmation detect_period takes on, in counted terms times nonzero
-# char terms: 3p terms for a period p, and 4 * (max R)^2 before the peel, which
-# refuses a set before its dense char is built.  Timed on a 2-vCPU Xeon VM,
-# Python 3.11.  A period pass costs about 0.2 us a unit with the witness: the
-# Phi_3*Phi_5*Phi_7*Phi_8*Phi_11*Phi_13 set (p = 120120, 39 terms, 1.41e7)
-# takes 2.7 to 3.5 s.  The non-periodic side, now the peel and the Graeffe
-# certificate (at most about (max R)^2 / 4 products a step, fewer while the
-# iterates are sparse, 9 to 13 steps on chains), costs far less than its
-# units: [1, 1118^-1] (1.5e7) 0.17 s, [1, 2, ..., 128] (8.5e6) 0.02 s;
-# [1, 2000^-1] (4.8e7, refused) would take 1.7 s.
+# char terms: p + max R terms for a period p, and 4 * (max R)^2 before the
+# peel, which refuses a set before its dense char is built.  Timed on a 2-vCPU
+# Xeon VM, Python 3.11.  A period pass costs about 0.4 us a unit, two thirds
+# of it the witness: the Phi_3*Phi_5*Phi_7*Phi_8*Phi_11*Phi_13 set
+# (p = 120120, 39 terms, 4.7e6) takes 1.6 to 2.4 s.  The non-periodic side,
+# now the peel and the Graeffe certificate (at most about (max R)^2 / 4
+# products a step, fewer while the iterates are sparse, 9 to 13 steps on
+# chains), costs far less than its units: [1, 1118^-1] (1.5e7) 0.17 s,
+# [1, 2, ..., 128] (8.5e6) 0.02 s; [1, 2000^-1] (4.8e7, refused) would take 1.7 s.
 PERIOD_WORK_LIMIT = 15 * 10**6
-_SCAN_BLOCK = 1 << 14  # terms per block of window_period_scan
 
 
 class StructureError(ValueError):
@@ -89,9 +88,9 @@ class PeriodReport:
     ``least_period`` is their lcm.  ``q_to_period`` is the finite Q
     with R -> Q -> [least_period].  ``window_confirmed`` records that
     the verdict was certified independently of the peel: a period by the
-    counts, which repeat first at it, and a non-periodic verdict by the
-    Graeffe certificate (see detect_period).  False means the check
-    disagreed with the peel, which is a bug.
+    counts, whose max R-window repeats first at it, and a non-periodic
+    verdict by the Graeffe certificate (see detect_period).  False means
+    the check disagreed with the peel, which is a bug.
     """
 
     periodic: bool
@@ -115,20 +114,19 @@ class PeriodReport:
         return f"periodic p={self.least_period} factors={factors} Q={self.q_to_period}"
 
 
-def _repeats(seq: list, window: list, lo: int, hi: int):
-    """Each lo <= p < hi with seq[p:p + len(window)] == window, ascending.
+def _least_repeat(counts: list, w: int, horizon: int) -> int | None:
+    """Least 1 <= p <= horizon with counts[p:p + w] == counts[:w], else None.
 
-    list.index finds the candidates, the p with seq[p] == window[0].
+    list.index finds the candidates, the p with counts[p] == counts[0].
     """
-    first, width = window[0], len(window)
+    window, p = counts[:w], 0
     while True:
         try:
-            lo = seq.index(first, lo, hi)
+            p = counts.index(window[0], p + 1, horizon + 1)
         except ValueError:
-            return
-        if seq[lo:lo + width] == window:
-            yield lo
-        lo += 1
+            return None
+        if counts[p:p + w] == window:
+            return p
 
 
 def window_period_scan(rods: RodSet, horizon: int) -> int | None:
@@ -136,33 +134,16 @@ def window_period_scan(rods: RodSet, horizon: int) -> int | None:
 
     The counts obey a depth-max R recursion, so a repeat of the initial
     max R-window propagates forever; scanning windows is therefore a
-    complete periodicity test up to the horizon.  The scan runs modulo
-    a large prime — a modular mismatch proves an exact mismatch, and
-    the rare modular match is re-verified with exact integers before it
-    is believed.  It runs in blocks of _SCAN_BLOCK terms, so memory does
-    not grow with the horizon; each restarts from the last max R values L,
-    as (char * L cut at degree max R) / char is L, then the counts after it.
+    complete periodicity test up to the horizon.  The scan holds the
+    exact counts to horizon + max R - 1, so its memory follows their
+    bits: [1,2] (Fibonacci) at horizon 50,000 peaks at about 128 MB.
     """
     if not rods.pairs:
         raise StructureError("periodicity is about nonempty rod sets")
     if horizon < 1:
         raise StructureError("horizon must be at least 1")
     w = rods.max_length
-    char, terms = char_poly(rods), char_terms(rods)
-    init = series_quotient([1], terms, w - 1, modulus=_WINDOW_PRIME)
-    # F(1 - w..0): zeros, then F(0) = 1; the recursion holds from n = 1 on.
-    tail, start = [0] * (w - 1) + [1], 1
-    while start < horizon + w:
-        size = min(_SCAN_BLOCK, horizon + w - start)
-        num = series_mul(char, tail, w - 1)
-        seq = series_quotient(num, terms, w - 1 + size, modulus=_WINDOW_PRIME)  # F(start - w..)
-        for i in _repeats(seq, init, max(1, w + 1 - start), size + 1):  # p = start - w + i
-            p = start - w + i
-            exact = train_counts(rods, p + w - 1)
-            if exact[p:p + w] == exact[:w]:
-                return p
-        tail, start = seq[size:], start + size
-    return None
+    return _least_repeat(train_counts(rods, horizon + w - 1), w, horizon)
 
 
 def _check_work(terms: int, nonzero: int, verdict: str) -> None:
@@ -196,12 +177,13 @@ def detect_period(rods: RodSet) -> PeriodReport:
     the unit circle; or the iterates reach a fixed point, so every root
     is a root of unity, and the residual the peel left divides by a
     peeled Phi_d once more, a repeated factor.  A period p is confirmed
-    by one exact count pass to 3p, which shows F(n + p) = F(n) for
-    n <= 2p, finds no window repeat before p, and gives Q to [p] as the
-    counts F(1..p - max R), confirmed by the exact witness.  Work is
-    bounded by PERIOD_WORK_LIMIT in counted terms times nonzero char
-    terms: 4 * (max R)^2 terms first, so that a set too large is refused
-    before its dense characteristic polynomial is built, and 3p terms
+    by one exact count pass to p + max R - 1: the first max R-window
+    repeats at p and not before, which proves F(n + p) = F(n) for all n
+    by the depth-max R recursion, and the counts F(1..p - max R) are Q
+    to [p], confirmed by the exact witness.  Work is bounded by
+    PERIOD_WORK_LIMIT in counted terms times nonzero char terms:
+    4 * (max R)^2 terms first, so that a set too large is refused before
+    its dense characteristic polynomial is built, and p + max R terms
     before the count pass.
     """
     # built on first use
@@ -228,13 +210,12 @@ def detect_period(rods: RodSet) -> PeriodReport:
         return PeriodReport(False, None, tuple(factors), None, certified)
     assert residual[0] in (1, -1), "peeling left a non-unit constant; this is a bug"
     period = math.lcm(*factors)
-    _check_work(3 * period, len(terms), "periodic")
-    counts = train_counts(rods, 3 * period)
-    agreed = counts[period:] == counts[:2 * period + 1]
-    repeat = next(_repeats(counts, counts[:top], 1, period + 1), None)
+    _check_work(period + top, len(terms), "periodic")
+    counts = train_counts(rods, period + top - 1)
     q = RodSet(tuple([(n, c) for n, c in enumerate(counts[1:period - top + 1], 1) if c]))
     _verified(rods, q, RodSet(((period, 1),)), DEFAULT_HORIZON, q_finite=True)
-    return PeriodReport(True, period, tuple(factors), q, agreed and repeat == period)
+    repeat = _least_repeat(counts, top, period)
+    return PeriodReport(True, period, tuple(factors), q, repeat == period)
 
 
 # ---------------------------------------------------------------------------

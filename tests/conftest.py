@@ -5,8 +5,8 @@ The count oracle walks compositions literally and multiplies net
 multiplicities — no code shared with the package's recursion or its
 enumerator, so agreement is evidence, not tautology.  The scan oracles
 test the expansion windows one length, or one pair of lengths, at a
-time, on counts from the plain recurrence.  The window period oracle
-is the period scan over the whole modular sequence at once.
+time, on counts from the plain recurrence, and the window period
+oracle tries every period one at a time on the same counts.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ import random
 import pytest
 from hypothesis import settings
 
-from trainyard import RodSet, train_counts
-from trainyard.series import char_terms, series_quotient
+from trainyard import RodSet
 
 # Derandomized and capped, so every run checks the same inputs and the suite stays fast.
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -118,18 +117,12 @@ def oracle_scan_two(rods: RodSet, bound: int, include_trivial: bool = False) -> 
     return hits
 
 
-def oracle_window_period(rods: RodSet, horizon: int, modulus: int) -> int | None:
-    """Least p <= horizon whose max R-window repeats the initial one, every
-    term kept: the modular sequence to horizon + max R - 1 in one list, each
-    modular match re-checked on exact counts."""
+def oracle_window_period(rods: RodSet, horizon: int) -> int | None:
+    """Least p <= horizon whose max R-window repeats the initial one, each p
+    tried in turn on the plain-recurrence counts to horizon + max R - 1."""
     w = rods.max_length
-    seq = series_quotient([1], char_terms(rods), horizon + w - 1, modulus=modulus)
-    for p in range(1, horizon + 1):
-        if seq[p:p + w] == seq[:w]:
-            exact = train_counts(rods, p + w - 1)
-            if exact[p:p + w] == exact[:w]:
-                return p
-    return None
+    counts = _recurrence_counts(rods, horizon + w - 1)
+    return next((p for p in range(1, horizon + 1) if counts[p:p + w] == counts[:w]), None)
 
 
 def random_rodset(

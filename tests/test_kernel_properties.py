@@ -83,20 +83,6 @@ def test_kernel_matches_sympy_series(num, den, n_terms):
     assert series_quotient(num, den, n_terms) == sympy_series(num, den, n_terms)
 
 
-@PROPERTY
-@given(
-    num=st.lists(st.integers(-9, 9), max_size=8),
-    den=sparse_divisors(),
-    n_terms=st.integers(0, 80),
-    modulus=st.sampled_from((2, 7, 101, (1 << 61) - 1)),
-)
-@example(num=[5, -2, 7], den=[(0, 1)], n_terms=6, modulus=7)  # a bare d_0, no terms to push
-@example(num=[5, -2, 7], den=[(0, -1)], n_terms=6, modulus=101)
-def test_kernel_modular_path_reduces_the_exact_series(num, den, n_terms, modulus):
-    exact = series_quotient(num, den, n_terms)
-    assert series_quotient(num, den, n_terms, modulus=modulus) == [c % modulus for c in exact]
-
-
 def test_kernel_needs_a_unit_constant_term():
     for den in ([], [(0, 2)], [(1, 1)], [(0, 0), (1, 1)]):
         with pytest.raises(SeriesError, match="constant term"):

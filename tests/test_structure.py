@@ -5,7 +5,6 @@ from __future__ import annotations
 import functools
 import math
 import random
-import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -73,6 +72,22 @@ def test_detect_period_q_reaches_single_rod():
     assert expand(parse_rodset("[1,-2]"), report.q_to_period).s == target, (
         "the reported mediator must expand the set to the one-rod set of its period"
     )
+
+
+def test_detect_period_witnesses_its_q(monkeypatch):
+    monkeypatch.setattr(expansion, "_identity_holds", lambda *args: False)
+    with pytest.raises(ExpansionError, match="this is a bug"):
+        detect_period(parse_rodset("[1,-2]"))
+
+
+def test_detect_period_flags_a_period_that_is_not_least(monkeypatch):
+    # A peel whose lcm came out 2p: char still divides 1 - x^(2p), so the Q
+    # witness holds, and only the window repeat at p shows the period is not least.
+    lcm = math.lcm
+    monkeypatch.setattr(math, "lcm", lambda *orders: 2 * lcm(*orders))
+    report = detect_period(parse_rodset("[1,-2]"))
+    assert report.periodic and report.least_period == 12
+    assert report.window_confirmed is False, "the counts repeat first at 6, not 12"
 
 
 def test_detect_period_negative_and_errors():
@@ -215,12 +230,13 @@ def test_detect_period_agrees_with_sympy_factoring(rods):
 
 
 def test_detect_period_refuses_a_period_past_the_work_limit():
-    # max R 42 passes the non-periodic bound, but 3p = 3 * 360360 counted terms do not.
+    # max R 42 passes the non-periodic bound, but p + max R = 360402 counted terms
+    # times 43 char terms do not.
     rods = rodset_from_char_poly(_cyclotomic_product((5, 7, 8, 9, 11, 13)))
     assert rods.max_length == 42
     with pytest.raises(StructureError, match="PERIOD_WORK_LIMIT") as refused:
         detect_period(rods)
-    assert "1081080 counted terms" in str(refused.value)
+    assert "360402 counted terms" in str(refused.value)
 
 
 def _sympy_cyclotomic(d):
@@ -284,32 +300,17 @@ SIGNED_SETS = st.lists(st.tuples(st.integers(1, 6), st.sampled_from((-1, 1))),
 @PROPERTY
 @given(
     rods=st.one_of(
-        # Periods 6, 3, 30, 12 and 20 run across blocks of 1..8 terms.
+        # Periods 6, 3, 30, 12 and 20.
         st.sampled_from(
             ["[1,-2]", "[-1,-2]", "[-1,3,4,5,-7,-8]", "[2,-4]", "[-1,-2^2,-3^2,-4^2,-5,-6]"]
         ).map(parse_rodset),
         SIGNED_SETS.map(lambda pairs: RodSet(tuple(sorted(pairs)))),
         cyclotomic_products(),
     ),
-    block=st.integers(1, 8),
     horizon=st.integers(1, 150),
 )
-def test_window_period_scan_blocks_match_whole_sequence(rods, block, horizon):
-    want = oracle_window_period(rods, horizon, structure._WINDOW_PRIME)
-    with mock.patch.object(structure, "_SCAN_BLOCK", block):
-        assert window_period_scan(rods, horizon) == want, f"{rods} at block {block}"
-
-
-def test_window_period_scan_memory_is_one_block(monkeypatch):
-    # The whole modular sequence to 50,000 terms would take about 2 MB.
-    monkeypatch.setattr(structure, "_SCAN_BLOCK", 256)
-    tracemalloc.start()
-    try:
-        assert window_period_scan(parse_rodset("[1,2]"), 50_000) is None
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 200_000, f"the scan peaked at {peak} bytes"
+def test_window_period_scan_matches_the_recurrence_oracle(rods, horizon):
+    assert window_period_scan(rods, horizon) == oracle_window_period(rods, horizon), f"{rods}"
 
 
 def test_algebraic_and_window_verdicts_agree():
