@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import math
 import os
@@ -43,7 +42,7 @@ from .expansion import (
     solve_Q,
     solve_R,
 )
-from .rodset import RodSet, format_rodset, parse_rodset
+from .rodset import Record, RodSet, format_rodset, parse_rodset
 from .series import cyclotomic, poly_divexact, poly_mul, poly_text
 from .structure import (
     borwein_classify,
@@ -71,9 +70,9 @@ class _CliError(ValueError):
 def _bounded(result):
     """result, once no int in it has more than OUTPUT_INT_BITS_LIMIT bits.
 
-    Walks lists, tuples, dict values and dataclass fields (rod sets,
-    sources, records and hits), so it runs on a handler's result before
-    any of it is rendered.
+    Walks lists, tuples, dict values and the fields of records (rod
+    sets, sources, reports and hits), so it runs on a handler's result
+    before any of it is rendered.
     """
     stack = [result]
     while stack:
@@ -88,8 +87,8 @@ def _bounded(result):
             stack.extend(item)
         elif isinstance(item, dict):
             stack.extend(item.values())
-        elif dataclasses.is_dataclass(item):
-            stack.extend(getattr(item, field.name) for field in dataclasses.fields(item))
+        elif isinstance(item, Record):
+            stack.extend(getattr(item, name) for name in item.__slots__)
     return result
 
 

@@ -31,11 +31,10 @@ series (1 - C_S)/(1 - C_R).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import Sequence, Union
 
-from .rodset import RodSet, format_rodset
+from .rodset import Record, RodSet, format_rodset
 from .series import char_terms, series_mul, series_quotient, sparse_add, sparse_mul
 
 DEFAULT_ENUMERATION_CAP = 10**6
@@ -45,18 +44,18 @@ class CountsError(ValueError):
     """Domain error raised by counting operations."""
 
 
-@dataclass(frozen=True)
-class ArithmeticRods:
+class ArithmeticRods(Record):
     """Rods at first, first+step, first+2*step, ..., each with multiplicity ``sign``."""
 
-    first: int
-    step: int
-    sign: int = 1
+    __slots__ = ("first", "step", "sign")
     exact = True
 
-    def __post_init__(self) -> None:
-        if self.first < 1 or self.step < 1 or self.sign not in (1, -1):
+    def __init__(self, first: int, step: int, sign: int = 1) -> None:
+        if first < 1 or step < 1 or sign not in (1, -1):
             raise CountsError("arithmetic rods need first >= 1, step >= 1, sign +-1")
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "step", step)
+        object.__setattr__(self, "sign", sign)
 
     def fraction(self, n: int | None = None) -> tuple:
         """C = sign * x^first / (1 - x^step), as the nonzero terms of N and D."""
@@ -66,21 +65,21 @@ class ArithmeticRods:
         return {"kind": "arith", "first": self.first, "step": self.step, "sign": self.sign}
 
 
-@dataclass(frozen=True)
-class TrainsOf:
+class TrainsOf(Record):
     """One rod per nonempty train of ``base``: multiplicity at length n is sign * F(n, base).
 
     The central example: TrainsOf([2]) is the rod set [2, 4, 6, ...],
     since [2] has exactly one train at every even length.
     """
 
-    base: RodSet
-    sign: int = 1
+    __slots__ = ("base", "sign")
     exact = True
 
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
+    def __init__(self, base: RodSet, sign: int = 1) -> None:
+        if sign not in (1, -1):
             raise CountsError("trains-of source sign must be +-1")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "sign", sign)
 
     def fraction(self, n: int | None = None) -> tuple:
         """C = sign * (1/char(base) - 1) = sign * C(base) / char(base), as terms of N and D."""
@@ -90,8 +89,7 @@ class TrainsOf:
         return {"kind": "trains", "base": format_rodset(self.base), "sign": self.sign}
 
 
-@dataclass(frozen=True)
-class PrefixRods:
+class PrefixRods(Record):
     """A rod set known only by its multiplicity prefix m(1..N).
 
     This is how infinite solver outputs are reported: exact up to the
@@ -99,6 +97,7 @@ class PrefixRods:
     rather than a guess.
     """
 
+    __slots__ = ("mults",)
     mults: tuple
     exact = False
 
@@ -193,13 +192,15 @@ def sequence_discrepancies(values: Sequence[int], s: RodSource) -> list:
     return series_mul(char_s, values, n_max)[1:]
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
+class EnumerationResult(Record):
     """Outcome of brute-force train enumeration."""
 
-    net: int
-    total: int
-    trains: tuple | None = None
+    __slots__ = ("net", "total", "trains")
+
+    def __init__(self, net: int, total: int, trains: tuple | None = None) -> None:
+        object.__setattr__(self, "net", net)
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "trains", trains)
 
 
 def enumerate_trains(

@@ -33,11 +33,10 @@ expansion's direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .counts import PrefixRods, RodSource, _mediator, _one_minus, _quotient
-from .rodset import RodSet, concat, union
+from .rodset import Record, RodSet, concat, union
 from .series import char_terms, nonzero_terms, series_quotient, sparse_add, sparse_mul
 
 DEFAULT_HORIZON = 64
@@ -50,8 +49,7 @@ class ExpansionError(ValueError):
     """Domain error raised by expansion operations."""
 
 
-@dataclass(frozen=True)
-class Expansion:
+class Expansion(Record):
     """A verified expansion record r -> q -> s: it exists only if its witness held.
 
     ``q_finite`` is True/False when decided exactly, None when an input
@@ -59,12 +57,18 @@ class Expansion:
     R-solver's output.
     """
 
-    r: RodSource
-    q: RodSource
-    s: RodSource
-    horizon: int
-    q_finite: bool | None
-    r_finite: bool | None = True
+    __slots__ = ("r", "q", "s", "horizon", "q_finite", "r_finite")
+
+    def __init__(
+        self, r: RodSource, q: RodSource, s: RodSource, horizon: int,
+        q_finite: bool | None, r_finite: bool | None = True,
+    ) -> None:
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "horizon", horizon)
+        object.__setattr__(self, "q_finite", q_finite)
+        object.__setattr__(self, "r_finite", r_finite)
 
     def to_json(self) -> dict:
         return {

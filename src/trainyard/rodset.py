@@ -27,7 +27,7 @@ error.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
+from operator import attrgetter
 
 
 class RodSetError(ValueError):
@@ -42,26 +42,74 @@ class RodSetParseError(RodSetError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class RodSet:
+class Record:
+    """An immutable value whose fields are the names in its class's ``__slots__``.
+
+    Records of one class are equal, and hash alike, when their fields
+    are; a record never equals one of another class.  Assigning or
+    deleting a field raises AttributeError.  A class that validates or
+    defaults a field, or is built in an inner loop, binds each field in
+    its own ``__init__`` with ``object.__setattr__``; the rest take
+    their fields, by position or name, in slot order.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._key = attrgetter(*cls.__slots__)
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self.__slots__
+        values = args + tuple(kwargs.pop(name) for name in names[len(args):] if name in kwargs)
+        if len(values) != len(names) or kwargs:
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)}")
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            key = self._key
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a {type(self).__name__}")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor: they cannot set slots here.
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class RodSet(Record):
     """A reduced rod set: sorted ``(length, multiplicity)`` pairs.
 
     Construct through :meth:`from_mults` or :func:`parse_rodset`; the
     raw constructor expects pairs already sorted and reduced.
     """
 
-    pairs: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("pairs",)
     exact = True
 
-    def __post_init__(self) -> None:
-        lengths = [k for k, _ in self.pairs]
+    def __init__(self, pairs: tuple[tuple[int, int], ...] = ()) -> None:
+        lengths = [k for k, _ in pairs]
         if lengths != sorted(set(lengths)):
             raise RodSetError("rod lengths must be sorted and distinct")
-        for k, m in self.pairs:
+        for k, m in pairs:
             if k < 1:
                 raise RodSetError(f"rod length must be positive, got {k}")
             if m == 0:
                 raise RodSetError(f"zero net multiplicity for length {k} must be dropped")
+        object.__setattr__(self, "pairs", pairs)
 
     @staticmethod
     def from_mults(mults: Mapping[int, int] | Iterable[tuple[int, int]]) -> RodSet:

@@ -50,11 +50,10 @@ Four families of questions about a finite rod set R:
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 
 from .counts import train_counts
 from .expansion import DEFAULT_HORIZON, _verified, expand
-from .rodset import RodSet, format_rodset
+from .rodset import Record, RodSet, format_rodset
 from .series import char_poly, char_terms, cyclotomic, poly_divexact
 
 # Largest confirmation detect_period takes on, in counted terms times nonzero
@@ -78,8 +77,7 @@ class StructureError(ValueError):
 # Periodicity
 
 
-@dataclass(frozen=True)
-class PeriodReport:
+class PeriodReport(Record):
     """Verdict of detect_period.
 
     ``cyclotomic_factors`` lists the orders d whose cyclotomic
@@ -93,6 +91,9 @@ class PeriodReport:
     the check disagreed with the peel, which is a bug.
     """
 
+    __slots__ = (
+        "periodic", "least_period", "cyclotomic_factors", "q_to_period", "window_confirmed"
+    )
     periodic: bool
     least_period: int | None
     cyclotomic_factors: tuple[int, ...]
@@ -222,8 +223,7 @@ def detect_period(rods: RodSet) -> PeriodReport:
 # Expandability scans
 
 
-@dataclass(frozen=True)
-class ScalingHit:
+class ScalingHit(Record):
     """A witnessed two-rod expansion target S = [a^mult_a, b^mult_b].
 
     ``alpha`` is the unique scaling ratio F(b - i) / F(b - a - i) on
@@ -233,13 +233,18 @@ class ScalingHit:
     witness (1 - C_S) = (1 - C_R)(1 + C_Q) holds for it.
     """
 
-    a: int
-    b: int
-    alpha: int
-    mult_a: int
-    mult_b: int
-    s: RodSet
-    q: RodSet
+    __slots__ = ("a", "b", "alpha", "mult_a", "mult_b", "s", "q")
+
+    def __init__(
+        self, a: int, b: int, alpha: int, mult_a: int, mult_b: int, s: RodSet, q: RodSet
+    ) -> None:
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "mult_a", mult_a)
+        object.__setattr__(self, "mult_b", mult_b)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "q", q)
 
     def to_json(self) -> dict:
         return {"a": self.a, "b": self.b, "alpha": self.alpha, "S": str(self.s), "Q": str(self.q)}
@@ -369,10 +374,12 @@ def scan_two_expansions(
 # Lucas families
 
 
-@dataclass(frozen=True)
-class LucasReport:
+class LucasReport(Record):
     """Outcome of lucas_check: which properties held up to the horizon."""
 
+    __slots__ = (
+        "s", "t", "sign", "horizon", "passed", "mod_check", "divisibility_check", "failure"
+    )
     s: int
     t: int
     sign: int
@@ -383,7 +390,7 @@ class LucasReport:
     failure: str | None
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {name: getattr(self, name) for name in self.__slots__}
 
     def __str__(self) -> str:
         return "pass" if self.passed else f"fail: {self.failure}"
@@ -557,13 +564,13 @@ _POS_CLASSES = {
 _NEG_CLASS = {((1, -1), (2, -1)): "(-1,-2) mod 3"}
 
 
-@dataclass(frozen=True)
-class BorweinTable:
+class BorweinTable(Record):
     """Signed pairs (sa*a, sb*b) whose trinomial 1 - sa*x^a - sb*x^b is
     divisible by char_poly([1,-2]) or char_poly([-1,-2]), partitioned by
     the residue classes of the classification theorem.  ``unclassified``
     holds any hit outside those classes (there are none)."""
 
+    __slots__ = ("bound", "classes", "unclassified")
     bound: int
     classes: dict
     unclassified: tuple

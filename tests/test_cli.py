@@ -386,6 +386,21 @@ def test_import_leaves_the_cyclotomic_module_unloaded():
     assert proc.stdout == "False\n"
 
 
+def test_cli_import_loads_no_record_machinery():
+    # Records are plain slotted classes, so startup pays for neither module.
+    probe = "import sys; print(' '.join(sorted(sys.modules)))"
+    loaded = []
+    for setup in ("", "import trainyard.cli; "):
+        proc = subprocess.run(
+            [sys.executable, "-c", setup + probe], capture_output=True, text=True, env=_src_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded.append(set(proc.stdout.split()))
+    added = loaded[1] - loaded[0]
+    assert "trainyard.cli" in added
+    assert not added & {"dataclasses", "inspect"}, sorted(added)
+
+
 ROD = st.sampled_from(("[]", "[1,2]", "[2,3]", "[1,-2]", "[-1,-2]", "[1^2,3]", "[2^3,-5]",
                        "[1,", "[0]", "[2^0]", "[2^-1]", "1,2", "[a]", "", "-"))
 INT = st.integers(-3, 12).map(str)

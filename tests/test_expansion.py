@@ -208,6 +208,15 @@ def test_solve_r_round_trip_and_exchange():
         assert expand(negate(q), negate(r)).s == s
 
 
+@PROPERTY
+@given(small_sets, small_sets)
+def test_expand_then_solve_recovers_each_factor(r, q):
+    s = expand(r, q).s
+    back_q, back_r = solve_Q(r, s), solve_R(q, s)
+    assert back_q.q == q and back_q.q_finite is True
+    assert back_r.r == r and back_r.r_finite is True
+
+
 def test_solve_r_regression_and_infinite_case():
     got = solve_R(parse_rodset("[2]"), parse_rodset("[1,3,4]"))
     assert got.r == parse_rodset("[1,2]") and got.r_finite is True

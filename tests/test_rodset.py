@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from trainyard import (
     RodSet,
@@ -18,7 +20,7 @@ from trainyard import (
     union,
 )
 
-from conftest import random_rodset
+from conftest import PROPERTY, random_rodset
 
 
 @pytest.mark.parametrize(
@@ -111,6 +113,16 @@ def test_format_parse_round_trip():
     for _ in range(200):
         r = random_rodset(rng, max_length=9, mult_choices=(-3, -2, -1, 1, 2, 3))
         assert parse_rodset(format_rodset(r)) == r, f"round trip broke on {r}"
+
+
+@PROPERTY
+@given(
+    st.dictionaries(st.integers(1, 10**4), st.integers(-500, 500).filter(bool), max_size=8).map(
+        RodSet.from_mults
+    )
+)
+def test_format_parse_round_trip_property(r):
+    assert parse_rodset(format_rodset(r)) == r
 
 
 def test_union_negate_concat_algebra():
