@@ -17,22 +17,24 @@ Four families of questions about a finite rod set R:
   is checked before either.
 
 * **Expandability scans** — which one- and two-rod sets does R expand
-  to?  Both scans read one table of window classes.  For each length
-  n <= bound the window v_n = (F(n-1), ..., F(n - max R + 1)), with
-  F(k) = 0 for k < 0, is written s_n * c_n * u_n: c_n is the gcd of its
-  entries and u_n is primitive with its first nonzero entry positive.
-  The lengths are grouped by u_n.  A one-rod target [a^F(a)] is a
-  member of the zero class (an all-zero window) with F(a) != 0.  A
-  two-rod target [a^alpha, b^mult_b] needs v_b = alpha * v_(b-a) for a
-  nonzero integer alpha, which holds exactly when m = b - a and b share
-  a class and c_m divides c_b; then alpha = s_b*c_b / (s_m*c_m).  So
-  the candidates are pairs inside classes, and the scan costs
-  O(bound * max R) gcds plus those pairs, not bound^2 window tests.
-  The window also proves a two-rod hit's Q finite: its discrepancies
-  vanish on max R consecutive lengths ending at b, and past b they
-  follow R's recursion, so they stay zero.  Q is read off the counts
-  the scan already holds, and every hit is confirmed by the exact
-  witness (1 - C_S) = (1 - C_R)(1 + C_Q) before it is reported.
+  to?  For each length n <= bound the window is
+  v_n = (F(n-1), ..., F(n - max R + 1)), with F(k) = 0 for k < 0.  A
+  one-rod target [a^F(a)] is a length whose window is all zero, tested
+  straight from the counts.  For two rods each nonzero window is
+  written s_n * c_n * u_n: c_n is the gcd of its entries and u_n is
+  primitive with its first nonzero entry positive, and the lengths are
+  grouped by u_n into window classes.  A two-rod target
+  [a^alpha, b^mult_b] needs v_b = alpha * v_(b-a) for a nonzero integer
+  alpha, which holds exactly when m = b - a and b share a class and c_m
+  divides c_b; then alpha = s_b*c_b / (s_m*c_m).  So the candidates are
+  pairs inside classes, yielded in (b, a) order by one ascending pass
+  (_window_targets), which costs O(bound * max R) gcds plus those pairs,
+  not bound^2 window tests.  The window also proves a two-rod target's
+  Q finite: its discrepancies vanish on max R consecutive lengths ending
+  at b, and past b they follow R's recursion, so they stay zero.
+  scan_two_expansions reads Q off the counts it already holds and
+  confirms every hit by the exact witness (1 - C_S) = (1 - C_R)(1 + C_Q)
+  before it is reported.
 
 * **Lucas families** — R = [1^(±s), 2^t] with gcd(s, t) = 1 produces
   Lucas-like counts: L(n) = F(n-1, R) is a divisibility sequence, and
@@ -43,13 +45,16 @@ Four families of questions about a finite rod set R:
   char_poly([1,-2]) (resp. [-1,-2]) divide?  Exactly the signed pairs
   in four residue classes mod 6 (resp. one class mod 3); the
   classification reduces every power x^a modulo the characteristic
-  polynomial once, tests each trinomial on those residues, and is
-  cross-checked against the two-rod scan.
+  polynomial once and tests each trinomial on those residues.  The
+  window classes of the base's counts cross-check it: they give the
+  same pairs as the two-rod targets with unit multiplicities, read
+  without building Q.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 from .counts import train_counts
 from .expansion import DEFAULT_HORIZON, _verified, expand
@@ -209,7 +214,8 @@ def detect_period(rods: RodSet) -> PeriodReport:
     if len(residual) != 1:
         certified = graeffe_certificate(char, residual, factors)[0] is not None
         return PeriodReport(False, None, tuple(factors), None, certified)
-    assert residual[0] in (1, -1), "peeling left a non-unit constant; this is a bug"
+    if residual[0] not in (1, -1):
+        raise StructureError("peeling left a non-unit constant; this is a bug")
     period = math.lcm(*factors)
     _check_work(period + top, len(terms), "periodic")
     counts = train_counts(rods, period + top - 1)
@@ -276,9 +282,9 @@ def scan_one_expansions(rods: RodSet, bound: int) -> list[tuple[int, int]]:
     """All a <= bound where rods expands to the single-rod set [a^mult].
 
     Requires F(a - i) = 0 for 1 <= i < max R and F(a) != 0; the
-    multiplicity is F(a).  The qualifying a form the zero class of the
-    window table (see scan_two_expansions): the lengths whose window is
-    all zero.  Their F(a) is never zero, since max R zeros in a row
+    multiplicity is F(a).  The qualifying a are the lengths whose window
+    is all zero, tested straight from the counts.  Their F(a) is never
+    zero, since max R zeros in a row
     would make the count series 1/(1 - C(x, R)) a polynomial.  For
     max R = 1 every window is empty, so every a qualifies (each [1^m]
     expands to every [a^(m^a)]).
@@ -293,13 +299,37 @@ def scan_one_expansions(rods: RodSet, bound: int) -> list[tuple[int, int]]:
     return [(a, counts[a]) for a in range(1, bound + 1) if not any(counts[max(a - w + 1, 0):a])]
 
 
+def _window_targets(counts: list[int], bound: int, w: int) -> Iterator[tuple[int, int, int, int]]:
+    """Every two-rod target (b, a, alpha, mult_b) of the counts, a < b <= bound, w = max R.
+
+    One ascending pass over b: b's window direction and scale, then the
+    earlier members m of b's class from newest to oldest, so a = b - m
+    ascends, then b joins its class.  A member m with c_m | c_b gives
+    alpha = s_b*c_b / (s_m*c_m) and mult_b = F(b) - alpha*F(m), and the
+    target is yielded when mult_b is nonzero.  So the order is (b, a).
+    """
+    classes: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for b in range(1, bound + 1):
+        u, scale_b = _direction(_window(counts, b, w))
+        if not scale_b:
+            continue
+        members = classes.setdefault(u, [])
+        for m, scale_m in reversed(members):
+            if scale_b % scale_m == 0:
+                alpha = scale_b // scale_m
+                mult_b = counts[b] - alpha * counts[m]
+                if mult_b:
+                    yield b, b - m, alpha, mult_b
+        members.append((b, scale_b))
+
+
 def _scaling_hit(
-    rods: RodSet, counts: list[int], a: int, b: int, alpha: int, w: int
-) -> ScalingHit | None:
+    rods: RodSet, counts: list[int], a: int, b: int, alpha: int, mult_b: int, w: int
+) -> ScalingHit:
     """The witnessed hit [a^alpha, b^mult_b] once v_b = alpha*v_(b-a), w = max R.
 
-    None when mult_b = F(b) - alpha*F(b - a) is zero.  Q's multiplicities
-    are the discrepancies D(n) = F(n) - alpha*F(n - a) for
+    The caller gives mult_b = F(b) - alpha*F(b - a), nonzero.  Q's
+    multiplicities are the discrepancies D(n) = F(n) - alpha*F(n - a) for
     1 <= n <= b - w (the F(n - b) term is zero there).  The window makes
     D vanish on b - w < n < b and mult_b makes D(b) = 0.  The product
     D * (1 - C(x, R)) = 1 - C(x, S) has degree b, so past b D follows
@@ -308,9 +338,6 @@ def _scaling_hit(
     validated by RodSet itself.  The exact witness then confirms the hit;
     its failure is a bug and raises ExpansionError.
     """
-    mult_b = counts[b] - alpha * counts[b - a]
-    if mult_b == 0:
-        return None
     shape = RodSet(((a, alpha), (b, mult_b)))
     top = b - w
     mults = counts[1:min(a, top + 1)] + [
@@ -329,17 +356,11 @@ def scan_two_expansions(
     A pair hits when the window v_n = (F(n-1), ..., F(n-w+1)), w = max R,
     scales by a nonzero integer alpha from n = b - a to n = b, and the
     length-b multiplicity mult_b = F(b) - alpha*F(b - a) comes out
-    nonzero.  Write each nonzero window as v_n = s_n*c_n*u_n, with c_n
-    the gcd of its entries and u_n primitive with its first nonzero
-    entry positive.  Then v_b = alpha*v_m with alpha a nonzero integer
-    exactly when u_b = u_m and c_m divides c_b, and alpha is
-    s_b*c_b / (s_m*c_m).  So one table groups 1 <= n <= bound by u_n,
-    and the candidate pairs are the (m, b), m < b, of one class with
-    c_m | c_b, taking a = b - m: exactly the pairs the window admits,
-    found in O(bound * w) gcds plus the pairs inside classes.  That
-    window makes Q finite (see _scaling_hit), so Q is read off the
-    counts, and every hit is confirmed by the exact witness before being
-    reported; a failed witness raises ExpansionError.
+    nonzero.  _window_targets yields exactly those pairs from the window
+    classes (see the module docstring), in O(bound * w) gcds plus the
+    pairs inside classes.  That window makes Q finite (see _scaling_hit),
+    so Q is read off the counts, and every hit is confirmed by the exact
+    witness before being reported; a failed witness raises ExpansionError.
     Ordered by (b, a).  The no-op expansion of a two-rod set to itself
     (empty Q) is suppressed unless ``include_trivial`` is set.
     """
@@ -351,23 +372,11 @@ def scan_two_expansions(
     if bound < 2:
         raise StructureError("bound must be at least 2")
     counts = train_counts(rods, bound)
-    classes: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for n in range(1, bound + 1):
-        u, scale = _direction(_window(counts, n, w))
-        if scale:
-            classes.setdefault(u, []).append((n, scale))
-    candidates = []
-    for members in classes.values():
-        for j, (b, scale_b) in enumerate(members):
-            for m, scale_m in members[:j]:
-                if scale_b % scale_m == 0:
-                    candidates.append((b, b - m, scale_b // scale_m))
-    hits: list[ScalingHit] = []
-    for b, a, alpha in sorted(candidates):
-        hit = _scaling_hit(rods, counts, a, b, alpha, w)
-        if hit is not None and (include_trivial or hit.q.pairs):
-            hits.append(hit)
-    return hits
+    hits = [
+        _scaling_hit(rods, counts, a, b, alpha, mult_b, w)
+        for b, a, alpha, mult_b in _window_targets(counts, bound, w)
+    ]
+    return hits if include_trivial else [hit for hit in hits if hit.q.pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -495,11 +504,10 @@ def lucas_two_shapes(
         """The hit of the predicted shape, once v_b = alpha*v_(b-a) with the predicted alpha."""
         alpha = swap_mult(a_len, want_a)
         scaled = tuple(alpha * x for x in _window(counts, b_len - a_len, w))
-        hit = None
-        if _window(counts, b_len, w) == scaled:
-            hit = _scaling_hit(rods, counts, a_len, b_len, alpha, w)
-        if hit is None:
+        mult_b = counts[b_len] - alpha * counts[b_len - a_len]
+        if _window(counts, b_len, w) != scaled or not mult_b:
             raise StructureError(f"predicted shape ({a_len},{b_len}) failed the scaling window")
+        hit = _scaling_hit(rods, counts, a_len, b_len, alpha, mult_b, w)
         want = RodSet(((a_len, alpha), (b_len, swap_mult(b_len, want_b))))
         if hit.s != want:
             raise StructureError(
@@ -610,10 +618,13 @@ def borwein_classify(bound: int) -> BorweinTable:
 
     Divisibility by x^2 - x + 1 (the [1,-2] characteristic) lands
     exactly on four signed residue classes mod 6; divisibility by
-    x^2 + x + 1 (the [-1,-2] characteristic) on one class mod 3.  The
-    result is asserted to agree with scan_two_expansions restricted to
-    +-1 multiplicities (trivial self-expansion included, since the
-    (1,-2) class contains it).
+    x^2 + x + 1 (the [-1,-2] characteristic) on one class mod 3.  Each
+    trinomial is tested on the residues x^a mod char.  The pairs found
+    must equal the base's two-rod window targets (_window_targets) with
+    +-1 multiplicities, the trivial self-expansion included, since the
+    (1,-2) class contains it; the window targets are read from the
+    counts alone, with no Q built and no witness run.  A disagreement is
+    a bug and raises StructureError.
     """
     if bound < 2:
         raise StructureError("bound must be at least 2")
@@ -638,12 +649,15 @@ def borwein_classify(bound: int) -> BorweinTable:
                             unclassified.append((format_rodset(base), pair))
                         else:
                             classes[label].append(pair)
-        scanned = {
-            (h.mult_a * h.a, h.mult_b * h.b)
-            for h in scan_two_expansions(base, bound, include_trivial=True)
-            if abs(h.mult_a) == 1 and abs(h.mult_b) == 1
+        windowed = {
+            (alpha * a, mult_b * b)
+            for b, a, alpha, mult_b in _window_targets(train_counts(base, bound), bound, 2)
+            if abs(alpha) == 1 and abs(mult_b) == 1
         }
-        assert scanned == found, "trinomial residues and the scan disagree; bug"
+        if windowed != found:
+            raise StructureError(
+                "trinomial residues and the window classes disagree; this is a bug"
+            )
     return BorweinTable(
         bound,
         {label: tuple(pairs) for label, pairs in classes.items()},

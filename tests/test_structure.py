@@ -100,6 +100,13 @@ def test_detect_period_negative_and_errors():
         detect_period(RodSet())
 
 
+def test_detect_period_raises_when_the_peel_leaves_a_non_unit(monkeypatch):
+    # A peel that left 2 instead of 1 is a bug; it must raise even under python -O.
+    monkeypatch.setattr(structure, "poly_divexact", lambda num, den: [2])
+    with pytest.raises(StructureError, match="non-unit constant; this is a bug"):
+        detect_period(parse_rodset("[1,-2]"))
+
+
 def test_detect_period_refuses_past_the_length_limit():
     limit = structure.PERIOD_WORK_LIMIT
     # The non-periodic horizon 4 * (max R)^2 times the three char terms of [1, k^-1].
@@ -619,15 +626,64 @@ def test_borwein_classify_small_bound():
         borwein_classify(1)
 
 
+def _signed_key(lengths, modulus: int) -> tuple:
+    """Signed lengths as sorted (|length| mod modulus, sign), the way the class labels read."""
+    return tuple(sorted((abs(x) % modulus, 1 if x > 0 else -1) for x in lengths))
+
+
+def _fitting_pairs(key: tuple, modulus: int, bound: int) -> int:
+    """How many signed pairs a < b <= bound have the signed residues key.
+
+    The signs are fixed by the residues, so this counts a < b <= bound with
+    (a, b) mod modulus matching key in either order.
+    """
+    return sum(
+        len(range(ra or modulus, b, modulus))
+        for (ra, _), (rb, _) in {key, key[::-1]}
+        for b in range(rb or modulus, bound + 1, modulus)
+    )
+
+
 def test_borwein_labels_match_residues():
-    table = borwein_classify(20)
-    for label, pairs in table.classes.items():
-        residues, modulus = label.split(" mod ")
-        modulus = int(modulus)
-        want = Counter(int(r) % modulus for r in residues.strip("()").split(","))
-        for sa, sb in pairs:
-            got = Counter((sa % modulus, sb % modulus))
-            assert got == want, f"pair ({sa},{sb}) does not fit class {label}"
+    for bound in (20, 300):
+        table = borwein_classify(bound)
+        for label, pairs in table.classes.items():
+            residues, modulus = label.split(" mod ")
+            modulus = int(modulus)
+            want = Counter(int(r) % modulus for r in residues.strip("()").split(","))
+            key = _signed_key(map(int, residues.strip("()").split(",")), modulus)
+            for sa, sb in pairs:
+                got = Counter((sa % modulus, sb % modulus))
+                assert got == want, f"pair ({sa},{sb}) does not fit class {label}"
+                assert _signed_key((sa, sb), modulus) == key, f"({sa},{sb}) is not {label}"
+            # Complete: distinct fitting pairs, as many as fit the label.
+            assert len(set(pairs)) == len(pairs) == _fitting_pairs(key, modulus, bound), (
+                f"class {label} at bound {bound} misses or repeats pairs"
+            )
+
+
+def test_borwein_builds_no_q_and_runs_no_witness(monkeypatch):
+    table = borwein_classify(40)
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("borwein_classify must read the window classes, not build hits")
+
+    monkeypatch.setattr(expansion, "_identity_holds", refuse)
+    monkeypatch.setattr(structure, "scan_two_expansions", refuse)
+    assert borwein_classify(40) == table
+
+
+def test_borwein_raises_when_residues_and_window_classes_disagree(monkeypatch):
+    power_residues = structure._power_residues
+
+    def one_residue_off(char, bound):
+        table = power_residues(char, bound)
+        table[7] = (table[7][0] + 1,) + table[7][1:]
+        return table
+
+    monkeypatch.setattr(structure, "_power_residues", one_residue_off)
+    with pytest.raises(StructureError, match="disagree"):
+        borwein_classify(40)
 
 
 def test_borwein_membership_is_exactly_divisibility():
