@@ -392,11 +392,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-b", "--bound", type=int, required=True)
     p.add_argument("--include-trivial", action="store_true", help="keep the empty-Q self-expansion")
 
-    p = add("lucas", _cmd_lucas, "Lucas-family checks for R = [1^(±s), 2^t]")
+    p = add("lucas", _cmd_lucas, "Lucas-family laws for R = [1^(±s), 2^t], for every multiple")
     p.add_argument("s", type=int)
     p.add_argument("t", type=int)
     p.add_argument("sign", type=_sign_arg)
-    p.add_argument("-n", type=int)
+    p.add_argument(
+        "-n", type=int, help="decide L(d) | L(kd) for every d <= n/2 and every k (default: horizon)"
+    )
 
     p = add("lucas-shapes", _cmd_lucas_shapes, "closed-form two-rod expansions of Lucas rod sets")
     p.add_argument("s", type=int)

@@ -39,13 +39,18 @@ Four families of questions about a finite rod set R:
 * **Lucas families** — R = [1^(±s), 2^t] with gcd(s, t) = 1 produces
   Lucas-like counts: L(n) = F(n-1, R) is a divisibility sequence, and
   the predictable two-rod expansions of R (adjacent, skip, multiple
-  chains) come out of the scan machinery in closed form.
+  chains) come out of the scan machinery in closed form.  lucas_check
+  decides the laws from the rod algebra, not pair by pair: one window
+  test L(d) | L(2d) makes (d, 2d) a two-rod target, which gives
+  L(d) | L(kd) for every k, and the mod-s law is read off the first two
+  counts, since two steps of the recursion multiply by the unit t.
 
 * **Borwein trinomials** — which trinomials 1 ∓ x^a ∓ x^b does
   char_poly([1,-2]) (resp. [-1,-2]) divide?  Exactly the signed pairs
   in four residue classes mod 6 (resp. one class mod 3); the
   classification reduces every power x^a modulo the characteristic
-  polynomial once and tests each trinomial on those residues.  The
+  polynomial once, interns the (at most 6) distinct residues, and tests
+  each pair of residues and signs once, so that only hits are listed.  The
   window classes of the base's counts cross-check it: they give the
   same pairs as the two-rod targets with unit multiplicities, read
   without building Q.
@@ -384,7 +389,14 @@ def scan_two_expansions(
 
 
 class LucasReport(Record):
-    """Outcome of lucas_check: which properties held up to the horizon."""
+    """Outcome of lucas_check.
+
+    ``mod_check`` is law (a), decided for every n (None when s = 1);
+    ``divisibility_check`` is law (b), decided for every d <= horizon // 2
+    and every multiple of d, which covers every pair m | n <= horizon.
+    ``failure`` names the first broken law; it is always None while
+    gcd(s, t) = 1 is enforced, since both laws are theorems then.
+    """
 
     __slots__ = (
         "s", "t", "sign", "horizon", "passed", "mod_check", "divisibility_check", "failure"
@@ -416,11 +428,26 @@ def _lucas_rodset(s: int, t: int, sign: int) -> RodSet:
 
 
 def lucas_check(s: int, t: int, sign: int, horizon: int) -> LucasReport:
-    """Verify the Lucas properties of R = [1^(sign*s), 2^t] up to the horizon.
+    """Decide the Lucas laws of R = [1^(sign*s), 2^t] from its counts to the horizon.
 
-    (a) for s > 1: s divides F(n, R) exactly when n is odd;
-    (b) L(n) = F(n - 1, R) is a divisibility sequence: m | n implies
-        L(m) | L(n).
+    (a) for s > 1: s divides F(n, R) exactly when n is odd, for every n;
+    (b) L(n) = F(n - 1, R) is a divisibility sequence: L(d) | L(kd) for
+        every d <= horizon // 2 and every k >= 1.
+
+    (a): modulo s the recursion is F(n) = t*F(n - 2), so the state
+    (F(n - 1), F(n)) mod s two steps on is t times itself, and t is a
+    unit mod s.  Which entries are zero therefore repeats with period 2,
+    and the parity test at n = 1 and 2 decides every n.
+
+    (b): with max R = 2 the window test L(d) | L(2d), i.e.
+    F(2d - 1) = alpha*F(d - 1), makes (d, 2d) a two-rod target
+    S = [d^alpha, (2d)^beta] with a finite Q of degree <= 2d - 2 (see
+    _scaling_hit).  In F = (1 + C_Q)*G, G the counts of S, G vanishes off
+    multiples of d, so the coefficient at kd - 1 draws only on
+    q_(d-1) = F(d - 1): L(kd) = L(d)*G((k - 1)d), also when beta = 0.  One
+    test per d decides every multiple of d.  A d > horizon // 2 has no
+    proper multiple within the horizon, so the verdict covers every pair
+    m | n <= horizon.
     """
     rods = _lucas_rodset(s, t, sign)
     if horizon < 1:
@@ -430,26 +457,19 @@ def lucas_check(s: int, t: int, sign: int, horizon: int) -> LucasReport:
     mod_ok: bool | None = None
     if s > 1:
         mod_ok = True
-        for n in range(1, horizon + 1):
-            if (counts[n] % s == 0) != (n % 2 == 1):
+        f1 = counts[1]
+        for n, f in ((1, f1), (2, sign * s * f1 + t * counts[0])):
+            if (f % s == 0) != (n % 2 == 1):
                 mod_ok = False
-                failure = f"s-divisibility broke at n={n}: F(n)={counts[n]}"
+                failure = f"s-divisibility broke at n={n}: F(n)={f}"
                 break
     div_ok = True
-    lucas = counts  # L(n) = F(n-1) = counts[n-1]
-    proper_divisors: list = [[] for _ in range(horizon + 1)]  # ascending, by sieve
-    for m in range(1, horizon // 2 + 1):
-        for n in range(2 * m, horizon + 1, m):
-            proper_divisors[n].append(m)
-    for n in range(2, horizon + 1):
-        for m in proper_divisors[n]:
-            num, den = lucas[n - 1], lucas[m - 1]
-            if den == 0 or num % den:
-                div_ok = False
-                if failure is None:
-                    failure = f"L({m}) does not divide L({n}): {den} vs {num}"
-                break
-        if not div_ok:
+    for d in range(1, horizon // 2 + 1):
+        num, den = counts[2 * d - 1], counts[d - 1]  # L(2d), L(d)
+        if den == 0 or num % den:
+            div_ok = False
+            if failure is None:
+                failure = f"L({d}) does not divide L({2 * d}): {den} vs {num}"
             break
     passed = (mod_ok is not False) and div_ok
     return LucasReport(s, t, sign, horizon, passed, mod_ok, div_ok, failure)
@@ -618,8 +638,11 @@ def borwein_classify(bound: int) -> BorweinTable:
 
     Divisibility by x^2 - x + 1 (the [1,-2] characteristic) lands
     exactly on four signed residue classes mod 6; divisibility by
-    x^2 + x + 1 (the [-1,-2] characteristic) on one class mod 3.  Each
-    trinomial is tested on the residues x^a mod char.  The pairs found
+    x^2 + x + 1 (the [-1,-2] characteristic) on one class mod 3.  The
+    residues x^a mod char take at most 6 values; each (residue of a,
+    residue of b, sa, sb) is tested once, and the lengths are kept by
+    residue, so one ascending pass over b lists only the hits, in
+    (b, a, sa, sb) order.  The pairs found
     must equal the base's two-rod window targets (_window_targets) with
     +-1 multiplicities, the trivial self-expansion included, since the
     (1,-2) class contains it; the window targets are read from the
@@ -633,22 +656,39 @@ def borwein_classify(bound: int) -> BorweinTable:
     for base, modulus, known in ((_BORWEIN_POS, 6, _POS_CLASSES), (_BORWEIN_NEG, 3, _NEG_CLASS)):
         classes.update({label: [] for label in known.values()})
         residues = _power_residues(char_poly(base), bound)
+        ids: dict[tuple[int, ...], int] = {}
+        residue_id = [ids.setdefault(r, len(ids)) for r in residues]
+        signs_for = {
+            (rb, ra): [
+                (sa, sb)
+                for sa in (1, -1)
+                for sb in (1, -1)
+                # char(base) divides 1 - sa*x^a - sb*x^b iff its residue vanishes
+                if not any(u - sa * v - sb * w for u, v, w in zip(residues[0], va, vb))
+            ]
+            for va, ra in ids.items()
+            for vb, rb in ids.items()
+        }
+        by_residue: list[list[int]] = [[] for _ in ids]  # the lengths below b, by residue id
         found = set()
-        for b in range(2, bound + 1):
-            for a in range(1, b):
-                for sa in (1, -1):
-                    for sb in (1, -1):
-                        # char(base) divides 1 - sa*x^a - sb*x^b iff its residue vanishes
-                        terms = zip(residues[0], residues[a], residues[b])
-                        if any(u - sa * v - sb * w for u, v, w in terms):
-                            continue
-                        pair = (sa * a, sb * b)
-                        found.add(pair)
-                        label = known.get(tuple(sorted(((a % modulus, sa), (b % modulus, sb)))))
-                        if label is None:
-                            unclassified.append((format_rodset(base), pair))
-                        else:
-                            classes[label].append(pair)
+        for b in range(1, bound + 1):
+            rb = residue_id[b]
+            hits = sorted(  # each a has one residue, so the sort is by a alone
+                (a, sign_pairs)
+                for ra, a_list in enumerate(by_residue)
+                if (sign_pairs := signs_for[rb, ra])
+                for a in a_list
+            )
+            for a, sign_pairs in hits:
+                for sa, sb in sign_pairs:
+                    pair = (sa * a, sb * b)
+                    found.add(pair)
+                    label = known.get(tuple(sorted(((a % modulus, sa), (b % modulus, sb)))))
+                    if label is None:
+                        unclassified.append((format_rodset(base), pair))
+                    else:
+                        classes[label].append(pair)
+            by_residue[rb].append(b)
         windowed = {
             (alpha * a, mult_b * b)
             for b, a, alpha, mult_b in _window_targets(train_counts(base, bound), bound, 2)

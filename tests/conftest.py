@@ -6,7 +6,8 @@ multiplicities — no code shared with the package's recursion or its
 enumerator, so agreement is evidence, not tautology.  The scan oracles
 test the expansion windows one length, or one pair of lengths, at a
 time, on counts from the plain recurrence, and the window period
-oracle tries every period one at a time on the same counts.
+oracle tries every period one at a time on the same counts.  The Lucas
+oracle tests the laws one n, and one pair m | n, at a time.
 """
 
 from __future__ import annotations
@@ -123,6 +124,42 @@ def oracle_window_period(rods: RodSet, horizon: int) -> int | None:
     w = rods.max_length
     counts = _recurrence_counts(rods, horizon + w - 1)
     return next((p for p in range(1, horizon + 1) if counts[p:p + w] == counts[:w]), None)
+
+
+def oracle_lucas_check(s: int, t: int, sign: int, horizon: int) -> tuple:
+    """(passed, mod_check, divisibility_check, failure) of the Lucas laws of
+    R = [1^(sign*s), 2^t], checked pair by pair up to the horizon.
+
+    (a) for s > 1, each n <= horizon in turn: s | F(n) exactly when n is odd.
+    (b) each n <= horizon in turn, against its proper divisors m in
+    ascending order (from a sieve): L(m) | L(n), L(n) = F(n - 1), with
+    L(m) = 0 a failure.  The first broken law names the failure.
+    """
+    counts = _recurrence_counts(RodSet(((1, sign * s), (2, t))), horizon)
+    failure = None
+    mod_ok = None
+    if s > 1:
+        mod_ok = True
+        for n in range(1, horizon + 1):
+            if (counts[n] % s == 0) != (n % 2 == 1):
+                mod_ok = False
+                failure = f"s-divisibility broke at n={n}: F(n)={counts[n]}"
+                break
+    proper_divisors: list[list[int]] = [[] for _ in range(horizon + 1)]
+    for m in range(1, horizon // 2 + 1):
+        for n in range(2 * m, horizon + 1, m):
+            proper_divisors[n].append(m)
+    div_ok = True
+    for n in range(2, horizon + 1):
+        for m in proper_divisors[n]:
+            num, den = counts[n - 1], counts[m - 1]
+            if den == 0 or num % den:
+                div_ok = False
+                failure = failure or f"L({m}) does not divide L({n}): {den} vs {num}"
+                break
+        if not div_ok:
+            break
+    return (mod_ok is not False) and div_ok, mod_ok, div_ok, failure
 
 
 def random_rodset(

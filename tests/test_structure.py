@@ -10,7 +10,7 @@ from unittest import mock
 
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from sympy import ZZ
 from sympy.polys.factortools import dup_cyclotomic_p
@@ -40,7 +40,7 @@ from trainyard import _cyclotomic, expansion, structure
 from trainyard._cyclotomic import cyclotomic_orders, cyclotomic_screen, graeffe_certificate, graeffe_step
 from trainyard.series import char_terms, poly_trim
 
-from conftest import PROPERTY, oracle_window_period
+from conftest import PROPERTY, _recurrence_counts, oracle_lucas_check, oracle_window_period
 
 X = sympy.symbols("x")
 
@@ -538,6 +538,77 @@ def test_lucas_check_validation():
         lucas_check(1, 1, 0, 50)
     with pytest.raises(StructureError, match="coprime"):
         lucas_check(2, 2, 1, 50)
+
+
+@PROPERTY
+@given(
+    s=st.integers(1, 7),
+    t=st.integers(1, 7),
+    sign=st.sampled_from((1, -1)),
+    horizon=st.integers(1, 150),
+)
+def test_lucas_check_matches_the_pairwise_oracle(s, t, sign, horizon):
+    assume(math.gcd(s, t) == 1)
+    report = lucas_check(s, t, sign, horizon)
+    got = (report.passed, report.mod_check, report.divisibility_check, report.failure)
+    assert got == oracle_lucas_check(s, t, sign, horizon)
+
+
+@pytest.mark.parametrize("s, t, sign", [(1, 1, 1), (3, 2, -1), (4, 3, 1)])
+def test_lucas_divisibility_follows_from_the_window_at_every_multiple(s, t, sign):
+    # The argument lucas_check rests on: L(d) | L(2d) makes S = [d^alpha, (2d)^beta]
+    # a target with finite Q of degree <= 2d - 2, and L(kd) = L(d) * G((k-1)d)
+    # for the counts G of S.  Checked to k = 8, four times lucas_check's horizon.
+    horizon, k_max = 50, 8
+    assert lucas_check(s, t, sign, horizon).passed
+    rods = RodSet(((1, sign * s), (2, t)))
+    f = _recurrence_counts(rods, k_max * horizon // 2)
+    for d in range(1, horizon // 2 + 1):
+        alpha, rest = divmod(f[2 * d - 1], f[d - 1])
+        assert rest == 0, f"L({d}) does not divide L({2 * d})"
+        shape = RodSet.from_mults({d: alpha, 2 * d: f[2 * d] - alpha * f[d]})
+        found = solve_Q(rods, shape)
+        assert found.q_finite is True, f"Q to {shape} is not finite"
+        assert (found.q.max_length or 0) <= 2 * d - 2, f"Q to {shape} is too long"
+        g = train_counts(shape, (k_max - 1) * d)
+        assert not any(g[n] for n in range(len(g)) if n % d), "G is nonzero off multiples of d"
+        for k in range(1, k_max + 1):
+            assert f[k * d - 1] == f[d - 1] * g[(k - 1) * d], f"L({k * d}) != L({d}) G({k - 1}d)"
+
+
+@pytest.mark.parametrize("horizon, failure", [
+    (12, "L(6) does not divide L(12): 495 vs 1010296"),
+    (11, None),  # L(12) is past the horizon
+])
+def test_lucas_check_reports_a_broken_divisibility(monkeypatch, horizon, failure):
+    # L(12) = F(11) = 1010295 = 2041 * L(6) for [1^3, 2^2]; one more breaks
+    # L(6) | L(12), the last window test at horizon 12.
+    def l12_off_by_one(rods, n):
+        counts = train_counts(rods, n)
+        counts[11] += 1
+        return counts
+
+    monkeypatch.setattr(structure, "train_counts", l12_off_by_one)
+    report = lucas_check(3, 2, 1, horizon)
+    assert report.mod_check is True
+    assert report.divisibility_check is (failure is None)
+    assert report.passed is (failure is None)
+    assert report.failure == failure
+
+
+@pytest.mark.parametrize("index, bump, n, f_n", [(1, 1, 1, 4), (0, 2, 2, 15)])
+def test_lucas_check_reports_a_broken_mod_law(monkeypatch, index, bump, n, f_n):
+    # F(1) = 3 + 1 is no longer 0 mod 3; with F(0) = 1 + 2, F(2) = 3*3 + 2*3 = 15 is.
+    def one_count_off(rods, upto):
+        counts = train_counts(rods, upto)
+        counts[index] += bump
+        return counts
+
+    monkeypatch.setattr(structure, "train_counts", one_count_off)
+    report = lucas_check(3, 2, 1, 20)
+    assert report.mod_check is False
+    assert not report.passed
+    assert report.failure == f"s-divisibility broke at n={n}: F(n)={f_n}"
 
 
 def test_lucas_counts_regression():
