@@ -37,7 +37,7 @@ from typing import Sequence
 
 from .counts import PrefixRods, RodSource, _mediator, _one_minus, _quotient
 from .rodset import Record, RodSet, concat, union
-from .series import char_terms, nonzero_terms, series_quotient, sparse_add, sparse_mul
+from .series import nonzero_terms, series_quotient, sparse_add, sparse_mul
 
 DEFAULT_HORIZON = 64
 # Largest degree of the dense quotient that decides whether a solved rod set
@@ -87,10 +87,26 @@ def _one_plus_terms(q: RodSet) -> tuple:
 
 
 def _identity_holds(r: RodSource, q: RodSource, s: RodSource, horizon: int) -> bool:
-    """Check (1 - C_S) = (1 - C_R)(1 + C_Q) on N/D forms: exact unless an input is a prefix."""
+    """Check (1 - C_S) = (1 - C_R)(1 + C_Q) on N/D forms: exact unless an input is a prefix.
+
+    With all three finite, D = 1 and the check is one sparse pass over
+    the rod pairs only, so long rods never densify: seeded with 1 + C_Q,
+    it accumulates (1 - C_R)(1 + C_Q) - (1 - C_S), one row per rod of R
+    (char R's constant term is 1), and holds when every coefficient is
+    zero.  The rational sources compare the two cross products through
+    sparse_mul.
+    """
     if isinstance(r, RodSet) and isinstance(q, RodSet) and isinstance(s, RodSet):
-        # D = 1 for all three; over the rod pairs only, so long rods never densify.
-        return sparse_mul(char_terms(r), _one_plus_terms(q)) == dict(char_terms(s))
+        one_plus = _one_plus_terms(q)
+        out = dict(one_plus)
+        get = out.get
+        for k, m in r.pairs:
+            for j, c in one_plus:
+                out[j + k] = get(j + k, 0) - m * c
+        for k, m in s.pairs:
+            out[k] = get(k, 0) + m
+        out[0] -= 1
+        return not any(out.values())
     (num_r, den_r), (num_q, den_q), (num_s, den_s) = (x.fraction(horizon) for x in (r, q, s))
     lhs = sparse_mul(sparse_mul(_one_minus(num_s, den_s), den_r).items(), den_q)
     rhs = sparse_mul(sparse_mul(_one_minus(num_r, den_r), sparse_add(den_q, num_q)).items(), den_s)
@@ -108,9 +124,14 @@ def _horizon(horizon: int | None) -> int:
     return h
 
 
-def _verified(r, q, s, horizon, q_finite) -> Expansion:
+def _witness(r: RodSource, q: RodSource, s: RodSource, horizon: int) -> None:
+    """Raise unless the witness of r -> q -> s holds; a failure is a bug."""
     if not _identity_holds(r, q, s, horizon):
         raise ExpansionError("expansion witness identity failed; this is a bug")
+
+
+def _verified(r, q, s, horizon, q_finite) -> Expansion:
+    _witness(r, q, s, horizon)
     return Expansion(r, q, s, horizon, q_finite)
 
 

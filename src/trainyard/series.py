@@ -275,7 +275,12 @@ def sparse_add(p_terms, q_terms) -> list:
 
 
 def sparse_mul(p_terms, q_terms) -> dict:
-    """Product of two nonzero-term lists as a {degree: coeff} map, never densified."""
+    """Product of two nonzero-term lists as a {degree: coeff} map, never densified.
+
+    It forms the solvers' mediator N/D and the witness's cross products
+    when an input is a rational source; the all-finite witness is a pass
+    of its own (expansion._identity_holds).
+    """
     out: dict = {}
     for i, a in p_terms:
         for j, b in q_terms:

@@ -62,16 +62,17 @@ import math
 from collections.abc import Iterator
 
 from .counts import train_counts
-from .expansion import DEFAULT_HORIZON, _verified, expand
+from .expansion import DEFAULT_HORIZON, _witness, expand
 from .rodset import Record, RodSet, format_rodset
 from .series import char_poly, char_terms, cyclotomic, poly_divexact
 
 # Largest confirmation detect_period takes on, in counted terms times nonzero
 # char terms: p + max R terms for a period p, and 4 * (max R)^2 before the
 # peel, which refuses a set before its dense char is built.  Timed on a 2-vCPU
-# Xeon VM, Python 3.11.  A period pass costs about 0.4 us a unit, two thirds
-# of it the witness: the Phi_3*Phi_5*Phi_7*Phi_8*Phi_11*Phi_13 set
-# (p = 120120, 39 terms, 4.7e6) takes 1.6 to 2.4 s.  The non-periodic side,
+# Xeon VM, Python 3.11.  A period pass costs 0.25 to 0.45 us a unit, about two
+# thirds of it the witness's sparse pass: the Phi_3*Phi_5*Phi_7*Phi_8*Phi_11*
+# Phi_13 set (p = 120120, 39 terms, 4.7e6) takes 1.2 to 2.2 s, of which the
+# witness takes 0.8 to 1.4 s.  The non-periodic side,
 # now the peel and the Graeffe certificate (at most about (max R)^2 / 4
 # products a step, fewer while the iterates are sparse, 9 to 13 steps on
 # chains), costs far less than its units: [1, 1118^-1] (1.5e7) 0.17 s,
@@ -225,7 +226,7 @@ def detect_period(rods: RodSet) -> PeriodReport:
     _check_work(period + top, len(terms), "periodic")
     counts = train_counts(rods, period + top - 1)
     q = RodSet(tuple([(n, c) for n, c in enumerate(counts[1:period - top + 1], 1) if c]))
-    _verified(rods, q, RodSet(((period, 1),)), DEFAULT_HORIZON, q_finite=True)
+    _witness(rods, q, RodSet(((period, 1),)), DEFAULT_HORIZON)
     repeat = _least_repeat(counts, top, period)
     return PeriodReport(True, period, tuple(factors), q, repeat == period)
 
@@ -340,8 +341,9 @@ def _scaling_hit(
     D * (1 - C(x, R)) = 1 - C(x, S) has degree b, so past b D follows
     R's recursion from w zeros in a row and stays zero: Q is finite, of
     degree at most b - w.  Q's pairs are built in one ascending pass and
-    validated by RodSet itself.  The exact witness then confirms the hit;
-    its failure is a bug and raises ExpansionError.
+    validated by RodSet itself.  The exact witness (expansion._witness,
+    no Expansion record) then confirms the hit; its failure is a bug and
+    raises ExpansionError.
     """
     shape = RodSet(((a, alpha), (b, mult_b)))
     top = b - w
@@ -349,7 +351,7 @@ def _scaling_hit(
         f - alpha * g for f, g in zip(counts[a:top + 1], counts)
     ]
     q = RodSet(tuple([(n, m) for n, m in enumerate(mults, 1) if m]))
-    _verified(rods, q, shape, DEFAULT_HORIZON, q_finite=True)
+    _witness(rods, q, shape, DEFAULT_HORIZON)
     return ScalingHit(a, b, alpha, alpha, mult_b, shape, q)
 
 

@@ -186,6 +186,46 @@ small_sets = st.dictionaries(
 ).map(RodSet.from_mults)
 
 
+def _sympy_witness(r: RodSet, q: RodSet, s: RodSet) -> bool:
+    """Whether (1 - C_R)(1 + C_Q) == 1 - C_S in sympy; 1 + C_Q is the char of anti(Q)."""
+    return _char(r) * _char(negate(q)) == _char(s)
+
+
+@PROPERTY
+@given(small_sets, small_sets, st.data())
+def test_finite_witness_agrees_with_sympy(r, q, data):
+    product = _char(r) * _char(negate(q))
+    true_s = RodSet.from_mults({k: -c for (k,), c in product.terms() if k})
+    top = product.degree()
+    nudged = data.draw(st.integers(1, max(top, 1)), label="nudged length")
+    past = top + data.draw(st.integers(1, 5), label="rod past the product")
+    candidates = [
+        true_s,
+        RodSet.from_mults([*true_s.pairs, (nudged, data.draw(st.sampled_from((-1, 1))))]),
+        RodSet.from_mults([*true_s.pairs, (past, data.draw(st.sampled_from((-2, -1, 1, 2))))]),
+    ]
+    if true_s:
+        candidates.append(RodSet(true_s.pairs[:-1]))
+    for s in candidates:
+        assert _identity_holds(r, q, s, 64) == _sympy_witness(r, q, s), f"{r} -> {q} -> {s}"
+    assert _identity_holds(r, q, true_s, 64)
+
+
+@pytest.mark.parametrize(
+    "r, q, s, wrong_s",
+    [
+        ("[]", "[2,-5]", "[-2,5]", "[2,-5]"),  # empty R: S = anti(Q)
+        ("[1,2]", "[]", "[1,2]", "[1]"),  # empty Q: S = R
+        ("[]", "[]", "[]", "[1]"),
+        ("[1]", "[1]", "[2]", "[1,2]"),  # (1 - x)(1 + x) = 1 - x^2: degree 1 cancels to 0
+    ],
+)
+def test_finite_witness_edges(r, q, s, wrong_s):
+    r, q, s, wrong_s = map(parse_rodset, (r, q, s, wrong_s))
+    assert _identity_holds(r, q, s, 64) and _sympy_witness(r, q, s)
+    assert not _identity_holds(r, q, wrong_s, 64) and not _sympy_witness(r, q, wrong_s)
+
+
 @PROPERTY
 @given(small_sets, small_sets, small_sets, st.booleans())
 def test_solve_q_finite_verdict_agrees_with_sympy(r, q, other, expanded):

@@ -16,6 +16,7 @@ from sympy import ZZ
 from sympy.polys.factortools import dup_cyclotomic_p
 
 from trainyard import (
+    Expansion,
     ExpansionError,
     RodSet,
     StructureError,
@@ -472,6 +473,24 @@ def test_scan_two_hits_are_witnessed(monkeypatch):
     monkeypatch.setattr(expansion, "_identity_holds", lambda *args: False)
     with pytest.raises(ExpansionError, match="this is a bug"):
         scan_two_expansions(rods, 16)
+
+
+def test_scan_and_period_build_no_expansion_record(monkeypatch):
+    rods, chain = parse_rodset("[2,3]"), parse_rodset("[1,-2]")
+    hits, report = scan_two_expansions(rods, 40), detect_period(chain)
+    assert hits and report.periodic, "both calls must reach the witness"
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("an Expansion record was built")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(expansion, "Expansion", refuse)
+        assert scan_two_expansions(rods, 40) == hits
+        assert detect_period(chain) == report
+        with pytest.raises(RuntimeError, match="record was built"):
+            expand(rods, chain)
+    assert isinstance(expand(rods, chain), Expansion)
+    assert isinstance(solve_Q(rods, expand(rods, chain).s), Expansion)
 
 
 @PROPERTY
