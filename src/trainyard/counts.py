@@ -143,14 +143,16 @@ def _mediator(r: RodSource, s: RodSource, n: int) -> tuple:
 def _quotient(num_terms, den_terms, n: int) -> list:
     """Coefficients 0..n of the series num/den, both given by nonzero terms in ascending degree.
 
-    den(0) = 1, so a den with no other term leaves num as it is.
+    num is made dense only through its last term: series_quotient pads
+    the rest with zeros, and stores those coefficients rather than adding
+    to them.
     """
-    num = [0] * (n + 1)
+    num = [0] * (min(num_terms[-1][0], n) + 1 if num_terms else 0)
     for k, c in num_terms:
         if k > n:
             break
         num[k] = c
-    return series_quotient(num, den_terms, n) if len(den_terms) > 1 else num
+    return series_quotient(num, den_terms, n)
 
 
 def source_mults_upto(rods: RodSource, n: int) -> list:

@@ -100,15 +100,19 @@ class RodSet(Record):
     __slots__ = ("pairs",)
     exact = True
 
-    def __init__(self, pairs: tuple[tuple[int, int], ...] = ()) -> None:
-        lengths = [k for k, _ in pairs]
-        if lengths != sorted(set(lengths)):
-            raise RodSetError("rod lengths must be sorted and distinct")
+    def __init__(self, pairs: Iterable[tuple[int, int]] = ()) -> None:
+        pairs = tuple(pairs)
+        last = 0
         for k, m in pairs:
-            if k < 1:
-                raise RodSetError(f"rod length must be positive, got {k}")
-            if m == 0:
+            if k.__class__ is not int or m.__class__ is not int:
+                raise RodSetError(f"rod lengths and multiplicities must be ints, got ({k!r}, {m!r})")
+            if k <= last:
+                if k < 1:
+                    raise RodSetError(f"rod length must be positive, got {k}")
+                raise RodSetError("rod lengths must be sorted and distinct")
+            if not m:
                 raise RodSetError(f"zero net multiplicity for length {k} must be dropped")
+            last = k
         object.__setattr__(self, "pairs", pairs)
 
     @staticmethod

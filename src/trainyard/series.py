@@ -16,6 +16,8 @@ periodicity (the construction and the screen of those factors live in
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import lru_cache
+from operator import index
 
 from .rodset import RodSet
 
@@ -103,14 +105,27 @@ def nonzero_terms(p: Poly) -> list:
 # recurrence would then give zeros forever), so at d <= 8 a pull makes at
 # most 8 times the push's term visits.  Timed against the push on a 2-vCPU
 # Xeon VM, Python 3.11: the counts of four rods of length <= 8 at n = 6,000
-# pull 21% faster and 1/(1 + x + x^2 + x^3), half zeros, within 5%.  A
+# pull 21% faster and 1/(1 + x + x^2 + x^3), half zeros, within 5%, both by
+# _pull's loop (a long run through the compiled kernel is faster still).  A
 # single term c*x^k with k >= 2 leaves k - 1 zeros in every k coefficients
 # of 1/den, so it is pushed (pulled, 1/(1 - x^8) took twice as long).  Other
 # short divisors still pull, and no cheap look at den finds the ones whose
 # series is sparse enough to lose: 1/(1 - x^2 - x^4), half zeros, pulls 36%
 # faster than it pushes, but 1/(1 - x + x^2 - ... + x^8) = (1 + x)/(1 + x^9),
-# nonzero on 2 of every 9 coefficients, takes 2.0x to 2.4x as long.
+# nonzero on 2 of every 9 coefficients, takes 1.3x to 1.6x the push's time at
+# n = 20,000 through the kernel (2.4x to 2.9x through the loop).
 PULL_DEGREE_LIMIT = 8
+
+# A pull whose steady state (n >= deg den) runs at least this many terms goes
+# through the divisor's compiled kernel (_kernel), a shorter one through
+# _pull's loop.  Compiling costs 80 to 230 us, and on small values a kernel
+# step saves 0.1 to 0.3 us, so the value is the length at which a first call,
+# compile included, catches up with the loop on +-1-valued series: timed on a
+# 2-vCPU Xeon VM, Python 3.11, for 1/(1 + x + x^2 + x^3), 1/Phi_5*Phi_8 and two
+# other divisors of 4 to 8 terms, the two met between 512 and 1,000 terms.
+# On growing counts a cached kernel is 1.7x to 1.9x the loop's speed, since
+# rods of one |multiplicity| share their product.
+KERNEL_MIN_TERMS = 768
 
 
 def series_quotient(num: Poly, den_terms: list, n_terms: int) -> list:
@@ -120,13 +135,12 @@ def series_quotient(num: Poly, den_terms: list, n_terms: int) -> list:
 
     ``den_terms`` lists den's nonzero (degree, coefficient) pairs in
     ascending degree, starting with (0, +-1) so that the recurrence stays
-    in the integers.  The loop is chosen from den alone:
+    in the integers; every coefficient must be an int.  The loop is
+    chosen from den alone:
 
     * deg den <= PULL_DEGREE_LIMIT and den not 1 - c*x^k with k >= 2:
       each coefficient is pulled from the ones before it and stored
-      once, (n_terms + 1) x (den terms) work; only the first deg den
-      coefficients test which terms reach back past 0, and a den whose
-      other terms are all +1 or all -1 is pulled by a loop of its own.
+      once, (n_terms + 1) x (den terms) work (see :func:`_pull`).
     * otherwise (a longer den or one such single term): each nonzero
       coefficient, once final, is pushed into the ones it feeds,
       (nonzero outputs) x (den terms) work.  The inversion of a whole
@@ -140,23 +154,35 @@ def series_quotient(num: Poly, den_terms: list, n_terms: int) -> list:
         raise SeriesError(f"series horizon must be >= 0, got {n_terms}")
     if not den_terms or den_terms[0][0] != 0 or den_terms[0][1] not in (1, -1):
         raise SeriesError("series division needs a divisor with constant term +1 or -1")
+    for _, c in den_terms:  # this also keeps all but int literals out of a kernel's source
+        if c.__class__ is not int:
+            raise SeriesError(f"series division needs int divisor coefficients, got {c!r}")
     if den_terms[0][1] == 1:
         terms = den_terms[1:]
         out = list(num[:n_terms + 1])
     else:  # dividing by -den instead keeps the unit +1
         terms = [(k, -c) for k, c in den_terms[1:]]
         out = [-c for c in num[:n_terms + 1]]
-    out += [0] * (n_terms + 1 - len(out))
+    filled = len(out)
+    out += [0] * (n_terms + 1 - filled)
     one_gapped_term = len(terms) == 1 and terms[0][0] > 1  # den = 1 - c*x^k, k >= 2
     if terms and terms[-1][0] <= PULL_DEGREE_LIMIT and not one_gapped_term:
-        _pull(out, terms)
+        _pull(out, terms, filled)
     elif terms:
         _push(out, terms)
     return out
 
 
-def _pull(out: list, terms: list) -> None:
-    """out[n] -= sum of c * out[n - k] over the (k, c) terms, n ascending, in place."""
+def _pull(out: list, terms: list, filled: int) -> None:
+    """out[n] -= sum of c * out[n - k] over the (k, c) terms, n ascending, in place.
+
+    out[filled:] starts at zero.  Only the first deg den coefficients test
+    which terms reach back past 0.  From n = deg den on, a run of at least
+    KERNEL_MIN_TERMS goes through the divisor's compiled kernel, and a
+    shorter one through a loop over the terms.  A den whose terms are all
+    +1 or all -1 needs no loop of its own: its long runs, such as the
+    counts of [1] to 10^5, take the kernel.
+    """
     top = terms[-1][0]
     for n in range(1, min(top, len(out))):
         acc = out[n]
@@ -165,6 +191,9 @@ def _pull(out: list, terms: list) -> None:
                 break
             acc -= c * out[n - k]
         out[n] = acc
+    if len(out) - top >= KERNEL_MIN_TERMS:
+        _kernel(tuple(terms))(out, top, max(top, filled), len(out))
+        return
     adds, subs, products = [], [], []
     for k, c in terms:
         if c == -1:
@@ -174,36 +203,62 @@ def _pull(out: list, terms: list) -> None:
         else:
             products.append((k, c))
     # Entering a loop over an empty list costs about as much as one term of a
-    # short sum.  The general loop tests each list first (without the tests
-    # solver-mix's short series, n < 20, divide 8% slower), and a den whose
-    # terms share one unit coefficient gets a loop of its own: all -1 for the
-    # counts of [1] (the general loop takes 1.6x as long to 10^5) and of
-    # arithmetic sources, all +1 for those of [-1,-2,-3] (1.4x).
-    if products or (adds and subs):
-        for n in range(top, len(out)):
-            acc = out[n]
-            if adds:
-                for k in adds:
-                    acc += out[n - k]
-            if subs:
-                for k in subs:
-                    acc -= out[n - k]
-            if products:
-                for k, c in products:
-                    acc -= c * out[n - k]
-            out[n] = acc
-    elif adds:
-        for n in range(top, len(out)):
-            acc = out[n]
+    # short sum, so each list is tested first (without the tests solver-mix's
+    # short series, n < 20, divide 8% slower).
+    for n in range(top, len(out)):
+        acc = out[n]
+        if adds:
             for k in adds:
                 acc += out[n - k]
-            out[n] = acc
-    else:
-        for n in range(top, len(out)):
-            acc = out[n]
+        if subs:
             for k in subs:
                 acc -= out[n - k]
-            out[n] = acc
+        if products:
+            for k, c in products:
+                acc -= c * out[n - k]
+        out[n] = acc
+
+
+@lru_cache(maxsize=256)  # room for every long divisor of a counts-long lap (56)
+def _kernel(terms: tuple):
+    """The steady state of :func:`_pull` for one divisor, compiled once.
+
+    ``kernel(out, lo, mid, hi)`` adds the terms' sum into out[lo:mid]
+    and stores it into out[mid:hi], where out starts at zero, so no step
+    adds a bigint to 0.  See :func:`_kernel_source` for the sum.
+    """
+    namespace = {"__builtins__": {"range": range}}
+    exec(_kernel_source(terms), namespace)
+    return namespace["kernel"]
+
+
+def _kernel_source(terms) -> str:
+    """Source of :func:`_kernel`'s function: one expression, -sum of c * out[n - k].
+
+    Rods of one magnitude |c| are summed and differenced first and then
+    multiplied once, and +-1 rods form no product, as in
+    ``out[n - 1] + 3 * (out[n - 7] - out[n - 2]) - 2 * (out[n - 4] + out[n - 5])``.
+    The parts that add come first, so the sum starts with a negation only
+    when no part adds.  Every number in the source is an int literal made
+    by operator.index: decimal, or hex past 64 bits, which str() could
+    refuse at its digit limit.
+    """
+    groups: dict = {}
+    for k, c in terms:
+        groups.setdefault(index(abs(c)), ([], []))[c > 0].append(f"out[n - {index(k)}]")
+    adding, subtracting = groups.pop(1, ([], []))  # then the products, magnitudes ascending
+    for mag, (adds, subs) in sorted(groups.items()):
+        rods = " - ".join([" + ".join(adds)] + subs) if adds else " + ".join(subs)
+        literal = mag if mag.bit_length() <= 64 else hex(mag)
+        (adding if adds else subtracting).append(f"{literal} * ({rods})")
+    expr = " - ".join([" + ".join(adding) if adding else "-" + subtracting.pop(0)] + subtracting)
+    return (
+        "def kernel(out, lo, mid, hi):\n"
+        "    for n in range(lo, mid):\n"
+        f"        out[n] += {expr}\n"
+        "    for n in range(mid, hi):\n"
+        f"        out[n] = {expr}\n"
+    )
 
 
 def _push(out: list, terms: list) -> None:

@@ -195,7 +195,7 @@ def _sympy_witness(r: RodSet, q: RodSet, s: RodSet) -> bool:
 @given(small_sets, small_sets, st.data())
 def test_finite_witness_agrees_with_sympy(r, q, data):
     product = _char(r) * _char(negate(q))
-    true_s = RodSet.from_mults({k: -c for (k,), c in product.terms() if k})
+    true_s = RodSet.from_mults({k: -int(c) for (k,), c in product.terms() if k})
     top = product.degree()
     nudged = data.draw(st.integers(1, max(top, 1)), label="nudged length")
     past = top + data.draw(st.integers(1, 5), label="rod past the product")

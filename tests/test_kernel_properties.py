@@ -1,14 +1,15 @@
-"""Property tests of the sparse series kernel, against sympy and conftest's recurrence.
+"""Property tests of the sparse series kernel, against sympy and plain recurrences.
 
 Examples are derandomized and capped, so every run checks the same
 inputs and the suite stays fast.  sympy's ring series and polynomial
-remainders, and the count recurrence in conftest, share no code with
-the package.
+remainders, the count recurrence in conftest and the quotient
+recurrence here share no code with the package.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import accumulate
 
 import pytest
@@ -21,7 +22,8 @@ from sympy.polys.rings import ring
 from sympy.polys.ring_series import rs_mul, rs_series_inversion
 
 from trainyard import RodSet, SeriesError, borwein_classify, poly_divexact, series_inverse, train_counts
-from trainyard.series import PULL_DEGREE_LIMIT, char_poly, series_quotient
+from trainyard import series
+from trainyard.series import KERNEL_MIN_TERMS, PULL_DEGREE_LIMIT, _kernel_source, char_poly, series_quotient
 
 from conftest import PROPERTY, _recurrence_counts
 
@@ -112,6 +114,106 @@ def test_long_counts_match_the_recurrence(seed, n):
     char = char_poly(rods)
     assert series_inverse(char, n) == want
     assert series_inverse([-c for c in char], n) == [-f for f in want]
+
+
+def recurrence_quotient(num, den_terms, n_terms):
+    """num/den from out[n] = d_0 * (num[n] - sum of d_k * out[n - k]), one n and one term at a time."""
+    d = dict(den_terms)
+    out = []
+    for n in range(n_terms + 1):
+        acc = num[n] if n < len(num) else 0
+        for k, c in d.items():
+            if 0 < k <= n:
+                acc -= c * out[n - k]
+        out.append(d[0] * acc)
+    return out
+
+
+@st.composite
+def long_pulls(draw):
+    """A divisor the kernel pulls, a numerator and a horizon whose steady-state run,
+    n_terms + 1 - deg den, lies within 3 of KERNEL_MIN_TERMS: d_0 = +-1, two or more
+    terms whose magnitudes come from {1, 2, 3, one of 70 bits} with either sign, so
+    they repeat, and a num that may reach past deg den (the kernel's += range)."""
+    big = draw(st.integers(1 << 69, 1 << 70))
+    degrees = sorted(draw(st.sets(st.integers(1, PULL_DEGREE_LIMIT), min_size=2)))
+    den = [(0, draw(st.sampled_from((1, -1))))]
+    for k in degrees:
+        den.append((k, draw(st.sampled_from((1, 2, 3, big))) * draw(st.sampled_from((1, -1)))))
+    num = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=degrees[-1] + 8))
+    n_terms = degrees[-1] + KERNEL_MIN_TERMS - 1 + draw(st.integers(-3, 3))
+    return num, den, n_terms
+
+
+@PROPERTY
+@given(case=long_pulls())
+@example(case=([1], [(0, 1), (1, -1), (2, -1), (3, -1)], 3 + KERNEL_MIN_TERMS))  # every term -1
+@example(case=([2, -1], [(0, -1), (1, 1), (4, 1)], 4 + KERNEL_MIN_TERMS))  # d_0 = -1, every other term +1
+@example(case=([3, 1, 4, 1, 5, 9, 2, 6, 5], [(0, 1), (1, 3), (2, -3), (4, 2), (5, 2), (7, -1)], 6 + KERNEL_MIN_TERMS))
+def test_long_pull_matches_the_recurrence(case):
+    num, den, n_terms = case
+    assert series_quotient(num, den, n_terms) == recurrence_quotient(num, den, n_terms)
+
+
+def test_kernel_takes_runs_from_kernel_min_terms_on(monkeypatch):
+    compiled = []
+    build = series._kernel
+    monkeypatch.setattr(series, "_kernel", lambda terms: compiled.append(terms) or build(terms))
+    den = [(0, 1), (1, -1), (3, 2)]
+    for run, used in ((KERNEL_MIN_TERMS - 1, False), (KERNEL_MIN_TERMS, True)):
+        compiled.clear()
+        n_terms = 3 + run - 1  # steady state: n = 3 .. n_terms
+        assert series_quotient([1], den, n_terms) == recurrence_quotient([1], den, n_terms)
+        assert compiled == ([((1, -1), (3, 2))] if used else [])
+
+
+def test_kernel_sums_rods_of_one_magnitude_before_one_product():
+    source = _kernel_source(((1, -1), (2, 3), (3, 1), (4, 2), (5, 2), (7, -3)))
+    expr = "out[n - 1] + 3 * (out[n - 7] - out[n - 2]) - out[n - 3] - 2 * (out[n - 4] + out[n - 5])"
+    assert f"out[n] += {expr}\n" in source and f"out[n] = {expr}\n" in source
+
+
+def test_kernel_takes_a_coefficient_past_the_digit_limit(monkeypatch):
+    # 10^5000 has more decimal digits than str() converts by default, so its literal is hex.
+    monkeypatch.setattr(series, "KERNEL_MIN_TERMS", 0)
+    den = [(0, 1), (1, -(10**5000)), (2, 10**5000), (3, 1)]
+    assert series_quotient([1, 2], den, 12) == recurrence_quotient([1, 2], den, 12)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: series_inverse([1, 0.5], 5),  # pulled by the loop
+        lambda: series_inverse([1, 0.5], KERNEL_MIN_TERMS + 5),  # pulled by a kernel
+        lambda: series_quotient([1], [(0, 1), (20, 0.5)], 5),  # pushed
+        lambda: series_quotient([1], [(0, 1.0), (1, 1)], 5),
+        lambda: series_quotient([1], [(0, -1), (2, 1), (3, Fraction(1, 2))], KERNEL_MIN_TERMS + 5),
+    ],
+)
+def test_kernel_refuses_a_coefficient_that_is_not_an_int(monkeypatch, call):
+    def compile_nothing(terms):
+        raise AssertionError("a kernel was compiled for a divisor that is not all ints")
+
+    monkeypatch.setattr(series, "_kernel", compile_nothing)
+    with pytest.raises(SeriesError, match="int divisor coefficients"):
+        call()
+
+
+@PROPERTY
+@given(
+    pairs=st.dictionaries(st.integers(1, PULL_DEGREE_LIMIT), st.integers(-3, 3).filter(bool), max_size=5),
+    n=st.one_of(st.integers(0, 40), st.integers(KERNEL_MIN_TERMS - 3, KERNEL_MIN_TERMS + PULL_DEGREE_LIMIT + 2)),
+)
+@example(pairs={1: 1}, n=KERNEL_MIN_TERMS + 5)
+@example(pairs={1: 1, 2: 1}, n=KERNEL_MIN_TERMS + 5)
+@example(pairs={1: -1, 2: -1, 3: -1}, n=KERNEL_MIN_TERMS + 5)
+@example(pairs={2: 2, 3: -2, 5: 3, 8: -3}, n=KERNEL_MIN_TERMS + 9)
+@example(pairs={}, n=7)
+def test_finite_counts_match_sympy_series(pairs, n):
+    # The round trip F = 1/(1 - C): sympy inverts the characteristic polynomial built here.
+    rods = RodSet.from_mults(pairs)
+    char = [(0, 1)] + [(k, -m) for k, m in sorted(pairs.items())]
+    assert train_counts(rods, n) == sympy_series([1], char, n)
 
 
 def dense(poly):

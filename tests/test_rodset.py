@@ -84,6 +84,18 @@ def test_constructor_validates_reduced_form():
         RodSet(((0, 1),))
     with pytest.raises(RodSetError, match="must be dropped"):
         RodSet(((1, 0),))
+    with pytest.raises(RodSetError, match="must be positive"):
+        RodSet(((2, 1), (-1, 1)))
+    for pairs in (((1, 1.5),), ((1.0, 1),), ((1, 1), (2.5, 1)), ((1, True),)):
+        with pytest.raises(RodSetError, match="must be ints"):
+            RodSet(pairs)
+
+
+def test_constructor_stores_a_tuple():
+    rods = RodSet([(1, 1), (2, 1)])
+    assert rods.pairs == ((1, 1), (2, 1))
+    assert rods == parse_rodset("[1,2]") and hash(rods) == hash(parse_rodset("[1,2]"))
+    assert RodSet(iter(((3, -2),))) == parse_rodset("[-3^2]")
 
 
 def test_from_mults_reduces():

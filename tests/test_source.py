@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import ast
+import random
 from pathlib import Path
 
 import trainyard
+from trainyard.series import _kernel_source
 
 SOURCES = sorted(Path(trainyard.__file__).parent.glob("*.py"))
 
@@ -46,3 +48,62 @@ def test_library_imports_are_used_or_exported():
         if name not in exported
     ]
     assert not found, f"imported names the library never uses: {found}"
+
+
+DYNAMIC_CODE = {"exec", "eval", "compile"}
+
+
+def _dynamic_code_calls(tree: ast.AST) -> set:
+    """Line numbers of the calls to exec, eval or compile under tree."""
+    return {
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in DYNAMIC_CODE
+    }
+
+
+def test_generated_code_runs_only_where_kernels_are_compiled():
+    # Code built from text runs in one place, series._kernel, from source that
+    # series._kernel_source writes from a divisor's int terms.
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        for line in _dynamic_code_calls(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    ]
+    series_tree = ast.parse((Path(trainyard.__file__).parent / "series.py").read_text(encoding="utf-8"))
+    compiler = next(
+        node for node in ast.walk(series_tree) if isinstance(node, ast.FunctionDef) and node.name == "_kernel"
+    )
+    assert sorted(found) == sorted(f"series.py:{line}" for line in _dynamic_code_calls(compiler))
+    assert found, "series._kernel no longer calls exec"
+
+
+KERNEL_NAMES = {"out", "n", "lo", "mid", "hi", "range"}
+SAMPLE_DIVISORS = [
+    ((1, -1),),
+    ((1, 1), (2, 1), (3, 1)),
+    ((1, -1), (2, -1), (5, -1), (8, -1)),
+    ((1, 3), (2, -3), (4, 2), (5, 2), (7, -1)),
+    ((2, -(1 << 70)), (3, 1 << 70), (6, 5)),
+    ((1, 10**5000), (8, -1)),  # hex: str() refuses this many digits
+]
+
+
+def _random_divisors(count: int, seed: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        degrees = sorted(rng.sample(range(1, 9), rng.randint(1, 8)))
+        yield tuple((k, rng.choice((-3, -2, -1, 1, 2, 3, 1 << 69))) for k in degrees)
+
+
+def test_kernel_source_holds_only_int_literals_and_its_own_names():
+    for i, terms in enumerate(SAMPLE_DIVISORS + list(_random_divisors(40, seed=19))):
+        tree = ast.parse(_kernel_source(terms))
+        (function,) = tree.body
+        assert isinstance(function, ast.FunctionDef), i
+        nodes = list(ast.walk(tree))
+        constants = [node.value for node in nodes if isinstance(node, ast.Constant)]
+        assert constants and all(type(value) is int for value in constants), i
+        names = {node.id for node in nodes if isinstance(node, ast.Name)}
+        assert names <= KERNEL_NAMES | {function.name}, i
+        assert not any(isinstance(node, (ast.Attribute, ast.Import, ast.ImportFrom)) for node in nodes), i
