@@ -36,7 +36,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .counts import PrefixRods, RodSource, _mediator, _one_minus, _quotient
-from .rodset import Record, RodSet, concat, union
+from .rodset import Record, RodSet, _add_products
 from .series import nonzero_terms, series_quotient, sparse_add, sparse_mul
 
 DEFAULT_HORIZON = 64
@@ -136,8 +136,11 @@ def _verified(r, q, s, horizon, q_finite) -> Expansion:
 
 
 def expand(r: RodSet, q: RodSet, horizon: int = DEFAULT_HORIZON) -> Expansion:
-    """Expand finite r by finite q: S = r + anti(q) + q.r, exact at all degrees."""
-    s = union(r, union(-q, concat(q, r)))
+    """Expand finite r by finite q: S = r + anti(q) + q.r, exact at all degrees.
+
+    S is built in one dict pass as R + Q.(-1 + R).
+    """
+    s = RodSet.from_mults(_add_products(dict(r.pairs), q.pairs, ((0, -1),) + r.pairs))
     return _verified(r, q, s, horizon, q_finite=True)
 
 
@@ -202,8 +205,11 @@ def dual(q: RodSource, horizon: int | None = None) -> RodSet | PrefixRods:
 
 
 def compose(q_pr: RodSet, q_rs: RodSet) -> RodSet:
-    """The Q mediating the composite of two expansions: Q1 + Q2 + Q1.Q2."""
-    return union(q_pr, union(q_rs, concat(q_pr, q_rs)))
+    """The Q mediating the composite of two expansions: Q1 + Q2 + Q1.Q2.
+
+    It is built in one dict pass as Q1 + Q2.(1 + Q1).
+    """
+    return RodSet.from_mults(_add_products(dict(q_pr.pairs), q_rs.pairs, _one_plus_terms(q_pr)))
 
 
 def rodset_from_counts(seq: Sequence[int]) -> RodSet:

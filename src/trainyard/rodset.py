@@ -119,14 +119,14 @@ class RodSet(Record):
     def from_mults(mults: Mapping[int, int] | Iterable[tuple[int, int]]) -> RodSet:
         """Build a rod set from (length, multiplicity) data, reducing as needed.
 
-        Repeated lengths have their multiplicities summed, and lengths whose
-        net multiplicity is zero vanish.
+        A Mapping's keys are distinct, so it is taken as it is; any other
+        iterable has the multiplicities of repeated lengths summed.  Either
+        way, lengths whose net multiplicity is zero vanish, and the result
+        is sorted and validated once.
         """
-        items = mults.items() if isinstance(mults, Mapping) else mults
-        net: dict[int, int] = {}
-        for k, m in items:
-            net[k] = net.get(k, 0) + m
-        return RodSet(tuple(sorted((k, m) for k, m in net.items() if m != 0)))
+        if not isinstance(mults, Mapping):
+            mults = _add_products({}, mults, _ONE)
+        return RodSet(tuple(sorted(item for item in mults.items() if item[1] != 0)))
 
     def mult(self, length: int) -> int:
         """Net multiplicity of ``length`` (0 when absent)."""
@@ -236,9 +236,27 @@ def format_rodset(rods: RodSet) -> str:
     return "[" + ",".join(parts) + "]"
 
 
+# The polynomial 1, as the nonzero terms (length 0 included) that _add_products takes.
+_ONE = ((0, 1),)
+
+
+def _add_products(out: dict, pairs, times) -> dict:
+    """Add C(pairs)*C(times) into the {length: multiplicity} dict ``out`` and return it.
+
+    Both are sequences of (length, multiplicity) terms; a (0, c) term of
+    ``times`` scales ``pairs`` by c, so each result of the rod-set algebra
+    below is one such dict and one RodSet, with no set built in between.
+    """
+    get = out.get
+    for j, c in times:
+        for k, m in pairs:
+            out[j + k] = get(j + k, 0) + m * c
+    return out
+
+
 def union(r: RodSet, s: RodSet) -> RodSet:
     """Multiset union: multiplicities add, then reduce."""
-    return RodSet.from_mults(list(r.pairs) + list(s.pairs))
+    return RodSet.from_mults(_add_products(dict(r.pairs), s.pairs, _ONE))
 
 
 def negate(r: RodSet) -> RodSet:
@@ -254,11 +272,7 @@ def concat(r: RodSet, s: RodSet) -> RodSet:
     absorbing, and there is no identity element (that would need a rod
     of length 0).
     """
-    out: dict[int, int] = {}
-    for j, mj in r.pairs:
-        for k, mk in s.pairs:
-            out[j + k] = out.get(j + k, 0) + mj * mk
-    return RodSet.from_mults(out)
+    return RodSet.from_mults(_add_products({}, s.pairs, r.pairs))
 
 
 def odd_sign_swap(r: RodSet) -> RodSet:

@@ -92,6 +92,31 @@ def test_expand_composes_the_three_parts():
             assert s.max_length == r.max_length + q.max_length
 
 
+def test_expand_and_compose_build_one_rodset(monkeypatch):
+    r, q = parse_rodset("[1,-2^3,5]"), parse_rodset("[2,-3]")
+    built = []
+    init = RodSet.__init__
+    monkeypatch.setattr(RodSet, "__init__", lambda self, *args: built.append(1) or init(self, *args))
+    s = expand(r, q).s
+    assert len(built) == 1, "expand builds S and no intermediate rod set"
+    built.clear()
+    composed = compose(r, q)
+    assert len(built) == 1, "compose builds its result and no intermediate rod set"
+    monkeypatch.undo()
+    # By hand: QR = x^3 - 4x^4 + 3x^5 + x^7 - x^8, and in Q1 + Q2 + Q1.Q2 the x^3 terms cancel.
+    assert s == parse_rodset("[1,-2^4,3^2,-4^4,5^4,7,-8]")
+    assert composed == parse_rodset("[1,-2^2,-4^4,5^4,7,-8]")
+
+
+def test_expand_runs_the_witness(monkeypatch):
+    def refuse(*args):
+        raise ExpansionError("witness reached")
+
+    monkeypatch.setattr(expansion, "_witness", refuse)
+    with pytest.raises(ExpansionError, match="witness reached"):
+        expand(parse_rodset("[1,2]"), parse_rodset("[3]"))
+
+
 def test_witness_identity_random():
     rng = random.Random(701)
     for _ in range(120):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -12,7 +13,9 @@ from trainyard import (
     RodSet,
     RodSetError,
     RodSetParseError,
+    compose,
     concat,
+    expand,
     format_rodset,
     negate,
     odd_sign_swap,
@@ -102,6 +105,13 @@ def test_from_mults_reduces():
     assert RodSet.from_mults({3: 1, 1: 2, 2: 0}) == parse_rodset("[1^2,3]")
     assert RodSet.from_mults([(1, 1), (1, -1)]) == RodSet()
     assert RodSet().pairs == (), "default construction is the empty rod set"
+    # A Mapping is taken as it is: zero entries drop, and nothing else is summed.
+    assert RodSet.from_mults({5: 0}) == RodSet()
+    assert RodSet.from_mults({2: 3 - 3, 1: -1 + 1}) == RodSet(), "values that cancel leave nothing"
+    assert RodSet.from_mults({2: -1, 1: 0, 4: 2**70}).pairs == ((2, -1), (4, 2**70))
+    for mults in ({1: 1.5}, {1: 1, 2: "2"}, {1.0: 1}, {1: True}, [(1, 1.5)]):
+        with pytest.raises(RodSetError, match="must be ints"):
+            RodSet.from_mults(mults)
 
 
 def test_accessors():
@@ -151,6 +161,33 @@ def test_union_negate_concat_algebra():
         b = random_rodset(rng)
         assert union(a, b) == union(b, a)
         assert concat(a, b) == concat(b, a)
+
+
+X = sympy.symbols("x")
+
+# Antirods, multiplicities of 2 and more, and one past 64 bits; the empty set is drawn too.
+algebra_sets = st.dictionaries(
+    st.integers(1, 12),
+    st.one_of(st.integers(-4, 4), st.sampled_from((2**70, -(2**70)))).filter(bool),
+    max_size=5,
+).map(RodSet.from_mults)
+
+
+def _c(rods: RodSet) -> sympy.Poly:
+    """C(x, rods) as a sympy polynomial."""
+    return sympy.Poly(sum((m * X**k for k, m in rods.pairs), sympy.Integer(0)), X)
+
+
+@PROPERTY
+@given(algebra_sets, st.data())
+def test_algebra_matches_sympy_polynomials(r, data):
+    # The second set is free, equal to the first or its negation, so parts cancel, up to nothing.
+    s = data.draw(st.one_of(algebra_sets, st.just(r), st.just(negate(r))), label="second set")
+    c_r, c_s, one = _c(r), _c(s), sympy.Poly(1, X)
+    assert _c(union(r, s)) == c_r + c_s
+    assert _c(concat(r, s)) == c_r * c_s
+    assert one - _c(expand(r, s).s) == (one - c_r) * (one + c_s), "1 - C_S = (1 - C_R)(1 + C_Q)"
+    assert one + _c(compose(r, s)) == (one + c_r) * (one + c_s)
 
 
 def test_equivalent_is_reduction_equality():
