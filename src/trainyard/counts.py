@@ -23,7 +23,8 @@ prefix is N = its prefix, D = 1, read through degree n and no further,
 so ``exact`` is False for a prefix alone.  ``to_json()`` and ``str()``
 give a source's JSON and text, and the two kinds a solver returns,
 ``RodSet`` and ``PrefixRods``, negate with unary minus.  Every operation
-on a source is one series division over the nonzero terms of N and D:
+on a source is one call of series.series_quotient, which divides over
+the nonzero terms of N and D as they come, with no dense numerator:
 multiplicities are N/D, train counts 1/(1 - C) = D/(D - N), a recurrence
 as deep as D - N has terms, and the discrepancies of r against s the
 series (1 - C_S)/(1 - C_R).
@@ -140,24 +141,9 @@ def _mediator(r: RodSource, s: RodSource, n: int) -> tuple:
     return sorted(num.items()), sorted(den.items())
 
 
-def _quotient(num_terms, den_terms, n: int) -> list:
-    """Coefficients 0..n of the series num/den, both given by nonzero terms in ascending degree.
-
-    num is made dense only through its last term: series_quotient pads
-    the rest with zeros, and stores those coefficients rather than adding
-    to them.
-    """
-    num = [0] * (min(num_terms[-1][0], n) + 1 if num_terms else 0)
-    for k, c in num_terms:
-        if k > n:
-            break
-        num[k] = c
-    return series_quotient(num, den_terms, n)
-
-
 def source_mults_upto(rods: RodSource, n: int) -> list:
     """Multiplicities m(0..n) of a rod source as a dense list (m(0) is always 0): N/D."""
-    return _quotient(*rods.fraction(n), n)
+    return series_quotient(*rods.fraction(n), n)
 
 
 def train_counts(rods: RodSource, n_max: int) -> list:
@@ -165,7 +151,7 @@ def train_counts(rods: RodSource, n_max: int) -> list:
     if n_max < 0:
         raise CountsError("count horizon must be >= 0")
     num, den = rods.fraction(n_max)
-    return _quotient(den, _one_minus(num, den), n_max)
+    return series_quotient(den, _one_minus(num, den), n_max)
 
 
 def discrepancies(r: RodSource, s: RodSource, n_max: int) -> list:
@@ -177,7 +163,7 @@ def discrepancies(r: RodSource, s: RodSource, n_max: int) -> list:
     """
     if n_max < 0:
         raise CountsError("count horizon must be >= 0")
-    return _quotient(*_mediator(r, s, n_max), n_max)[1:]
+    return series_quotient(*_mediator(r, s, n_max), n_max)[1:]
 
 
 def sequence_discrepancies(values: Sequence[int], s: RodSource) -> list:

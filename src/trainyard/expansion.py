@@ -35,9 +35,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .counts import PrefixRods, RodSource, _mediator, _one_minus, _quotient
+from .counts import PrefixRods, RodSource, _mediator, _one_minus
 from .rodset import Record, RodSet, _add_products
-from .series import nonzero_terms, series_quotient, sparse_add, sparse_mul
+from .series import nonzero_terms, series_inverse, series_quotient, sparse_add, sparse_mul
 
 DEFAULT_HORIZON = 64
 # Largest degree of the dense quotient that decides whether a solved rod set
@@ -165,11 +165,11 @@ def solve_Q(r: RodSource, s: RodSource, horizon: int | None = None) -> Expansion
                 f"over the limit QUOTIENT_DEGREE_LIMIT = {QUOTIENT_DEGREE_LIMIT}"
             )
         if top >= 0:
-            cut = num if len(den) == 1 else nonzero_terms(_quotient(num, den, top))
+            cut = num if len(den) == 1 else nonzero_terms(series_quotient(num, den, top))
             q = RodSet(tuple(cut[1:]))
             if _identity_holds(r, q, s, h):
                 return Expansion(r, q, s, h, q_finite=True)
-    q = PrefixRods(tuple(_quotient(num, den, h)[1:]))
+    q = PrefixRods(tuple(series_quotient(num, den, h)[1:]))
     return _verified(r, q, s, h, q_finite=False if exact else None)
 
 
@@ -201,7 +201,7 @@ def dual(q: RodSource, horizon: int | None = None) -> RodSet | PrefixRods:
     plus = sparse_add(den, num)
     if q.exact and plus == [(0, 1)]:
         return RodSet(tuple(den[1:]))
-    return PrefixRods(tuple(_quotient(den, plus, h)[1:]))
+    return PrefixRods(tuple(series_quotient(den, plus, h)[1:]))
 
 
 def compose(q_pr: RodSet, q_rs: RodSet) -> RodSet:
@@ -221,7 +221,7 @@ def rodset_from_counts(seq: Sequence[int]) -> RodSet:
     """
     if not seq or seq[0] != 1:
         raise ExpansionError("a net train count sequence must start with F(0) = 1")
-    inverse = series_quotient([1], nonzero_terms(seq), len(seq) - 1)
+    inverse = series_inverse(seq, len(seq) - 1)
     return RodSet.from_mults({k: -c for k, c in enumerate(inverse) if k >= 1 and c})
 
 

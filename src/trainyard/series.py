@@ -19,7 +19,7 @@ from bisect import bisect_right
 from functools import lru_cache
 from operator import index
 
-from .rodset import RodSet
+from .rodset import RodSet, _add_products
 
 Poly = list  # ascending int coefficients, no trailing zeros, zero = []
 
@@ -128,19 +128,22 @@ PULL_DEGREE_LIMIT = 8
 KERNEL_MIN_TERMS = 768
 
 
-def series_quotient(num: Poly, den_terms: list, n_terms: int) -> list:
+def series_quotient(num_terms: list, den_terms: list, n_terms: int) -> list:
     """Coefficients 0..n_terms of the power series num / den, by the recurrence
 
         out[n] = (num[n] - sum over k >= 1 of d_k * out[n - k]) * d_0.
 
-    ``den_terms`` lists den's nonzero (degree, coefficient) pairs in
-    ascending degree, starting with (0, +-1) so that the recurrence stays
-    in the integers; every coefficient must be an int.  The loop is
+    ``num_terms`` and ``den_terms`` list the nonzero (degree, coefficient)
+    pairs of num and den in ascending degree; num's terms past n_terms
+    are ignored, and den starts with (0, +-1) so that the recurrence stays
+    in the integers; every den coefficient must be an int.  The loop is
     chosen from den alone:
 
     * deg den <= PULL_DEGREE_LIMIT and den not 1 - c*x^k with k >= 2:
       each coefficient is pulled from the ones before it and stored
-      once, (n_terms + 1) x (den terms) work (see :func:`_pull`).
+      once, (n_terms + 1) x (den terms) work (see :func:`_pull`).  The
+      work list then starts with deg den zeros, so that no term reaches
+      back past coefficient 0.
     * otherwise (a longer den or one such single term): each nonzero
       coefficient, once final, is pushed into the ones it feeds,
       (nonzero outputs) x (den terms) work.  The inversion of a whole
@@ -157,42 +160,41 @@ def series_quotient(num: Poly, den_terms: list, n_terms: int) -> list:
     for _, c in den_terms:  # this also keeps all but int literals out of a kernel's source
         if c.__class__ is not int:
             raise SeriesError(f"series division needs int divisor coefficients, got {c!r}")
-    if den_terms[0][1] == 1:
-        terms = den_terms[1:]
-        out = list(num[:n_terms + 1])
-    else:  # dividing by -den instead keeps the unit +1
-        terms = [(k, -c) for k, c in den_terms[1:]]
-        out = [-c for c in num[:n_terms + 1]]
-    filled = len(out)
-    out += [0] * (n_terms + 1 - filled)
+    unit = den_terms[0][1]  # dividing by -den instead keeps the unit +1
+    terms = den_terms[1:] if unit == 1 else [(k, -c) for k, c in den_terms[1:]]
     one_gapped_term = len(terms) == 1 and terms[0][0] > 1  # den = 1 - c*x^k, k >= 2
-    if terms and terms[-1][0] <= PULL_DEGREE_LIMIT and not one_gapped_term:
+    pull = terms and terms[-1][0] <= PULL_DEGREE_LIMIT and not one_gapped_term
+    pad = terms[-1][0] if pull else 0
+    out = [0] * (pad + n_terms + 1)
+    filled = pad
+    for k, c in num_terms:
+        if k > n_terms:
+            break
+        out[pad + k] = unit * c
+        filled = pad + k + 1
+    if pull:
         _pull(out, terms, filled)
+        del out[:pad]
     elif terms:
         _push(out, terms)
     return out
 
 
 def _pull(out: list, terms: list, filled: int) -> None:
-    """out[n] -= sum of c * out[n - k] over the (k, c) terms, n ascending, in place.
+    """out[n] -= sum of c * out[n - k] over the (k, c) terms, n from deg den up, in place.
 
-    out[filled:] starts at zero.  Only the first deg den coefficients test
-    which terms reach back past 0.  From n = deg den on, a run of at least
-    KERNEL_MIN_TERMS goes through the divisor's compiled kernel, and a
-    shorter one through a loop over the terms.  A den whose terms are all
-    +1 or all -1 needs no loop of its own: its long runs, such as the
-    counts of [1] to 10^5, take the kernel.
+    out starts with the deg den zeros that series_quotient puts before num,
+    so no term reaches back past them, and out[filled:] starts at zero.
+    When the steady state, the len(out) - 2 * deg den coefficients of the
+    series past its first deg den, runs at least KERNEL_MIN_TERMS, the
+    divisor's compiled kernel takes the whole pull, and otherwise a loop
+    over the terms does.  A den whose terms are all +1 or all -1 needs no
+    loop of its own: its long runs, such as the counts of [1] to 10^5,
+    take the kernel.
     """
     top = terms[-1][0]
-    for n in range(1, min(top, len(out))):
-        acc = out[n]
-        for k, c in terms:
-            if k > n:
-                break
-            acc -= c * out[n - k]
-        out[n] = acc
-    if len(out) - top >= KERNEL_MIN_TERMS:
-        _kernel(tuple(terms))(out, top, max(top, filled), len(out))
+    if len(out) - 2 * top >= KERNEL_MIN_TERMS:
+        _kernel(tuple(terms))(out, top, filled, len(out))
         return
     adds, subs, products = [], [], []
     for k, c in terms:
@@ -221,7 +223,7 @@ def _pull(out: list, terms: list, filled: int) -> None:
 
 @lru_cache(maxsize=256)  # room for every long divisor of a counts-long lap (56)
 def _kernel(terms: tuple):
-    """The steady state of :func:`_pull` for one divisor, compiled once.
+    """A long run of :func:`_pull` for one divisor, compiled once.
 
     ``kernel(out, lo, mid, hi)`` adds the terms' sum into out[lo:mid]
     and stores it into out[mid:hi], where out starts at zero, so no step
@@ -288,7 +290,7 @@ def series_inverse(p: Poly, n_terms: int) -> list:
     Requires constant term +1 or -1 (the only invertible constants over
     the integers).
     """
-    return series_quotient([1], nonzero_terms(p), n_terms)
+    return series_quotient(((0, 1),), nonzero_terms(p), n_terms)
 
 
 def series_mul(p: Poly, q: Poly, n_terms: int) -> list:
@@ -332,15 +334,12 @@ def sparse_add(p_terms, q_terms) -> list:
 def sparse_mul(p_terms, q_terms) -> dict:
     """Product of two nonzero-term lists as a {degree: coeff} map, never densified.
 
-    It forms the solvers' mediator N/D and the witness's cross products
-    when an input is a rational source; the all-finite witness is a pass
-    of its own (expansion._identity_holds).
+    It is the rod-set algebra's product pass (rodset._add_products) with
+    the zero coefficients dropped.  It forms the solvers' mediator N/D and
+    the witness's cross products when an input is a rational source; the
+    all-finite witness is a pass of its own (expansion._identity_holds).
     """
-    out: dict = {}
-    for i, a in p_terms:
-        for j, b in q_terms:
-            out[i + j] = out.get(i + j, 0) + a * b
-    return {k: c for k, c in out.items() if c}
+    return {k: c for k, c in _add_products({}, q_terms, p_terms).items() if c}
 
 
 def char_poly(rods: RodSet) -> Poly:

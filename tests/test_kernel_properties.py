@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import accumulate
+from unittest import mock
 
 import pytest
 import sympy
@@ -23,7 +24,14 @@ from sympy.polys.ring_series import rs_mul, rs_series_inversion
 
 from trainyard import RodSet, SeriesError, borwein_classify, poly_divexact, series_inverse, train_counts
 from trainyard import series
-from trainyard.series import KERNEL_MIN_TERMS, PULL_DEGREE_LIMIT, _kernel_source, char_poly, series_quotient
+from trainyard.series import (
+    KERNEL_MIN_TERMS,
+    PULL_DEGREE_LIMIT,
+    _kernel_source,
+    char_poly,
+    nonzero_terms,
+    series_quotient,
+)
 
 from conftest import PROPERTY, _recurrence_counts
 
@@ -82,19 +90,19 @@ def sympy_series(num, den_terms, n_terms):
 @example(num=[5, -2, 7], den=[(0, 1)], n_terms=6)  # a bare d_0
 @example(num=[5, -2, 7], den=[(0, -1)], n_terms=6)
 def test_kernel_matches_sympy_series(num, den, n_terms):
-    assert series_quotient(num, den, n_terms) == sympy_series(num, den, n_terms)
+    assert series_quotient(nonzero_terms(num), den, n_terms) == sympy_series(num, den, n_terms)
 
 
 def test_kernel_needs_a_unit_constant_term():
     for den in ([], [(0, 2)], [(1, 1)], [(0, 0), (1, 1)]):
         with pytest.raises(SeriesError, match="constant term"):
-            series_quotient([1], den, 5)
+            series_quotient(nonzero_terms([1]), den, 5)
 
 
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: series_quotient([1, 2, 3], [(0, 1), (1, -1)], -2),
+        lambda: series_quotient(nonzero_terms([1, 2, 3]), [(0, 1), (1, -1)], -2),
         lambda: series_inverse([1, -1], -1),
     ],
     ids=["series_quotient", "series_inverse"],
@@ -152,7 +160,7 @@ def long_pulls(draw):
 @example(case=([3, 1, 4, 1, 5, 9, 2, 6, 5], [(0, 1), (1, 3), (2, -3), (4, 2), (5, 2), (7, -1)], 6 + KERNEL_MIN_TERMS))
 def test_long_pull_matches_the_recurrence(case):
     num, den, n_terms = case
-    assert series_quotient(num, den, n_terms) == recurrence_quotient(num, den, n_terms)
+    assert series_quotient(nonzero_terms(num), den, n_terms) == recurrence_quotient(num, den, n_terms)
 
 
 def test_kernel_takes_runs_from_kernel_min_terms_on(monkeypatch):
@@ -163,8 +171,41 @@ def test_kernel_takes_runs_from_kernel_min_terms_on(monkeypatch):
     for run, used in ((KERNEL_MIN_TERMS - 1, False), (KERNEL_MIN_TERMS, True)):
         compiled.clear()
         n_terms = 3 + run - 1  # steady state: n = 3 .. n_terms
-        assert series_quotient([1], den, n_terms) == recurrence_quotient([1], den, n_terms)
+        assert series_quotient(nonzero_terms([1]), den, n_terms) == recurrence_quotient([1], den, n_terms)
         assert compiled == ([((1, -1), (3, 2))] if used else [])
+
+
+@st.composite
+def padded_divisions(draw):
+    """A term-list numerator, a divisor and a horizon: num's degrees are gapped, its
+    last term may lie below, at or above deg den (the kernel's add/store boundary),
+    and a term may lie past the horizon; den comes from sparse_divisors, so it is
+    pulled or pushed and its d_0 is +-1."""
+    den = draw(sparse_divisors())
+    n_terms = draw(st.integers(0, 40))
+    degrees = sorted(draw(st.sets(st.integers(0, max(n_terms, den[-1][0]) + 4), max_size=6)))
+    return [(k, draw(divisor_coefficient)) for k in degrees], den, n_terms
+
+
+@PROPERTY
+@given(case=padded_divisions(), through_kernel=st.booleans())
+@example(case=([(0, 2), (2, -1)], [(0, 1), (1, -1), (4, 3)], 30), through_kernel=False)  # loop, last < deg den
+@example(case=([(1, 3), (3, 1)], [(0, -1), (1, 2), (3, -1)], 30), through_kernel=False)  # loop, last = deg den
+@example(case=([(0, 2), (2, -1)], [(0, 1), (1, -1), (4, 3)], 30), through_kernel=True)  # kernel, last < deg den
+@example(case=([(1, 3), (4, 5)], [(0, -1), (2, 1), (4, -2)], 30), through_kernel=True)  # kernel, last = deg den
+@example(case=([(0, 1), (7, -4), (35, 9)], [(0, 1), (1, 1), (3, -1)], 30), through_kernel=True)  # kernel, last > deg den
+@example(case=([(0, 1), (3, 2), (31, 1)], [(0, -1), (5, 2)], 30), through_kernel=False)  # pushed: one gapped term
+@example(case=([(2, -1), (9, 4)], [(0, 1), (3, 1), (20, -1)], 30), through_kernel=False)  # pushed: deg den > 8
+@example(case=([(0, 1), (30, 2)], [(0, 1), (1, 1), (3, -1)], 30), through_kernel=True)  # kernel, last = horizon
+@example(case=([], [(0, 1), (1, -1), (2, -1)], 10), through_kernel=True)
+@example(case=([(5, 1)], [(0, -1), (2, 1)], 0), through_kernel=True)  # num wholly past the horizon
+def test_padded_division_matches_the_recurrence(case, through_kernel):
+    num, den, n_terms = case
+    dense = [0] * (num[-1][0] + 1 if num else 0)
+    for k, c in num:
+        dense[k] = c
+    with mock.patch.object(series, "KERNEL_MIN_TERMS", 0 if through_kernel else KERNEL_MIN_TERMS):
+        assert series_quotient(num, den, n_terms) == recurrence_quotient(dense, den, n_terms)
 
 
 def test_kernel_sums_rods_of_one_magnitude_before_one_product():
@@ -177,7 +218,7 @@ def test_kernel_takes_a_coefficient_past_the_digit_limit(monkeypatch):
     # 10^5000 has more decimal digits than str() converts by default, so its literal is hex.
     monkeypatch.setattr(series, "KERNEL_MIN_TERMS", 0)
     den = [(0, 1), (1, -(10**5000)), (2, 10**5000), (3, 1)]
-    assert series_quotient([1, 2], den, 12) == recurrence_quotient([1, 2], den, 12)
+    assert series_quotient(nonzero_terms([1, 2]), den, 12) == recurrence_quotient([1, 2], den, 12)
 
 
 @pytest.mark.parametrize(
@@ -185,9 +226,9 @@ def test_kernel_takes_a_coefficient_past_the_digit_limit(monkeypatch):
     [
         lambda: series_inverse([1, 0.5], 5),  # pulled by the loop
         lambda: series_inverse([1, 0.5], KERNEL_MIN_TERMS + 5),  # pulled by a kernel
-        lambda: series_quotient([1], [(0, 1), (20, 0.5)], 5),  # pushed
-        lambda: series_quotient([1], [(0, 1.0), (1, 1)], 5),
-        lambda: series_quotient([1], [(0, -1), (2, 1), (3, Fraction(1, 2))], KERNEL_MIN_TERMS + 5),
+        lambda: series_quotient(nonzero_terms([1]), [(0, 1), (20, 0.5)], 5),  # pushed
+        lambda: series_quotient(nonzero_terms([1]), [(0, 1.0), (1, 1)], 5),
+        lambda: series_quotient(nonzero_terms([1]), [(0, -1), (2, 1), (3, Fraction(1, 2))], KERNEL_MIN_TERMS + 5),
     ],
 )
 def test_kernel_refuses_a_coefficient_that_is_not_an_int(monkeypatch, call):

@@ -50,6 +50,43 @@ def test_library_imports_are_used_or_exported():
     assert not found, f"imported names the library never uses: {found}"
 
 
+def _private_definitions(tree: ast.Module) -> list:
+    """(line, name) of each private name a module binds at its top level."""
+    bound = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound += [(node.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
+    return [(line, name) for line, name in bound if name.startswith("_") and not name.startswith("__")]
+
+
+def _names_read(tree: ast.AST) -> set:
+    """Every name read under tree, as a bare name or as a module attribute."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read
+
+
+def test_library_private_names_are_read():
+    # A private helper, constant or class that no library code reads any more is a
+    # leftover of a rewrite: the tests alone keeping it alive do not count.
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in SOURCES}
+    read = set().union(*map(_names_read, trees.values()))
+    found = [
+        f"{name}:{line} {private}"
+        for name, tree in trees.items()
+        for line, private in _private_definitions(tree)
+        if private not in read
+    ]
+    assert not found, f"private names the library never reads: {found}"
+
+
 DYNAMIC_CODE = {"exec", "eval", "compile"}
 
 

@@ -10,7 +10,7 @@ from unittest import mock
 
 import pytest
 import sympy
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from sympy import ZZ
 from sympy.polys.factortools import dup_cyclotomic_p
@@ -188,6 +188,26 @@ def test_graeffe_step_squares_the_roots(f):
     f_of_minus_x = [(-1) ** k * c for k, c in enumerate(f)]
     product = sympy.Poly(f[::-1], X) * sympy.Poly(f_of_minus_x[::-1], X)
     assert poly_trim(g_of_x_squared) == [int(c) for c in reversed(product.all_coeffs())]
+
+
+@PROPERTY
+@given(orders=st.sets(st.integers(1, 48), min_size=1, max_size=4))
+@example(orders={1, 32, 48})
+@example(orders={2, 3, 6, 12, 24})
+def test_graeffe_iterates_of_distinct_cyclotomics_stay_within_the_binomials(orders):
+    # Every root of such a product lies on the unit circle, and Graeffe steps keep it
+    # there, so by Vieta each coefficient a_k of every iterate has |a_k| <= C(m, k).
+    product = sympy.prod(sympy.cyclotomic_poly(d, X) for d in orders)
+    f = [int(c) for c in reversed(sympy.Poly(product, X).all_coeffs())]
+    m = len(f) - 1
+    for _ in range(max(orders).bit_length() + 2):  # a fixed point within max v_2(d) + 2 steps
+        assert all(abs(c) <= math.comb(m, k) for k, c in enumerate(f)), f
+        g = graeffe_step(f)
+        if g == f:
+            break
+        f = g
+    else:
+        raise AssertionError(f"no fixed point for orders {sorted(orders)}")
 
 
 def test_graeffe_certificate_lead_and_bound():
