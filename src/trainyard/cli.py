@@ -97,7 +97,7 @@ def _read_rodset_file(arg: str) -> str:
     path, _, selector = arg[1:].partition(":")
     index = 1
     if selector:
-        if not selector.isdigit() or int(selector) < 1:
+        if not selector.isdecimal() or int(selector) < 1:
             raise _CliError(f"bad line selector in {arg!r}: expected @file or @file:N")
         index = int(selector)
     try:
@@ -460,7 +460,7 @@ def _run(args: argparse.Namespace) -> int:
         # Every domain error in the package is a ValueError subclass.
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (RecursionError, MemoryError) as exc:
+    except (RecursionError, MemoryError, OverflowError) as exc:
         print(f"error: input too large to compute ({type(exc).__name__})", file=sys.stderr)
         return 1
     try:

@@ -178,7 +178,7 @@ def parse_rodset(text: str) -> RodSet:
     def read_int(what: str) -> int:
         nonlocal pos
         start = pos
-        while pos < n and text[pos].isdigit():
+        while pos < n and text[pos].isdecimal():
             pos += 1
         if pos == start:
             raise RodSetParseError(f"expected {what}", start)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import lru_cache
-from operator import index
+from itertools import islice
 
 from .rodset import RodSet, _add_products
 
@@ -103,29 +103,18 @@ def nonzero_terms(p: Poly) -> list:
 # nonzero ones.  A series whose divisor has degree d cannot vanish on d
 # consecutive coefficients past deg num unless it is a polynomial (the
 # recurrence would then give zeros forever), so at d <= 8 a pull makes at
-# most 8 times the push's term visits.  Timed against the push on a 2-vCPU
-# Xeon VM, Python 3.11: the counts of four rods of length <= 8 at n = 6,000
-# pull 21% faster and 1/(1 + x + x^2 + x^3), half zeros, within 5%, both by
-# _pull's loop (a long run through the compiled kernel is faster still).  A
-# single term c*x^k with k >= 2 leaves k - 1 zeros in every k coefficients
-# of 1/den, so it is pushed (pulled, 1/(1 - x^8) took twice as long).  Other
-# short divisors still pull, and no cheap look at den finds the ones whose
-# series is sparse enough to lose: 1/(1 - x^2 - x^4), half zeros, pulls 36%
-# faster than it pushes, but 1/(1 - x + x^2 - ... + x^8) = (1 + x)/(1 + x^9),
-# nonzero on 2 of every 9 coefficients, takes 1.3x to 1.6x the push's time at
-# n = 20,000 through the kernel (2.4x to 2.9x through the loop).
+# most 8 times the push's term visits.  Timed against the push through the
+# compiled kernel on a 2-vCPU Xeon VM, Python 3.11, best of 7: the counts of
+# four rods of length <= 8 at n = 6,000 pull in 0.4x to 0.5x the push's time,
+# 1/(1 + x + x^2 + x^3), half zeros, in 0.6x to 0.75x and 1/(1 - x^2 - x^4),
+# half zeros, in 0.35x.  A single term c*x^k with k >= 2 leaves k - 1 zeros
+# in every k coefficients of 1/den, so it is pushed: pulled by an interpreted
+# loop, since replaced, 1/(1 - x^8) took twice as long (through the kernel it
+# pulls in 0.9x the push's time at n = 20,000).  Other short divisors still
+# pull, and no cheap look at den finds the ones whose series is sparse enough
+# to lose: 1/(1 - x + x^2 - ... + x^8) = (1 + x)/(1 + x^9), nonzero on 2 of
+# every 9 coefficients, takes 1.3x to 1.6x the push's time at n = 20,000.
 PULL_DEGREE_LIMIT = 8
-
-# A pull whose steady state (n >= deg den) runs at least this many terms goes
-# through the divisor's compiled kernel (_kernel), a shorter one through
-# _pull's loop.  Compiling costs 80 to 230 us, and on small values a kernel
-# step saves 0.1 to 0.3 us, so the value is the length at which a first call,
-# compile included, catches up with the loop on +-1-valued series: timed on a
-# 2-vCPU Xeon VM, Python 3.11, for 1/(1 + x + x^2 + x^3), 1/Phi_5*Phi_8 and two
-# other divisors of 4 to 8 terms, the two met between 512 and 1,000 terms.
-# On growing counts a cached kernel is 1.7x to 1.9x the loop's speed, since
-# rods of one |multiplicity| share their product.
-KERNEL_MIN_TERMS = 768
 
 
 def series_quotient(num_terms: list, den_terms: list, n_terms: int) -> list:
@@ -137,18 +126,21 @@ def series_quotient(num_terms: list, den_terms: list, n_terms: int) -> list:
     pairs of num and den in ascending degree; num's terms past n_terms
     are ignored, and den starts with (0, +-1) so that the recurrence stays
     in the integers; every den coefficient must be an int.  The loop is
-    chosen from den alone:
+    chosen from den and the horizon:
 
-    * deg den <= PULL_DEGREE_LIMIT and den not 1 - c*x^k with k >= 2:
-      each coefficient is pulled from the ones before it and stored
-      once, (n_terms + 1) x (den terms) work (see :func:`_pull`).  The
+    * deg den <= PULL_DEGREE_LIMIT, den not 1 - c*x^k with k >= 2, and
+      n_terms >= 2 * deg den: each coefficient is pulled from the ones
+      before it and stored once, (n_terms + 1) x (den terms) work, by a
+      kernel compiled once per divisor shape (see :func:`_pull`).  The
       work list then starts with deg den zeros, so that no term reaches
       back past coefficient 0.
-    * otherwise (a longer den or one such single term): each nonzero
-      coefficient, once final, is pushed into the ones it feeds,
-      (nonzero outputs) x (den terms) work.  The inversion of a whole
-      count sequence has a long den and few nonzero outputs, most of
-      them +-1.
+    * otherwise (a longer den, one such single term, or a run shorter
+      than twice deg den, which the push takes with no kernel to
+      compile): each nonzero coefficient, once final, is pushed into
+      the ones it feeds, (nonzero outputs) x (den terms) work, and no
+      further than the horizon.  The inversion of a whole count
+      sequence has a long den and few nonzero outputs, most of them
+      +-1.
 
     A term with coefficient +-1 on either side is added or subtracted
     without a product.
@@ -157,14 +149,15 @@ def series_quotient(num_terms: list, den_terms: list, n_terms: int) -> list:
         raise SeriesError(f"series horizon must be >= 0, got {n_terms}")
     if not den_terms or den_terms[0][0] != 0 or den_terms[0][1] not in (1, -1):
         raise SeriesError("series division needs a divisor with constant term +1 or -1")
-    for _, c in den_terms:  # this also keeps all but int literals out of a kernel's source
+    for _, c in den_terms:
         if c.__class__ is not int:
             raise SeriesError(f"series division needs int divisor coefficients, got {c!r}")
     unit = den_terms[0][1]  # dividing by -den instead keeps the unit +1
     terms = den_terms[1:] if unit == 1 else [(k, -c) for k, c in den_terms[1:]]
-    one_gapped_term = len(terms) == 1 and terms[0][0] > 1  # den = 1 - c*x^k, k >= 2
-    pull = terms and terms[-1][0] <= PULL_DEGREE_LIMIT and not one_gapped_term
-    pad = terms[-1][0] if pull else 0
+    top = terms[-1][0] if terms else 0
+    one_gapped_term = len(terms) == 1 and top > 1  # den = 1 - c*x^k, k >= 2
+    pull = terms and top <= PULL_DEGREE_LIMIT and 2 * top <= n_terms and not one_gapped_term
+    pad = top if pull else 0
     out = [0] * (pad + n_terms + 1)
     filled = pad
     for k, c in num_terms:
@@ -185,77 +178,69 @@ def _pull(out: list, terms: list, filled: int) -> None:
 
     out starts with the deg den zeros that series_quotient puts before num,
     so no term reaches back past them, and out[filled:] starts at zero.
-    When the steady state, the len(out) - 2 * deg den coefficients of the
-    series past its first deg den, runs at least KERNEL_MIN_TERMS, the
-    divisor's compiled kernel takes the whole pull, and otherwise a loop
-    over the terms does.  A den whose terms are all +1 or all -1 needs no
-    loop of its own: its long runs, such as the counts of [1] to 10^5,
-    take the kernel.
+    The terms are sorted into the divisor's shape: the number of -1 terms
+    and of +1 terms, then for each other |c|, ascending, the number of
+    terms that add (c < 0) and that subtract (c > 0).  The shape's
+    compiled kernel takes the degrees in that order and the magnitudes
+    as arguments, so divisors of one shape, such as every four-rod set
+    of +1 multiplicities, share one kernel.
     """
-    top = terms[-1][0]
-    if len(out) - 2 * top >= KERNEL_MIN_TERMS:
-        _kernel(tuple(terms))(out, top, filled, len(out))
-        return
-    adds, subs, products = [], [], []
+    adds, subs, groups = [], [], {}
     for k, c in terms:
         if c == -1:
             adds.append(k)
         elif c == 1:
             subs.append(k)
         else:
-            products.append((k, c))
-    # Entering a loop over an empty list costs about as much as one term of a
-    # short sum, so each list is tested first (without the tests solver-mix's
-    # short series, n < 20, divide 8% slower).
-    for n in range(top, len(out)):
-        acc = out[n]
-        if adds:
-            for k in adds:
-                acc += out[n - k]
-        if subs:
-            for k in subs:
-                acc -= out[n - k]
-        if products:
-            for k, c in products:
-                acc -= c * out[n - k]
-        out[n] = acc
+            groups.setdefault(abs(c), ([], []))[c > 0].append(k)
+    shape = [len(adds), len(subs)]
+    degrees = adds + subs
+    magnitudes = sorted(groups)
+    for m in magnitudes:
+        group_adds, group_subs = groups[m]
+        shape += len(group_adds), len(group_subs)
+        degrees += group_adds + group_subs
+    _kernel(tuple(shape))(out, terms[-1][0], filled, len(out), *degrees, *magnitudes)
 
 
-@lru_cache(maxsize=256)  # room for every long divisor of a counts-long lap (56)
-def _kernel(terms: tuple):
-    """A long run of :func:`_pull` for one divisor, compiled once.
+# One lap of each of the benchmark's three library workloads compiles 118 shapes.
+@lru_cache(maxsize=256)
+def _kernel(shape: tuple):
+    """The pull of :func:`_pull` for one divisor shape, compiled once.
 
-    ``kernel(out, lo, mid, hi)`` adds the terms' sum into out[lo:mid]
-    and stores it into out[mid:hi], where out starts at zero, so no step
-    adds a bigint to 0.  See :func:`_kernel_source` for the sum.
+    ``kernel(out, lo, mid, hi, k0, k1, ..., m1, ...)`` adds the terms'
+    sum into out[lo:mid] and stores it into out[mid:hi], where out
+    starts at zero, so no step adds a bigint to 0.  The first pull of a
+    new shape in a process pays for its compile, 0.12 to 0.3 ms, and
+    keeps about 2 KB.  See :func:`_kernel_source` for the sum.
     """
     namespace = {"__builtins__": {"range": range}}
-    exec(_kernel_source(terms), namespace)
+    exec(_kernel_source(shape), namespace)
     return namespace["kernel"]
 
 
-def _kernel_source(terms) -> str:
+def _kernel_source(shape: tuple) -> str:
     """Source of :func:`_kernel`'s function: one expression, -sum of c * out[n - k].
 
-    Rods of one magnitude |c| are summed and differenced first and then
-    multiplied once, and +-1 rods form no product, as in
-    ``out[n - 1] + 3 * (out[n - 7] - out[n - 2]) - 2 * (out[n - 4] + out[n - 5])``.
+    Degree i is the argument k<i> and the j-th magnitude past 1 is m<j>,
+    so the source holds no number.  Rods of one magnitude are summed and
+    differenced first and then multiplied once, and +-1 rods form no
+    product: the terms ((1, -1), (2, 3), (3, 1), (4, 2), (5, 2), (7, -3))
+    have shape (1, 1, 0, 2, 1, 1) and the sum
+    ``out[n - k0] + m2 * (out[n - k4] - out[n - k5]) - out[n - k1] - m1 * (out[n - k2] + out[n - k3])``.
     The parts that add come first, so the sum starts with a negation only
-    when no part adds.  Every number in the source is an int literal made
-    by operator.index: decimal, or hex past 64 bits, which str() could
-    refuse at its digit limit.
+    when no part adds.
     """
-    groups: dict = {}
-    for k, c in terms:
-        groups.setdefault(index(abs(c)), ([], []))[c > 0].append(f"out[n - {index(k)}]")
-    adding, subtracting = groups.pop(1, ([], []))  # then the products, magnitudes ascending
-    for mag, (adds, subs) in sorted(groups.items()):
-        rods = " - ".join([" + ".join(adds)] + subs) if adds else " + ".join(subs)
-        literal = mag if mag.bit_length() <= 64 else hex(mag)
-        (adding if adds else subtracting).append(f"{literal} * ({rods})")
+    rods = iter([f"out[n - k{i}]" for i in range(sum(shape))])
+    adding, subtracting, *parts = [list(islice(rods, size)) for size in shape]
+    magnitudes = [f"m{j}" for j in range(1, len(shape) // 2)]
+    for m, adds, subs in zip(magnitudes, parts[::2], parts[1::2]):
+        group = " - ".join([" + ".join(adds)] + subs) if adds else " + ".join(subs)
+        (adding if adds else subtracting).append(f"{m} * ({group})")
     expr = " - ".join([" + ".join(adding) if adding else "-" + subtracting.pop(0)] + subtracting)
+    params = ["out", "lo", "mid", "hi"] + [f"k{i}" for i in range(sum(shape))] + magnitudes
     return (
-        "def kernel(out, lo, mid, hi):\n"
+        f"def kernel({', '.join(params)}):\n"
         "    for n in range(lo, mid):\n"
         f"        out[n] += {expr}\n"
         "    for n in range(mid, hi):\n"

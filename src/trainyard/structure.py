@@ -657,6 +657,9 @@ def borwein_classify(bound: int) -> BorweinTable:
     unclassified: list = []
     for base, modulus, known in ((_BORWEIN_POS, 6, _POS_CLASSES), (_BORWEIN_NEG, 3, _NEG_CLASS)):
         classes.update({label: [] for label in known.values()})
+        # The cross-check's counts come first: a bound too large to hold
+        # fails here at once, not after a residue walk of every a <= bound.
+        counts = train_counts(base, bound)
         residues = _power_residues(char_poly(base), bound)
         ids: dict[tuple[int, ...], int] = {}
         residue_id = [ids.setdefault(r, len(ids)) for r in residues]
@@ -693,7 +696,7 @@ def borwein_classify(bound: int) -> BorweinTable:
             by_residue[rb].append(b)
         windowed = {
             (alpha * a, mult_b * b)
-            for b, a, alpha, mult_b in _window_targets(train_counts(base, bound), bound, 2)
+            for b, a, alpha, mult_b in _window_targets(counts, bound, 2)
             if abs(alpha) == 1 and abs(mult_b) == 1
         }
         if windowed != found:

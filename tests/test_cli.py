@@ -143,6 +143,7 @@ def test_scan2_at_a_large_bound_prints_the_padovan_golden(run):
             "a=3 b=4 alpha=-12 S=[-3^12,4^5] Q=[-1^2,2^5]\n"
             "a=4 b=5 alpha=29 S=[4^29,-5^12] Q=[-1^2,2^5,-3^12]\n",
         ),
+        (["enumerate", "[1^2]", "2", "--list"], "net=4 total=4\n1#1+1#1\n1#1+1#2\n1#2+1#1\n1#2+1#2\n"),
     ],
 )
 def test_text_outputs(run, argv, expected):
@@ -200,11 +201,38 @@ def test_domain_errors_exit_one(run):
         (["enumerate", "[1^2]", "25", "--cap", "100"], "exceed the enumeration cap"),
         (["counts", "[1,2]", "-n", "0"], "horizon must be at least 1"),
         (["lucas-shapes", "2", "1", "-", "--kind", "adjacent", "--a-max", "1"], "range is empty"),
+        (["counts", "--arith", "1,2"], "--arith takes FIRST,STEP,SIGN"),
+        (["cyclo", "0"], "cyclotomic order must be at least 1"),
     ]
     for argv, fragment in cases:
         code, out, err = run(argv)
         assert code == 1 and out == "", f"{argv} should fail cleanly"
         assert err.startswith("error: ") and fragment in err, f"wrong message for {argv}"
+
+
+HUGE = "100000000000000000000"  # 10^20, past the index range of a list
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["counts", "[1,2]", "-n", HUGE],
+        ["cyclo", "1208925819614629174706176"],  # 2^80
+        ["scan1", "[1,2]", "-b", HUGE],
+        ["scan2", "[1,2]", "-b", HUGE],
+        ["lucas", "1", "1", "+", "-n", HUGE],
+        ["dual", "[1]", "-n", HUGE],
+        ["enumerate", "[1]", HUGE],
+        ["discrep", "[1]", "[2]", "-n", HUGE],
+        ["solveq", "[1,2]", "[3]", "-n", HUGE],
+        ["borwein", "-b", HUGE],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_sizes_past_the_index_range_fail_at_once(run, argv):
+    code, out, err = run(argv)
+    assert code == 1 and out == ""
+    assert err == "error: input too large to compute (OverflowError)\n"
 
 
 def test_solveq_past_the_quotient_limit_fails_at_once(run):

@@ -54,6 +54,8 @@ def test_horizon_validation():
     assert train_counts(RodSet(), 0) == [1]
     with pytest.raises(CountsError, match=">= 0"):
         train_counts(RodSet(), -1)
+    with pytest.raises(CountsError, match=">= 0"):
+        discrepancies(parse_rodset("[1,2]"), parse_rodset("[2,3]"), -1)
 
 
 def test_counts_match_composition_oracle(oracle_net):

@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import accumulate
-from unittest import mock
 
 import pytest
 import sympy
@@ -25,7 +24,6 @@ from sympy.polys.ring_series import rs_mul, rs_series_inversion
 from trainyard import RodSet, SeriesError, borwein_classify, poly_divexact, series_inverse, train_counts
 from trainyard import series
 from trainyard.series import (
-    KERNEL_MIN_TERMS,
     PULL_DEGREE_LIMIT,
     _kernel_source,
     char_poly,
@@ -50,9 +48,10 @@ divisor_coefficient = st.one_of(
 @st.composite
 def sparse_divisors(draw):
     """Nonzero (degree, coeff) terms with d_0 = +-1 and up to 12 more: short
-    divisors the kernel pulls (or pushes, when they are one term c*x^k, k >= 2),
-    long ones with gaps of up to 40 degrees that it pushes, a bare d_0, terms
-    past the horizon, and coefficients of +-1, small or 70 bits."""
+    divisors the kernel pulls (or pushes, when they are one term c*x^k, k >= 2,
+    or the horizon is below 2 deg den), long ones with gaps of up to 40 degrees
+    that it pushes, a bare d_0, terms past the horizon, and coefficients of +-1,
+    small or 70 bits."""
     terms = [(0, draw(st.sampled_from((1, -1))))]
     if draw(st.booleans()):
         degrees = sorted(draw(st.sets(st.integers(1, PULL_DEGREE_LIMIT), min_size=1)))
@@ -139,48 +138,55 @@ def recurrence_quotient(num, den_terms, n_terms):
 
 @st.composite
 def long_pulls(draw):
-    """A divisor the kernel pulls, a numerator and a horizon whose steady-state run,
-    n_terms + 1 - deg den, lies within 3 of KERNEL_MIN_TERMS: d_0 = +-1, two or more
-    terms whose magnitudes come from {1, 2, 3, one of 70 bits} with either sign, so
-    they repeat, and a num that may reach past deg den (the kernel's += range)."""
+    """A divisor the kernel pulls, a numerator and a horizon that lies within 3 of
+    2 deg den, where the push hands over to the pull, or runs 700 to 800 terms:
+    d_0 = +-1, two or more terms whose magnitudes come from {1, 2, 3, one of 70
+    bits} with either sign, so they repeat, and a num that may reach past deg den
+    (the kernel's += range)."""
     big = draw(st.integers(1 << 69, 1 << 70))
     degrees = sorted(draw(st.sets(st.integers(1, PULL_DEGREE_LIMIT), min_size=2)))
     den = [(0, draw(st.sampled_from((1, -1))))]
     for k in degrees:
         den.append((k, draw(st.sampled_from((1, 2, 3, big))) * draw(st.sampled_from((1, -1)))))
     num = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=degrees[-1] + 8))
-    n_terms = degrees[-1] + KERNEL_MIN_TERMS - 1 + draw(st.integers(-3, 3))
+    near_handover = st.integers(-3, 3).map(lambda d: 2 * degrees[-1] + d)
+    n_terms = draw(st.one_of(near_handover, st.integers(700, 800)))
     return num, den, n_terms
 
 
 @PROPERTY
 @given(case=long_pulls())
-@example(case=([1], [(0, 1), (1, -1), (2, -1), (3, -1)], 3 + KERNEL_MIN_TERMS))  # every term -1
-@example(case=([2, -1], [(0, -1), (1, 1), (4, 1)], 4 + KERNEL_MIN_TERMS))  # d_0 = -1, every other term +1
-@example(case=([3, 1, 4, 1, 5, 9, 2, 6, 5], [(0, 1), (1, 3), (2, -3), (4, 2), (5, 2), (7, -1)], 6 + KERNEL_MIN_TERMS))
+@example(case=([1], [(0, 1), (1, -1), (2, -1), (3, -1)], 771))  # every term -1
+@example(case=([2, -1], [(0, -1), (1, 1), (4, 1)], 772))  # d_0 = -1, every other term +1
+@example(case=([3, 1, 4, 1, 5, 9, 2, 6, 5], [(0, 1), (1, 3), (2, -3), (4, 2), (5, 2), (7, -1)], 774))
+@example(case=([3, 1, 4, 1, 5, 9, 2, 6, 5], [(0, 1), (1, 3), (2, -3), (4, 2), (5, 2), (7, -1)], 13))  # pushed
+@example(case=([3, 1, 4, 1, 5, 9, 2, 6, 5], [(0, 1), (1, 3), (2, -3), (4, 2), (5, 2), (7, -1)], 14))  # pulled
 def test_long_pull_matches_the_recurrence(case):
     num, den, n_terms = case
     assert series_quotient(nonzero_terms(num), den, n_terms) == recurrence_quotient(num, den, n_terms)
 
 
-def test_kernel_takes_runs_from_kernel_min_terms_on(monkeypatch):
-    compiled = []
-    build = series._kernel
-    monkeypatch.setattr(series, "_kernel", lambda terms: compiled.append(terms) or build(terms))
+def test_kernel_takes_runs_from_twice_deg_den_on(monkeypatch):
+    compiled, pushed = [], []
+    build, push = series._kernel, series._push
+    monkeypatch.setattr(series, "_kernel", lambda shape: compiled.append(shape) or build(shape))
+    monkeypatch.setattr(series, "_push", lambda out, terms: pushed.append(terms) or push(out, terms))
     den = [(0, 1), (1, -1), (3, 2)]
-    for run, used in ((KERNEL_MIN_TERMS - 1, False), (KERNEL_MIN_TERMS, True)):
+    for n_terms, used in ((5, False), (6, True), (800, True)):
         compiled.clear()
-        n_terms = 3 + run - 1  # steady state: n = 3 .. n_terms
+        pushed.clear()
         assert series_quotient(nonzero_terms([1]), den, n_terms) == recurrence_quotient([1], den, n_terms)
-        assert compiled == ([((1, -1), (3, 2))] if used else [])
+        assert compiled == ([(1, 0, 0, 1)] if used else [])  # one -1 term, then |c| = 2 subtracting once
+        assert pushed == ([] if used else [[(1, -1), (3, 2)]])
 
 
 @st.composite
 def padded_divisions(draw):
     """A term-list numerator, a divisor and a horizon: num's degrees are gapped, its
     last term may lie below, at or above deg den (the kernel's add/store boundary),
-    and a term may lie past the horizon; den comes from sparse_divisors, so it is
-    pulled or pushed and its d_0 is +-1."""
+    and a term may lie past the horizon; den comes from sparse_divisors and the
+    horizon from 0 to 40, on both sides of 2 deg den, so it is pulled or pushed and
+    its d_0 is +-1."""
     den = draw(sparse_divisors())
     n_terms = draw(st.integers(0, 40))
     degrees = sorted(draw(st.sets(st.integers(0, max(n_terms, den[-1][0]) + 4), max_size=6)))
@@ -188,54 +194,72 @@ def padded_divisions(draw):
 
 
 @PROPERTY
-@given(case=padded_divisions(), through_kernel=st.booleans())
-@example(case=([(0, 2), (2, -1)], [(0, 1), (1, -1), (4, 3)], 30), through_kernel=False)  # loop, last < deg den
-@example(case=([(1, 3), (3, 1)], [(0, -1), (1, 2), (3, -1)], 30), through_kernel=False)  # loop, last = deg den
-@example(case=([(0, 2), (2, -1)], [(0, 1), (1, -1), (4, 3)], 30), through_kernel=True)  # kernel, last < deg den
-@example(case=([(1, 3), (4, 5)], [(0, -1), (2, 1), (4, -2)], 30), through_kernel=True)  # kernel, last = deg den
-@example(case=([(0, 1), (7, -4), (35, 9)], [(0, 1), (1, 1), (3, -1)], 30), through_kernel=True)  # kernel, last > deg den
-@example(case=([(0, 1), (3, 2), (31, 1)], [(0, -1), (5, 2)], 30), through_kernel=False)  # pushed: one gapped term
-@example(case=([(2, -1), (9, 4)], [(0, 1), (3, 1), (20, -1)], 30), through_kernel=False)  # pushed: deg den > 8
-@example(case=([(0, 1), (30, 2)], [(0, 1), (1, 1), (3, -1)], 30), through_kernel=True)  # kernel, last = horizon
-@example(case=([], [(0, 1), (1, -1), (2, -1)], 10), through_kernel=True)
-@example(case=([(5, 1)], [(0, -1), (2, 1)], 0), through_kernel=True)  # num wholly past the horizon
-def test_padded_division_matches_the_recurrence(case, through_kernel):
+@given(case=padded_divisions())
+@example(case=([(0, 2), (2, -1)], [(0, 1), (1, -1), (4, 3)], 7))  # pushed: n < 2 deg den, last < deg den
+@example(case=([(1, 3), (3, 1)], [(0, -1), (1, 2), (3, -1)], 5))  # pushed: n < 2 deg den, last = deg den
+@example(case=([(0, 2), (2, -1)], [(0, 1), (1, -1), (4, 3)], 8))  # kernel from n = 2 deg den, last < deg den
+@example(case=([(0, 2), (2, -1)], [(0, 1), (1, -1), (4, 3)], 30))  # kernel, last < deg den
+@example(case=([(1, 3), (4, 5)], [(0, -1), (2, 1), (4, -2)], 30))  # kernel, last = deg den
+@example(case=([(0, 1), (7, -4), (35, 9)], [(0, 1), (1, 1), (3, -1)], 30))  # kernel, last > deg den
+@example(case=([(0, 1), (3, 2), (31, 1)], [(0, -1), (5, 2)], 30))  # pushed: one gapped term
+@example(case=([(2, -1), (9, 4)], [(0, 1), (3, 1), (20, -1)], 30))  # pushed: deg den > 8
+@example(case=([(0, 1), (30, 2)], [(0, 1), (1, 1), (3, -1)], 30))  # kernel, last = horizon
+@example(case=([(0, 1), (5, 2)], [(0, 1), (1, 1), (3, -1)], 5))  # pushed, last = horizon
+@example(case=([], [(0, 1), (1, -1), (2, -1)], 10))
+@example(case=([(5, 1)], [(0, -1), (2, 1)], 0))  # num wholly past the horizon
+def test_padded_division_matches_the_recurrence(case):
     num, den, n_terms = case
     dense = [0] * (num[-1][0] + 1 if num else 0)
     for k, c in num:
         dense[k] = c
-    with mock.patch.object(series, "KERNEL_MIN_TERMS", 0 if through_kernel else KERNEL_MIN_TERMS):
-        assert series_quotient(num, den, n_terms) == recurrence_quotient(dense, den, n_terms)
+    assert series_quotient(num, den, n_terms) == recurrence_quotient(dense, den, n_terms)
 
 
-def test_kernel_sums_rods_of_one_magnitude_before_one_product():
-    source = _kernel_source(((1, -1), (2, 3), (3, 1), (4, 2), (5, 2), (7, -3)))
-    expr = "out[n - 1] + 3 * (out[n - 7] - out[n - 2]) - out[n - 3] - 2 * (out[n - 4] + out[n - 5])"
+def test_kernel_sums_rods_of_one_magnitude_before_one_product(monkeypatch):
+    # The shape: one -1 term, one +1 term, |c| = 2 subtracting twice,
+    # |c| = 3 adding once and subtracting once.
+    calls = []
+    build = series._kernel
+
+    def spy(shape):
+        kernel = build(shape)
+        return lambda *args: calls.append((shape, args[4:])) or kernel(*args)
+
+    monkeypatch.setattr(series, "_kernel", spy)
+    den = [(0, 1), (1, -1), (2, 3), (3, 1), (4, 2), (5, 2), (7, -3)]
+    assert series_quotient(nonzero_terms([1]), den, 14) == recurrence_quotient([1], den, 14)
+    assert calls == [((1, 1, 0, 2, 1, 1), (1, 3, 4, 5, 7, 2, 2, 3))]  # degrees k0..k5, magnitudes m1, m2
+    source = _kernel_source((1, 1, 0, 2, 1, 1))
+    expr = "out[n - k0] + m2 * (out[n - k4] - out[n - k5]) - out[n - k1] - m1 * (out[n - k2] + out[n - k3])"
     assert f"out[n] += {expr}\n" in source and f"out[n] = {expr}\n" in source
 
 
 def test_kernel_takes_a_coefficient_past_the_digit_limit(monkeypatch):
-    # 10^5000 has more decimal digits than str() converts by default, so its literal is hex.
-    monkeypatch.setattr(series, "KERNEL_MIN_TERMS", 0)
+    # 10^5000 has more decimal digits than str() converts by default; the kernel takes it as an argument.
+    shapes = []
+    build = series._kernel
+    monkeypatch.setattr(series, "_kernel", lambda shape: shapes.append(shape) or build(shape))
     den = [(0, 1), (1, -(10**5000)), (2, 10**5000), (3, 1)]
     assert series_quotient(nonzero_terms([1, 2]), den, 12) == recurrence_quotient([1, 2], den, 12)
+    assert shapes == [(0, 1, 1, 1)]
 
 
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: series_inverse([1, 0.5], 5),  # pulled by the loop
-        lambda: series_inverse([1, 0.5], KERNEL_MIN_TERMS + 5),  # pulled by a kernel
+        lambda: series_inverse([1, 0.5], 1),  # pushed: n < 2 deg den
+        lambda: series_inverse([1, 0.5], 5),  # pulled by a kernel
         lambda: series_quotient(nonzero_terms([1]), [(0, 1), (20, 0.5)], 5),  # pushed
         lambda: series_quotient(nonzero_terms([1]), [(0, 1.0), (1, 1)], 5),
-        lambda: series_quotient(nonzero_terms([1]), [(0, -1), (2, 1), (3, Fraction(1, 2))], KERNEL_MIN_TERMS + 5),
+        lambda: series_quotient(nonzero_terms([1]), [(0, -1), (2, 1), (3, Fraction(1, 2))], 12),
     ],
 )
 def test_kernel_refuses_a_coefficient_that_is_not_an_int(monkeypatch, call):
-    def compile_nothing(terms):
-        raise AssertionError("a kernel was compiled for a divisor that is not all ints")
+    def compile_nothing(*args):
+        raise AssertionError("a divisor that is not all ints was divided")
 
     monkeypatch.setattr(series, "_kernel", compile_nothing)
+    monkeypatch.setattr(series, "_push", compile_nothing)
     with pytest.raises(SeriesError, match="int divisor coefficients"):
         call()
 
@@ -243,12 +267,14 @@ def test_kernel_refuses_a_coefficient_that_is_not_an_int(monkeypatch, call):
 @PROPERTY
 @given(
     pairs=st.dictionaries(st.integers(1, PULL_DEGREE_LIMIT), st.integers(-3, 3).filter(bool), max_size=5),
-    n=st.one_of(st.integers(0, 40), st.integers(KERNEL_MIN_TERMS - 3, KERNEL_MIN_TERMS + PULL_DEGREE_LIMIT + 2)),
+    n=st.one_of(st.integers(0, 40), st.integers(700, 800)),
 )
-@example(pairs={1: 1}, n=KERNEL_MIN_TERMS + 5)
-@example(pairs={1: 1, 2: 1}, n=KERNEL_MIN_TERMS + 5)
-@example(pairs={1: -1, 2: -1, 3: -1}, n=KERNEL_MIN_TERMS + 5)
-@example(pairs={2: 2, 3: -2, 5: 3, 8: -3}, n=KERNEL_MIN_TERMS + 9)
+@example(pairs={1: 1}, n=773)
+@example(pairs={1: 1, 2: 1}, n=773)
+@example(pairs={1: -1, 2: -1, 3: -1}, n=773)
+@example(pairs={2: 2, 3: -2, 5: 3, 8: -3}, n=777)
+@example(pairs={2: 2, 3: -2, 5: 3, 8: -3}, n=15)  # pushed: n < 2 deg den
+@example(pairs={2: 2, 3: -2, 5: 3, 8: -3}, n=16)  # pulled from n = 2 deg den
 @example(pairs={}, n=7)
 def test_finite_counts_match_sympy_series(pairs, n):
     # The round trip F = 1/(1 - C): sympy inverts the characteristic polynomial built here.

@@ -160,6 +160,17 @@ def test_record_fields_cannot_be_assigned_or_deleted():
             record.extra = None
 
 
+def test_records_refuse_the_wrong_number_of_fields():
+    # Checked by Record.__init__; a class with its own __init__ answers for itself.
+    plain = [record for record in _contract_records() if type(record).__init__ is Record.__init__]
+    assert plain
+    for record in plain:
+        fields = _fields(record)
+        for args, kwargs in ((fields[:-1], {}), (fields + (None,), {}), (fields, {"extra": None})):
+            with pytest.raises(TypeError, match="takes the fields"):
+                type(record)(*args, **kwargs)
+
+
 def test_records_equal_and_hash_like_a_copy_rebuilt_from_their_fields():
     for record in _contract_records():
         rebuilt = type(record)(*_fields(record))

@@ -60,6 +60,8 @@ def test_parse_reduces_and_sorts(text, pairs):
         ("[1;2]", 2, "expected ',' or ']'"),
         ("[2^-7]", 3, "expected a multiplicity count after '^'"),
         ("[2^0]", 3, "multiplicity count must be positive"),
+        ("[²]", 1, "expected a rod length"),  # a superscript is a digit but not a decimal
+        ("[1^²]", 3, "expected a multiplicity count after '^'"),
         ("[]x", 2, "unexpected trailing text"),
         ("[1]junk", 3, "unexpected trailing text"),
     ],

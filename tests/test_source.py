@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import ast
 import random
+import re
+from itertools import product
 from pathlib import Path
 
 import trainyard
@@ -101,7 +103,7 @@ def _dynamic_code_calls(tree: ast.AST) -> set:
 
 def test_generated_code_runs_only_where_kernels_are_compiled():
     # Code built from text runs in one place, series._kernel, from source that
-    # series._kernel_source writes from a divisor's int terms.
+    # series._kernel_source writes from a divisor's shape.
     found = [
         f"{path.name}:{line}"
         for path in SOURCES
@@ -115,32 +117,81 @@ def test_generated_code_runs_only_where_kernels_are_compiled():
     assert found, "series._kernel no longer calls exec"
 
 
-KERNEL_NAMES = {"out", "n", "lo", "mid", "hi", "range"}
-SAMPLE_DIVISORS = [
-    ((1, -1),),
-    ((1, 1), (2, 1), (3, 1)),
-    ((1, -1), (2, -1), (5, -1), (8, -1)),
-    ((1, 3), (2, -3), (4, 2), (5, 2), (7, -1)),
-    ((2, -(1 << 70)), (3, 1 << 70), (6, 5)),
-    ((1, 10**5000), (8, -1)),  # hex: str() refuses this many digits
-]
+KERNEL_NAMES = re.compile(r"out|n|lo|mid|hi|range|k\d+|m\d+")
 
 
-def _random_divisors(count: int, seed: int):
+def _group_counts(size: int):
+    """Every run of (adding, subtracting) count pairs, one or more terms per
+    magnitude, that covers ``size`` terms."""
+    if size == 0:
+        yield ()
+        return
+    for first in range(1, size + 1):
+        for rest in _group_counts(size - first):
+            for adds in range(first + 1):
+                yield (adds, first - adds, *rest)
+
+
+def _kernel_shapes(size: int):
+    """Every shape of ``size`` divisor terms: the -1 and +1 counts, then the groups."""
+    for units in range(size + 1):
+        for adds in range(units + 1):
+            for groups in _group_counts(size - units):
+                yield (adds, units - adds, *groups)
+
+
+def _random_shapes(count: int, seed: int):
     rng = random.Random(seed)
     for _ in range(count):
-        degrees = sorted(rng.sample(range(1, 9), rng.randint(1, 8)))
-        yield tuple((k, rng.choice((-3, -2, -1, 1, 2, 3, 1 << 69))) for k in degrees)
+        shape = [rng.randint(0, 4), rng.randint(0, 4)]
+        for _ in range(rng.randint(0, 4)):
+            shape += rng.choice([(a, s) for a, s in product(range(4), repeat=2) if a + s])
+        if sum(shape):
+            yield tuple(shape)
 
 
-def test_kernel_source_holds_only_int_literals_and_its_own_names():
-    for i, terms in enumerate(SAMPLE_DIVISORS + list(_random_divisors(40, seed=19))):
-        tree = ast.parse(_kernel_source(terms))
+def test_kernel_source_holds_no_number_and_only_its_own_names():
+    shapes = [shape for size in range(1, 5) for shape in _kernel_shapes(size)]
+    assert len(shapes) == len(set(shapes)) == 4 + 14 + 48 + 164
+    for shape in shapes + list(_random_shapes(60, seed=22)):
+        tree = ast.parse(_kernel_source(shape))
         (function,) = tree.body
-        assert isinstance(function, ast.FunctionDef), i
+        assert isinstance(function, ast.FunctionDef), shape
+        groups = len(shape) // 2 - 1
+        params = [arg.arg for arg in function.args.args]
+        assert params == ["out", "lo", "mid", "hi", *(f"k{i}" for i in range(sum(shape)))] + [
+            f"m{j}" for j in range(1, groups + 1)
+        ], shape
         nodes = list(ast.walk(tree))
-        constants = [node.value for node in nodes if isinstance(node, ast.Constant)]
-        assert constants and all(type(value) is int for value in constants), i
+        assert not any(isinstance(node, ast.Constant) for node in nodes), shape
         names = {node.id for node in nodes if isinstance(node, ast.Name)}
-        assert names <= KERNEL_NAMES | {function.name}, i
-        assert not any(isinstance(node, (ast.Attribute, ast.Import, ast.ImportFrom)) for node in nodes), i
+        assert all(KERNEL_NAMES.fullmatch(name) for name in names), shape
+        assert not any(isinstance(node, (ast.Attribute, ast.Import, ast.ImportFrom)) for node in nodes), shape
+
+
+def _module_constants() -> set:
+    """The upper-case names that some library module binds at its top level."""
+    return {
+        target.id
+        for path in SOURCES
+        for node in ast.parse(path.read_text(encoding="utf-8"), str(path)).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and target.id.isupper()
+    }
+
+
+def _environment_variables() -> set:
+    """The environment variables that cli.py reads with os.environ.get."""
+    cli_source = (Path(trainyard.__file__).parent / "cli.py").read_text(encoding="utf-8")
+    return set(re.findall(r'os\.environ\.get\("([A-Z_]+)"', cli_source))
+
+
+def test_readme_names_only_constants_and_variables_that_exist():
+    # A constant the code dropped but the README still names describes code that is gone.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"`([A-Z][A-Z0-9_]+)`", readme))
+    assert named, "README.md names no constant"
+    known = _module_constants() | _environment_variables()
+    assert {"TRAINYARD_FORMAT", "TRAINYARD_HORIZON"} <= known
+    assert sorted(named - known) == [], "README.md names constants the library does not define"

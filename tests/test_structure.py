@@ -545,6 +545,8 @@ def test_scan_two_antirod_target():
 
 
 def test_scan_two_validation():
+    with pytest.raises(StructureError, match="nonempty"):
+        scan_two_expansions(RodSet(), 5)
     with pytest.raises(StructureError, match="max R >= 2"):
         scan_two_expansions(parse_rodset("[1^2]"), 8)
     with pytest.raises(StructureError, match="at least 2"):
@@ -577,6 +579,8 @@ def test_lucas_check_validation():
         lucas_check(1, 1, 0, 50)
     with pytest.raises(StructureError, match="coprime"):
         lucas_check(2, 2, 1, 50)
+    with pytest.raises(StructureError, match="horizon must be at least 1"):
+        lucas_check(1, 1, 1, 0)
 
 
 @PROPERTY
@@ -689,6 +693,10 @@ def test_lucas_multiple_shape():
 def test_lucas_shapes_validation():
     with pytest.raises(StructureError, match="s = 1 or a even"):
         lucas_two_shapes(3, 2, 1, "skip", a=3)
+    with pytest.raises(StructureError, match="a >= 2"):
+        lucas_two_shapes(2, 1, 1, "skip", a=1)
+    with pytest.raises(StructureError, match="k_max must be at least 1"):
+        lucas_two_shapes(2, 1, 1, "multiple", d=3, k_max=0)
     with pytest.raises(StructureError, match="spacing d > 2"):
         lucas_two_shapes(3, 2, 1, "multiple", d=2)
     with pytest.raises(StructureError, match="needs a spacing"):
@@ -734,6 +742,12 @@ def test_borwein_classify_small_bound():
     assert table.classes["(-2,-4) mod 6"] == ((-2, -4), (-4, -8), (-2, -10), (-8, -10))
     with pytest.raises(StructureError, match="at least 2"):
         borwein_classify(1)
+
+
+def test_borwein_text_counts_each_class_and_the_unclassified():
+    assert str(borwein_classify(12)).splitlines()[0] == "(1,5) mod 6: 4 hits"
+    table = structure.BorweinTable(12, {"(1,5) mod 6": ((1, 5),)}, (("[1,-2]", (1, 3)),))
+    assert str(table) == "(1,5) mod 6: 1 hits\nunclassified: 1"
 
 
 def _signed_key(lengths, modulus: int) -> tuple:
