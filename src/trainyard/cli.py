@@ -2,10 +2,11 @@
 
 Output format is chosen by the TRAINYARD_FORMAT environment variable
 ("text", the default, or "json"); horizons default to TRAINYARD_HORIZON
-(64 when unset) and can be overridden per call with -n.  Rod-set
-arguments are literals like "[1,-2^3]" — quote them, since "-" starts
-an option on most shells — or "@file" / "@file:3" to read the first
-(or third) non-comment line of a plain-text file of literals.
+(expansion.DEFAULT_HORIZON, 64, when unset) and can be overridden per
+call with -n.  Rod-set arguments are literals like "[1,-2^3]" — quote
+them, since "-" starts an option on most shells — or "@file" /
+"@file:3" to read the first (or third) non-comment line of a plain-text
+file of literals.
 
 Exit codes: 0 success, 1 domain error (reported to stderr), 2 usage.
 An output integer longer than OUTPUT_INT_BITS_LIMIT bits is a domain
@@ -34,6 +35,7 @@ from .counts import (
     train_counts,
 )
 from .expansion import (
+    DEFAULT_HORIZON,
     compose,
     dual,
     expand,
@@ -139,7 +141,7 @@ def _horizon(args: argparse.Namespace) -> int:
     if getattr(args, "n", None) is not None:
         value = args.n
     else:
-        raw = os.environ.get("TRAINYARD_HORIZON", "64")
+        raw = os.environ.get("TRAINYARD_HORIZON", str(DEFAULT_HORIZON))
         try:
             value = int(raw)
         except ValueError:

@@ -136,9 +136,7 @@ def _mediator(r: RodSource, s: RodSource, n: int) -> tuple:
     """
     num_r, den_r = r.fraction(n)
     num_s, den_s = s.fraction(n)
-    num = sparse_mul(_one_minus(num_s, den_s), den_r)
-    den = sparse_mul(den_s, _one_minus(num_r, den_r))
-    return sorted(num.items()), sorted(den.items())
+    return sparse_mul(_one_minus(num_s, den_s), den_r), sparse_mul(den_s, _one_minus(num_r, den_r))
 
 
 def source_mults_upto(rods: RodSource, n: int) -> list:

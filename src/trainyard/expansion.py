@@ -108,11 +108,11 @@ def _identity_holds(r: RodSource, q: RodSource, s: RodSource, horizon: int) -> b
         out[0] -= 1
         return not any(out.values())
     (num_r, den_r), (num_q, den_q), (num_s, den_s) = (x.fraction(horizon) for x in (r, q, s))
-    lhs = sparse_mul(sparse_mul(_one_minus(num_s, den_s), den_r).items(), den_q)
-    rhs = sparse_mul(sparse_mul(_one_minus(num_r, den_r), sparse_add(den_q, num_q)).items(), den_s)
+    lhs = sparse_mul(sparse_mul(_one_minus(num_s, den_s), den_r), den_q)
+    rhs = sparse_mul(sparse_mul(_one_minus(num_r, den_r), sparse_add(den_q, num_q)), den_s)
     if not (r.exact and q.exact and s.exact):
-        lhs = {k: c for k, c in lhs.items() if k <= horizon}
-        rhs = {k: c for k, c in rhs.items() if k <= horizon}
+        lhs = [term for term in lhs if term[0] <= horizon]
+        rhs = [term for term in rhs if term[0] <= horizon]
     return lhs == rhs
 
 

@@ -103,17 +103,11 @@ def nonzero_terms(p: Poly) -> list:
 # nonzero ones.  A series whose divisor has degree d cannot vanish on d
 # consecutive coefficients past deg num unless it is a polynomial (the
 # recurrence would then give zeros forever), so at d <= 8 a pull makes at
-# most 8 times the push's term visits.  Timed against the push through the
-# compiled kernel on a 2-vCPU Xeon VM, Python 3.11, best of 7: the counts of
-# four rods of length <= 8 at n = 6,000 pull in 0.4x to 0.5x the push's time,
-# 1/(1 + x + x^2 + x^3), half zeros, in 0.6x to 0.75x and 1/(1 - x^2 - x^4),
-# half zeros, in 0.35x.  A single term c*x^k with k >= 2 leaves k - 1 zeros
-# in every k coefficients of 1/den, so it is pushed: pulled by an interpreted
-# loop, since replaced, 1/(1 - x^8) took twice as long (through the kernel it
-# pulls in 0.9x the push's time at n = 20,000).  Other short divisors still
-# pull, and no cheap look at den finds the ones whose series is sparse enough
-# to lose: 1/(1 - x + x^2 - ... + x^8) = (1 + x)/(1 + x^9), nonzero on 2 of
-# every 9 coefficients, takes 1.3x to 1.6x the push's time at n = 20,000.
+# most 8 times the push's term visits, and the compiled kernel makes each
+# visit cheaper than the push's.  The one input known to lose is a series
+# far sparser than that: 1/(1 - x + x^2 - ... + x^8) = (1 + x)/(1 + x^9),
+# nonzero on 2 of every 9 coefficients, pulls in 1.3x to 1.6x the push's
+# time at n = 20,000, and no cheap look at den finds such a divisor.
 PULL_DEGREE_LIMIT = 8
 
 
@@ -128,19 +122,18 @@ def series_quotient(num_terms: list, den_terms: list, n_terms: int) -> list:
     in the integers; every den coefficient must be an int.  The loop is
     chosen from den and the horizon:
 
-    * deg den <= PULL_DEGREE_LIMIT, den not 1 - c*x^k with k >= 2, and
-      n_terms >= 2 * deg den: each coefficient is pulled from the ones
-      before it and stored once, (n_terms + 1) x (den terms) work, by a
-      kernel compiled once per divisor shape (see :func:`_pull`).  The
-      work list then starts with deg den zeros, so that no term reaches
-      back past coefficient 0.
-    * otherwise (a longer den, one such single term, or a run shorter
-      than twice deg den, which the push takes with no kernel to
-      compile): each nonzero coefficient, once final, is pushed into
-      the ones it feeds, (nonzero outputs) x (den terms) work, and no
-      further than the horizon.  The inversion of a whole count
-      sequence has a long den and few nonzero outputs, most of them
-      +-1.
+    * 1 <= deg den <= PULL_DEGREE_LIMIT and n_terms >= 2 * deg den:
+      each coefficient is pulled from the ones before it and stored
+      once, (n_terms + 1) x (den terms) work, by a kernel compiled once
+      per divisor shape (see :func:`_pull`).  The work list then starts
+      with deg den zeros, so that no term reaches back past
+      coefficient 0.
+    * otherwise (a longer den, or a run shorter than twice deg den,
+      which the push takes with no kernel to compile): each nonzero
+      coefficient, once final, is pushed into the ones it feeds,
+      (nonzero outputs) x (den terms) work, and no further than the
+      horizon.  The inversion of a whole count sequence has a long den
+      and few nonzero outputs, most of them +-1.
 
     A term with coefficient +-1 on either side is added or subtracted
     without a product.
@@ -155,8 +148,7 @@ def series_quotient(num_terms: list, den_terms: list, n_terms: int) -> list:
     unit = den_terms[0][1]  # dividing by -den instead keeps the unit +1
     terms = den_terms[1:] if unit == 1 else [(k, -c) for k, c in den_terms[1:]]
     top = terms[-1][0] if terms else 0
-    one_gapped_term = len(terms) == 1 and top > 1  # den = 1 - c*x^k, k >= 2
-    pull = terms and top <= PULL_DEGREE_LIMIT and 2 * top <= n_terms and not one_gapped_term
+    pull = terms and top <= PULL_DEGREE_LIMIT and 2 * top <= n_terms
     pad = top if pull else 0
     out = [0] * (pad + n_terms + 1)
     filled = pad
@@ -316,15 +308,16 @@ def sparse_add(p_terms, q_terms) -> list:
     return sorted((k, c) for k, c in out.items() if c)
 
 
-def sparse_mul(p_terms, q_terms) -> dict:
-    """Product of two nonzero-term lists as a {degree: coeff} map, never densified.
+def sparse_mul(p_terms, q_terms) -> list:
+    """Product of two nonzero-term lists as a nonzero-term list in ascending degree.
 
     It is the rod-set algebra's product pass (rodset._add_products) with
-    the zero coefficients dropped.  It forms the solvers' mediator N/D and
-    the witness's cross products when an input is a rational source; the
-    all-finite witness is a pass of its own (expansion._identity_holds).
+    the zero coefficients dropped, never densified.  It forms the
+    solvers' mediator N/D and the witness's cross products when an input
+    is a rational source; the all-finite witness is a pass of its own
+    (expansion._identity_holds).
     """
-    return {k: c for k, c in _add_products({}, q_terms, p_terms).items() if c}
+    return sorted(item for item in _add_products({}, q_terms, p_terms).items() if item[1])
 
 
 def char_poly(rods: RodSet) -> Poly:

@@ -49,8 +49,8 @@ Four families of questions about a finite rod set R:
   char_poly([1,-2]) (resp. [-1,-2]) divide?  Exactly the signed pairs
   in four residue classes mod 6 (resp. one class mod 3); the
   classification reduces every power x^a modulo the characteristic
-  polynomial once, interns the (at most 6) distinct residues, and tests
-  each pair of residues and signs once, so that only hits are listed.  The
+  polynomial once, groups the lengths by residue, and tests each pair of
+  residues and signs once, so that one sort lists only the hits.  The
   window classes of the base's counts cross-check it: they give the
   same pairs as the two-rod targets with unit multiplicities, read
   without building Q.
@@ -59,6 +59,7 @@ Four families of questions about a finite rod set R:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections.abc import Iterator
 
 from .counts import train_counts
@@ -641,10 +642,12 @@ def borwein_classify(bound: int) -> BorweinTable:
     Divisibility by x^2 - x + 1 (the [1,-2] characteristic) lands
     exactly on four signed residue classes mod 6; divisibility by
     x^2 + x + 1 (the [-1,-2] characteristic) on one class mod 3.  The
-    residues x^a mod char take at most 6 values; each (residue of a,
-    residue of b, sa, sb) is tested once, and the lengths are kept by
-    residue, so one ascending pass over b lists only the hits, in
-    (b, a, sa, sb) order.  The pairs found
+    lengths are grouped by their residue x^a mod char, which takes at
+    most 6 values; each (residue of a, residue of b, sa, sb) is tested
+    once, and one sort of the hits in the groups that pass lists them in
+    (b, a, sa, sb) order.  At most one sign pair divides for each (a, b):
+    two differing in one sign would make char divide 2x^a or 2x^b, and
+    two differing in both sum to 2.  The pairs found, in that order,
     must equal the base's two-rod window targets (_window_targets) with
     +-1 multiplicities, the trivial self-expansion included, since the
     (1,-2) class contains it; the window targets are read from the
@@ -661,45 +664,33 @@ def borwein_classify(bound: int) -> BorweinTable:
         # fails here at once, not after a residue walk of every a <= bound.
         counts = train_counts(base, bound)
         residues = _power_residues(char_poly(base), bound)
-        ids: dict[tuple[int, ...], int] = {}
-        residue_id = [ids.setdefault(r, len(ids)) for r in residues]
-        signs_for = {
-            (rb, ra): [
-                (sa, sb)
-                for sa in (1, -1)
-                for sb in (1, -1)
-                # char(base) divides 1 - sa*x^a - sb*x^b iff its residue vanishes
-                if not any(u - sa * v - sb * w for u, v, w in zip(residues[0], va, vb))
-            ]
-            for va, ra in ids.items()
-            for vb, rb in ids.items()
-        }
-        by_residue: list[list[int]] = [[] for _ in ids]  # the lengths below b, by residue id
-        found = set()
-        for b in range(1, bound + 1):
-            rb = residue_id[b]
-            hits = sorted(  # each a has one residue, so the sort is by a alone
-                (a, sign_pairs)
-                for ra, a_list in enumerate(by_residue)
-                if (sign_pairs := signs_for[rb, ra])
-                for a in a_list
-            )
-            for a, sign_pairs in hits:
-                for sa, sb in sign_pairs:
-                    pair = (sa * a, sb * b)
-                    found.add(pair)
-                    label = known.get(tuple(sorted(((a % modulus, sa), (b % modulus, sb)))))
-                    if label is None:
-                        unclassified.append((format_rodset(base), pair))
-                    else:
-                        classes[label].append(pair)
-            by_residue[rb].append(b)
-        windowed = {
+        lengths: dict[tuple[int, ...], list[int]] = {}  # 1..bound by residue x^a mod char
+        for a in range(1, bound + 1):
+            lengths.setdefault(residues[a], []).append(a)
+        hits = sorted(
+            (b, a, sa, sb)
+            for va, a_list in lengths.items()
+            for vb, b_list in lengths.items()
+            for sa in (1, -1)
+            for sb in (1, -1)
+            # char(base) divides 1 - sa*x^a - sb*x^b iff its residue vanishes
+            if not any(u - sa * v - sb * w for u, v, w in zip(residues[0], va, vb))
+            for b in b_list
+            for a in a_list[:bisect_left(a_list, b)]
+        )
+        for b, a, sa, sb in hits:
+            pair = (sa * a, sb * b)
+            label = known.get(tuple(sorted(((a % modulus, sa), (b % modulus, sb)))))
+            if label is None:
+                unclassified.append((format_rodset(base), pair))
+            else:
+                classes[label].append(pair)
+        windowed = [
             (alpha * a, mult_b * b)
             for b, a, alpha, mult_b in _window_targets(counts, bound, 2)
             if abs(alpha) == 1 and abs(mult_b) == 1
-        }
-        if windowed != found:
+        ]
+        if windowed != [(sa * a, sb * b) for b, a, sa, sb in hits]:
             raise StructureError(
                 "trinomial residues and the window classes disagree; this is a bug"
             )

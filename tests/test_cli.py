@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trainyard import cli, parse_rodset, train_counts
+from trainyard.expansion import DEFAULT_HORIZON
 
 from conftest import PROPERTY
 
@@ -144,6 +145,7 @@ def test_scan2_at_a_large_bound_prints_the_padovan_golden(run):
             "a=4 b=5 alpha=29 S=[4^29,-5^12] Q=[-1^2,2^5,-3^12]\n",
         ),
         (["enumerate", "[1^2]", "2", "--list"], "net=4 total=4\n1#1+1#1\n1#1+1#2\n1#2+1#1\n1#2+1#2\n"),
+        (["counts", "[1]"], ",".join(["1"] * (DEFAULT_HORIZON + 1)) + "\n"),  # neither -n nor the variable
     ],
 )
 def test_text_outputs(run, argv, expected):

@@ -28,7 +28,9 @@ from trainyard.series import (
     _kernel_source,
     char_poly,
     nonzero_terms,
+    poly_mul,
     series_quotient,
+    sparse_mul,
 )
 
 from conftest import PROPERTY, _recurrence_counts
@@ -83,8 +85,8 @@ def sympy_series(num, den_terms, n_terms):
 @example(num=[1], den=[(0, 1), (1, -1), (2, -1)], n_terms=60)  # every term -1
 @example(num=[2, -1], den=[(0, -1), (1, -1), (3, -1)], n_terms=60)  # every term +1 after d_0
 @example(num=[3, 1], den=[(0, -1), (1, 1), (3, -2), (PULL_DEGREE_LIMIT + 1, 1)], n_terms=40)
-@example(num=[1, 4], den=[(0, -1), (PULL_DEGREE_LIMIT, 1)], n_terms=40)  # one short term: pushed
-@example(num=[1, 0, -1], den=[(0, 1), (2, -2)], n_terms=40)  # the counts of TrainsOf([2]): pushed
+@example(num=[1, 4], den=[(0, -1), (PULL_DEGREE_LIMIT, 1)], n_terms=40)  # one short term: pulled
+@example(num=[1, 0, -1], den=[(0, 1), (2, -2)], n_terms=40)  # the counts of TrainsOf([2]): pulled
 @example(num=[3], den=[(0, 1), (1, 2)], n_terms=40)  # one term of degree 1: pulled
 @example(num=[5, -2, 7], den=[(0, 1)], n_terms=6)  # a bare d_0
 @example(num=[5, -2, 7], den=[(0, -1)], n_terms=6)
@@ -136,6 +138,13 @@ def recurrence_quotient(num, den_terms, n_terms):
     return out
 
 
+def dense_of_terms(terms):
+    out = [0] * (terms[-1][0] + 1 if terms else 0)
+    for k, c in terms:
+        out[k] = c
+    return out
+
+
 @st.composite
 def long_pulls(draw):
     """A divisor the kernel pulls, a numerator and a horizon that lies within 3 of
@@ -180,6 +189,23 @@ def test_kernel_takes_runs_from_twice_deg_den_on(monkeypatch):
         assert pushed == ([] if used else [[(1, -1), (3, 2)]])
 
 
+@pytest.mark.parametrize("c", [1, -1, 2, -2])
+@pytest.mark.parametrize("k", [2, PULL_DEGREE_LIMIT])
+def test_kernel_pulls_one_gapped_term_from_twice_its_degree(monkeypatch, k, c):
+    # 1 - c*x^k has a series that is zero off the multiples of k; it is pulled like any short divisor.
+    compiled, pushed = [], []
+    build, push = series._kernel, series._push
+    monkeypatch.setattr(series, "_kernel", lambda shape: compiled.append(shape) or build(shape))
+    monkeypatch.setattr(series, "_push", lambda out, terms: pushed.append(terms) or push(out, terms))
+    den = [(0, 1), (k, -c)]
+    for n_terms, pulled in ((2 * k - 1, False), (2 * k, True), (20 * k, True)):
+        compiled.clear()
+        pushed.clear()
+        assert series_quotient(nonzero_terms([1]), den, n_terms) == recurrence_quotient([1], den, n_terms)
+        assert len(compiled) == pulled
+        assert pushed == ([] if pulled else [[(k, -c)]])
+
+
 @st.composite
 def padded_divisions(draw):
     """A term-list numerator, a divisor and a horizon: num's degrees are gapped, its
@@ -201,7 +227,7 @@ def padded_divisions(draw):
 @example(case=([(0, 2), (2, -1)], [(0, 1), (1, -1), (4, 3)], 30))  # kernel, last < deg den
 @example(case=([(1, 3), (4, 5)], [(0, -1), (2, 1), (4, -2)], 30))  # kernel, last = deg den
 @example(case=([(0, 1), (7, -4), (35, 9)], [(0, 1), (1, 1), (3, -1)], 30))  # kernel, last > deg den
-@example(case=([(0, 1), (3, 2), (31, 1)], [(0, -1), (5, 2)], 30))  # pushed: one gapped term
+@example(case=([(0, 1), (3, 2), (31, 1)], [(0, -1), (5, 2)], 30))  # kernel: one gapped term
 @example(case=([(2, -1), (9, 4)], [(0, 1), (3, 1), (20, -1)], 30))  # pushed: deg den > 8
 @example(case=([(0, 1), (30, 2)], [(0, 1), (1, 1), (3, -1)], 30))  # kernel, last = horizon
 @example(case=([(0, 1), (5, 2)], [(0, 1), (1, 1), (3, -1)], 5))  # pushed, last = horizon
@@ -209,10 +235,7 @@ def padded_divisions(draw):
 @example(case=([(5, 1)], [(0, -1), (2, 1)], 0))  # num wholly past the horizon
 def test_padded_division_matches_the_recurrence(case):
     num, den, n_terms = case
-    dense = [0] * (num[-1][0] + 1 if num else 0)
-    for k, c in num:
-        dense[k] = c
-    assert series_quotient(num, den, n_terms) == recurrence_quotient(dense, den, n_terms)
+    assert series_quotient(num, den, n_terms) == recurrence_quotient(dense_of_terms(num), den, n_terms)
 
 
 def test_kernel_sums_rods_of_one_magnitude_before_one_product(monkeypatch):
@@ -300,6 +323,24 @@ def test_divexact_divides_exactly_or_returns_none(q, h, r):
     sq, sh, sr = (sympy.Poly(list(reversed(p)), X) for p in (q, h, r))
     assert poly_divexact(dense(sq * sh), q) == h
     assert poly_divexact(dense(sq * sh + sr), q) is None
+
+
+term_lists = st.dictionaries(st.integers(0, 12), divisor_coefficient, max_size=5).map(lambda d: sorted(d.items()))
+factors = st.one_of(term_lists, st.just(((0, 1),)))
+
+
+@PROPERTY
+@given(p=factors, q=factors, mirror=st.booleans())
+@example(p=[(0, 1), (1, 1)], q=[(0, 1), (1, -1)], mirror=False)  # (1 + x)(1 - x): x cancels
+@example(p=[(0, 2), (3, -1)], q=[], mirror=False)  # the zero polynomial
+@example(p=[(2, 5), (7, -3)], q=((0, 1),), mirror=False)  # the unit
+def test_sparse_mul_is_the_dense_product_on_nonzero_terms(p, q, mirror):
+    if mirror:  # q(x) = p(-x): every odd coefficient of the product cancels to zero
+        q = [(k, -c if k % 2 else c) for k, c in p]
+    got = sparse_mul(p, q)
+    assert isinstance(got, list)
+    assert all(j < k for (j, _), (k, _) in zip(got, got[1:])) and all(c for _, c in got)
+    assert got == nonzero_terms(poly_mul(dense_of_terms(p), dense_of_terms(q)))
 
 
 def test_borwein_table_matches_sympy_remainders():

@@ -5,13 +5,16 @@ from __future__ import annotations
 import ast
 import random
 import re
+import shlex
 from itertools import product
 from pathlib import Path
 
 import trainyard
+from trainyard import cli
 from trainyard.series import _kernel_source
 
 SOURCES = sorted(Path(trainyard.__file__).parent.glob("*.py"))
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_library_has_no_assert_statements():
@@ -189,9 +192,69 @@ def _environment_variables() -> set:
 
 def test_readme_names_only_constants_and_variables_that_exist():
     # A constant the code dropped but the README still names describes code that is gone.
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     named = set(re.findall(r"`([A-Z][A-Z0-9_]+)`", readme))
     assert named, "README.md names no constant"
     known = _module_constants() | _environment_variables()
     assert {"TRAINYARD_FORMAT", "TRAINYARD_HORIZON"} <= known
     assert sorted(named - known) == [], "README.md names constants the library does not define"
+
+
+def _readme_python_values(code: str):
+    """(expression source, the value its comment says) for each expression statement of code.
+
+    The comment follows the expression on its line or stands alone on the
+    next line; prose after an em dash is not part of the value.
+    """
+    lines = code.splitlines()
+    for node in ast.parse(code).body:
+        source = ast.get_source_segment(code, node)
+        if not isinstance(node, ast.Expr):
+            yield source, None
+            continue
+        comment = lines[node.end_lineno - 1][node.end_col_offset:].strip() or lines[node.end_lineno].strip()
+        assert comment.startswith("#"), f"README expression {source!r} says no value"
+        yield source, comment[1:].split(" — ")[0].strip()
+
+
+def _readme_shell_examples(block: str):
+    """(argv, environment, head count or None, expected lines) for each $ trainyard example."""
+    for example in re.findall(r"^\$ (.*\n(?:.+\n)*)", block, re.M):
+        command, *expected = example.splitlines()
+        command, _, pipe = command.partition(" | ")
+        head = int(pipe.removeprefix("head -")) if pipe else None
+        words = shlex.split(command)
+        env = dict(word.split("=", 1) for word in words[:words.index("trainyard")])
+        yield words[words.index("trainyard") + 1:], env, head, expected
+
+
+def test_readme_examples_print_what_they_say(capsys, monkeypatch):
+    # An example that no longer prints what the README shows misleads every first reader.
+    readme = README.read_text(encoding="utf-8")
+    (code,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    namespace: dict = {}
+    values = 0
+    for source, said in _readme_python_values(code):
+        if said is None:
+            exec(source, namespace)
+        else:
+            assert repr(eval(source, namespace)) == said, source
+            values += 1
+    (shell,) = [block for block in re.findall(r"```sh\n(.*?)```", readme, re.S) if "$ trainyard" in block]
+    commands = 0
+    for argv, env, head, expected in _readme_shell_examples(shell):
+        monkeypatch.delenv("TRAINYARD_HORIZON", raising=False)
+        monkeypatch.delenv("TRAINYARD_FORMAT", raising=False)
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        assert cli.main(argv) == 0, argv
+        out = capsys.readouterr().out.splitlines()
+        if head is not None:
+            assert len(expected) == head, argv
+            out = out[:head]
+        assert len(out) == len(expected), argv
+        for got, want in zip(out, expected):
+            cut = want.split("...")[0]
+            assert got.startswith(cut) if "..." in want else got == want, argv
+        commands += 1
+    assert values and commands, "README.md shows no example to check"

@@ -786,6 +786,13 @@ def test_borwein_labels_match_residues():
             )
 
 
+def test_borwein_classes_list_pairs_by_b_then_a():
+    for bound in range(2, 121):
+        for label, pairs in borwein_classify(bound).classes.items():
+            keys = [(abs(b), abs(a)) for a, b in pairs]
+            assert all(x < y for x, y in zip(keys, keys[1:])), f"class {label} at bound {bound} is out of order"
+
+
 def test_borwein_builds_no_q_and_runs_no_witness(monkeypatch):
     table = borwein_classify(40)
 
