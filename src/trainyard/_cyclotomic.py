@@ -4,11 +4,12 @@ Phi_d is built as a Moebius product over the squarefree divisors of d;
 the candidate orders of a periodicity test are listed, with their phi,
 by a walk over prime powers; and a candidate d is screened by evaluating
 a sparse polynomial at a root of unity of order exactly d modulo a prime.
-Each order is factored by trial division when it is first needed.  A
-polynomial that is not +-(a product of distinct cyclotomics) is
-certified so by Graeffe root squaring, after Bradford & Davenport,
-"Effective tests for cyclotomic polynomials", ISSAC '88.  Nothing here
-runs at import: the orders, the polynomials and the roots are cached.
+Each order is factored, by trial division and Pollard's rho, when it is
+first needed.  A polynomial that is not +-(a product of distinct
+cyclotomics) is certified so by Graeffe root squaring, after Bradford &
+Davenport, "Effective tests for cyclotomic polynomials", ISSAC '88.
+Nothing here runs at import: the orders, the polynomials and the roots
+are cached.
 """
 
 from __future__ import annotations
@@ -20,19 +21,26 @@ from itertools import accumulate
 from . import series  # looked up at each call, so that wrappers installed on series see them
 
 
+# The first twelve primes: the bases of _is_prime, and the trial divisors of _prime_divisors.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(n: int) -> bool:
-    """Miller-Rabin over the first twelve primes: deterministic below _PRIME_TEST_BOUND."""
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    """Miller-Rabin over _SMALL_PRIMES: deterministic below _PRIME_TEST_BOUND.
+
+    False is a proof that n is not prime at any size; True is one only
+    below that bound.
+    """
     if n < 2:
         return False
-    for p in bases:
+    for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in bases:
+    for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -49,21 +57,59 @@ def _is_prime(n: int) -> bool:
 _PRIME_TEST_BOUND = 318665857834031151167461
 
 
+def _rho_factor(n: int) -> int:
+    """A factor 1 < f < n of a composite n free of _SMALL_PRIMES, by Pollard's rho.
+
+    The walk x -> x^2 + c (mod n) repeats modulo each prime factor q of n
+    after about sqrt(q) steps, and Floyd's x_i = x_2i (mod q) then makes
+    q divide gcd(x_i - x_2i, n).  A gcd of n means that the walk repeated
+    modulo every factor at once; the next c starts a new walk.
+    """
+    c = 1
+    while True:
+        x = y = 2
+        g = 1
+        while g == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            g = math.gcd(x - y, n)
+        if g != n:
+            return g
+        c += 1
+
+
 def _prime_divisors(n: int) -> list:
-    """The distinct primes dividing n >= 1, ascending, by trial division that
-    stops once the cofactor left is prime (a proven test below _PRIME_TEST_BOUND)."""
-    primes = []
-    p = 2
-    while n > 1:
-        if n < _PRIME_TEST_BOUND and _is_prime(n):
-            primes.append(n)
-            break
-        while n % p:
-            p += 1 if p == 2 else 2
-        primes.append(p)
+    """The distinct primes dividing n >= 1, ascending.
+
+    _SMALL_PRIMES are taken out by trial division.  A cofactor left is
+    prime when _is_prime proves it, below _PRIME_TEST_BOUND; one it
+    rejects is composite at any size and is split by _rho_factor, each
+    part in turn.  A probable prime at or above the bound is not proved,
+    so it is trial-divided, which takes about sqrt(n) steps.
+    """
+    primes = {p for p in _SMALL_PRIMES if n % p == 0}
+    for p in primes:
         while n % p == 0:
             n //= p
-    return primes
+    left = [n] if n > 1 else []
+    while left:
+        n = left.pop()
+        if not _is_prime(n):
+            f = _rho_factor(n)
+            left += [f, n // f]
+        elif n < _PRIME_TEST_BOUND:
+            primes.add(n)
+        else:
+            p = _SMALL_PRIMES[-1]
+            while n % p:
+                p += 2
+            primes.add(p)
+            while n % p == 0:
+                n //= p
+            if n > 1:
+                left.append(n)
+    return sorted(primes)
 
 
 @lru_cache(maxsize=64)
@@ -138,7 +184,7 @@ def cyclotomic_root(d: int) -> tuple:
         zeta = pow(g, (ell - 1) // d, ell)
         if all(pow(zeta, d // q, ell) != 1 for q in primes):
             return ell, zeta
-    raise AssertionError("the multiplicative group mod a prime is cyclic; this is a bug")
+    raise series.SeriesError("the multiplicative group mod a prime is cyclic; this is a bug")
 
 
 def cyclotomic_screen(terms, d: int) -> bool:

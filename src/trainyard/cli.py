@@ -72,9 +72,9 @@ class _CliError(ValueError):
 def _bounded(result):
     """result, once no int in it has more than OUTPUT_INT_BITS_LIMIT bits.
 
-    Walks lists, tuples, dict values and the fields of records (rod
-    sets, sources, reports and hits), so it runs on a handler's result
-    before any of it is rendered.
+    Walks lists, tuples and the fields of records (rod sets, sources,
+    reports and hits), so it runs on a handler's result before any of it
+    is rendered.
     """
     stack = [result]
     while stack:
@@ -87,8 +87,6 @@ def _bounded(result):
                 )
         elif isinstance(item, (list, tuple)):
             stack.extend(item)
-        elif isinstance(item, dict):
-            stack.extend(item.values())
         elif isinstance(item, Record):
             stack.extend(getattr(item, name) for name in item.__slots__)
     return result

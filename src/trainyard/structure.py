@@ -64,7 +64,7 @@ from collections.abc import Iterator
 
 from .counts import train_counts
 from .expansion import DEFAULT_HORIZON, _witness, expand
-from .rodset import Record, RodSet, format_rodset
+from .rodset import Record, RodSet
 from .series import char_poly, char_terms, cyclotomic, poly_divexact
 
 # Largest confirmation detect_period takes on, in counted terms times nonzero
@@ -90,27 +90,27 @@ class StructureError(ValueError):
 
 
 class PeriodReport(Record):
-    """Verdict of detect_period.
+    """Verdict of detect_period, made only once it is certified.
 
     ``cyclotomic_factors`` lists the orders d whose cyclotomic
     polynomial divides char_poly(R) (each peeled once); when periodic,
     their product is the whole polynomial up to sign and
-    ``least_period`` is their lcm.  ``q_to_period`` is the finite Q
-    with R -> Q -> [least_period].  ``window_confirmed`` records that
-    the verdict was certified independently of the peel: a period by the
-    counts, whose max R-window repeats first at it, and a non-periodic
-    verdict by the Graeffe certificate (see detect_period).  False means
-    the check disagreed with the peel, which is a bug.
+    ``least_period`` is their lcm, else None.  ``q_to_period`` is the
+    finite Q with R -> Q -> [least_period], else None.  The verdict is
+    certified independently of the peel (see detect_period), which
+    raises when the certificate disagrees, so ``window_confirmed`` is
+    always True.
     """
 
-    __slots__ = (
-        "periodic", "least_period", "cyclotomic_factors", "q_to_period", "window_confirmed"
-    )
-    periodic: bool
+    __slots__ = ("least_period", "cyclotomic_factors", "q_to_period")
     least_period: int | None
     cyclotomic_factors: tuple[int, ...]
     q_to_period: RodSet | None
-    window_confirmed: bool
+    window_confirmed = True
+
+    @property
+    def periodic(self) -> bool:
+        return self.least_period is not None
 
     def to_json(self) -> dict:
         return {
@@ -182,14 +182,16 @@ def detect_period(rods: RodSet) -> PeriodReport:
     decided by exact division, and each is peeled at most once: a
     repeated cyclotomic factor means polynomial growth, not periodicity.
 
-    Every verdict is confirmed.  A non-periodic verdict by the Graeffe
+    Every verdict is confirmed, and a failed confirmation is a bug that
+    raises StructureError.  A non-periodic verdict by the Graeffe
     root-squaring test (_cyclotomic.graeffe_certificate), iterated on
     char_poly(rods) with g(x^2) = f(x) * f(-x).  Any one of three facts
     certifies it: the leading coefficient is not +-1; an iterate has a
     coefficient above C(m, floor(m/2)), m = max R, so a root lies off
     the unit circle; or the iterates reach a fixed point, so every root
     is a root of unity, and the residual the peel left divides by a
-    peeled Phi_d once more, a repeated factor.  A period p is confirmed
+    peeled Phi_d once more, a repeated factor; with none of the three the
+    peel missed an order.  A period p is confirmed
     by one exact count pass to p + max R - 1: the first max R-window
     repeats at p and not before, which proves F(n + p) = F(n) for all n
     by the depth-max R recursion, and the counts F(1..p - max R) are Q
@@ -219,8 +221,9 @@ def detect_period(rods: RodSet) -> PeriodReport:
             if len(residual) == 1:
                 break
     if len(residual) != 1:
-        certified = graeffe_certificate(char, residual, factors)[0] is not None
-        return PeriodReport(False, None, tuple(factors), None, certified)
+        if graeffe_certificate(char, residual, factors)[0] is None:
+            raise StructureError("no Graeffe certificate: the peel missed an order; this is a bug")
+        return PeriodReport(None, tuple(factors), None)
     if residual[0] not in (1, -1):
         raise StructureError("peeling left a non-unit constant; this is a bug")
     period = math.lcm(*factors)
@@ -228,8 +231,9 @@ def detect_period(rods: RodSet) -> PeriodReport:
     counts = train_counts(rods, period + top - 1)
     q = RodSet(tuple([(n, c) for n, c in enumerate(counts[1:period - top + 1], 1) if c]))
     _witness(rods, q, RodSet(((period, 1),)), DEFAULT_HORIZON)
-    repeat = _least_repeat(counts, top, period)
-    return PeriodReport(True, period, tuple(factors), q, repeat == period)
+    if _least_repeat(counts, top, period) != period:
+        raise StructureError(f"the counts repeat before the period {period}; this is a bug")
+    return PeriodReport(period, tuple(factors), q)
 
 
 # ---------------------------------------------------------------------------
@@ -237,27 +241,28 @@ def detect_period(rods: RodSet) -> PeriodReport:
 
 
 class ScalingHit(Record):
-    """A witnessed two-rod expansion target S = [a^mult_a, b^mult_b].
+    """A witnessed two-rod expansion target S = [a^alpha, b^mult_b].
 
     ``alpha`` is the unique scaling ratio F(b - i) / F(b - a - i) on
-    the window 1 <= i < max R; it equals ``mult_a``.  ``q`` is the
-    finite mediating rod set, of degree at most b - max R, whose
+    the window 1 <= i < max R, and a's multiplicity in S (``mult_a``).
+    ``q`` is the finite mediating rod set, of degree at most b - max R, whose
     multiplicities are the discrepancies of R against S; the exact
     witness (1 - C_S) = (1 - C_R)(1 + C_Q) holds for it.
     """
 
-    __slots__ = ("a", "b", "alpha", "mult_a", "mult_b", "s", "q")
+    __slots__ = ("a", "b", "alpha", "mult_b", "s", "q")
 
-    def __init__(
-        self, a: int, b: int, alpha: int, mult_a: int, mult_b: int, s: RodSet, q: RodSet
-    ) -> None:
+    def __init__(self, a: int, b: int, alpha: int, mult_b: int, s: RodSet, q: RodSet) -> None:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "mult_a", mult_a)
         object.__setattr__(self, "mult_b", mult_b)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "q", q)
+
+    @property
+    def mult_a(self) -> int:
+        return self.alpha
 
     def to_json(self) -> dict:
         return {"a": self.a, "b": self.b, "alpha": self.alpha, "S": str(self.s), "Q": str(self.q)}
@@ -353,7 +358,7 @@ def _scaling_hit(
     ]
     q = RodSet(tuple([(n, m) for n, m in enumerate(mults, 1) if m]))
     _witness(rods, q, shape, DEFAULT_HORIZON)
-    return ScalingHit(a, b, alpha, alpha, mult_b, shape, q)
+    return ScalingHit(a, b, alpha, mult_b, shape, q)
 
 
 def scan_two_expansions(
@@ -392,32 +397,32 @@ def scan_two_expansions(
 
 
 class LucasReport(Record):
-    """Outcome of lucas_check.
+    """Lucas laws of R = [1^(sign*s), 2^t] to the horizon, made only once both held.
 
-    ``mod_check`` is law (a), decided for every n (None when s = 1);
-    ``divisibility_check`` is law (b), decided for every d <= horizon // 2
-    and every multiple of d, which covers every pair m | n <= horizon.
-    ``failure`` names the first broken law; it is always None while
-    gcd(s, t) = 1 is enforced, since both laws are theorems then.
+    Both are theorems while gcd(s, t) = 1 is enforced, so lucas_check
+    raises on a broken one, a bug.  Hence ``passed`` and
+    ``divisibility_check`` are always True and ``failure`` None;
+    ``mod_check`` is None when s = 1 leaves law (a) empty.
     """
 
-    __slots__ = (
-        "s", "t", "sign", "horizon", "passed", "mod_check", "divisibility_check", "failure"
-    )
+    __slots__ = ("s", "t", "sign", "horizon")
     s: int
     t: int
     sign: int
     horizon: int
-    passed: bool
-    mod_check: bool | None
-    divisibility_check: bool
-    failure: str | None
+    passed = divisibility_check = True
+    failure = None
+
+    @property
+    def mod_check(self) -> bool | None:
+        return True if self.s > 1 else None
 
     def to_json(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__}
+        names = self.__slots__ + ("passed", "mod_check", "divisibility_check", "failure")
+        return {name: getattr(self, name) for name in names}
 
     def __str__(self) -> str:
-        return "pass" if self.passed else f"fail: {self.failure}"
+        return "pass"
 
 
 def _lucas_rodset(s: int, t: int, sign: int) -> RodSet:
@@ -436,6 +441,8 @@ def lucas_check(s: int, t: int, sign: int, horizon: int) -> LucasReport:
     (a) for s > 1: s divides F(n, R) exactly when n is odd, for every n;
     (b) L(n) = F(n - 1, R) is a divisibility sequence: L(d) | L(kd) for
         every d <= horizon // 2 and every k >= 1.
+
+    Both are theorems, so a broken law is a bug: it raises StructureError.
 
     (a): modulo s the recursion is F(n) = t*F(n - 2), so the state
     (F(n - 1), F(n)) mod s two steps on is t times itself, and t is a
@@ -456,26 +463,16 @@ def lucas_check(s: int, t: int, sign: int, horizon: int) -> LucasReport:
     if horizon < 1:
         raise StructureError("horizon must be at least 1")
     counts = train_counts(rods, horizon)
-    failure = None
-    mod_ok: bool | None = None
     if s > 1:
-        mod_ok = True
         f1 = counts[1]
         for n, f in ((1, f1), (2, sign * s * f1 + t * counts[0])):
             if (f % s == 0) != (n % 2 == 1):
-                mod_ok = False
-                failure = f"s-divisibility broke at n={n}: F(n)={f}"
-                break
-    div_ok = True
+                raise StructureError(f"s-divisibility broke at n={n}: F(n)={f}; this is a bug")
     for d in range(1, horizon // 2 + 1):
         num, den = counts[2 * d - 1], counts[d - 1]  # L(2d), L(d)
         if den == 0 or num % den:
-            div_ok = False
-            if failure is None:
-                failure = f"L({d}) does not divide L({2 * d}): {den} vs {num}"
-            break
-    passed = (mod_ok is not False) and div_ok
-    return LucasReport(s, t, sign, horizon, passed, mod_ok, div_ok, failure)
+            raise StructureError(f"L({d}) does not divide L({2 * d}): {den} vs {num}; this is a bug")
+    return LucasReport(s, t, sign, horizon)
 
 
 def lucas_two_shapes(
@@ -524,19 +521,15 @@ def lucas_two_shapes(
     def verified(
         counts: list[int], a_len: int, b_len: int, want_a: int, want_b: int
     ) -> ScalingHit:
-        """The hit of the predicted shape, once v_b = alpha*v_(b-a) with the predicted alpha."""
-        alpha = swap_mult(a_len, want_a)
-        scaled = tuple(alpha * x for x in _window(counts, b_len - a_len, w))
-        mult_b = counts[b_len] - alpha * counts[b_len - a_len]
-        if _window(counts, b_len, w) != scaled or not mult_b:
+        """The hit [a^alpha, b^mult_b] of the predicted shape, once the counts give it:
+        with max R = 2 the window v_b = alpha*v_(b-a) is F(b - 1) = alpha*F(b - a - 1),
+        and F(b) - alpha*F(b - a) must be mult_b, nonzero."""
+        alpha, mult_b = swap_mult(a_len, want_a), swap_mult(b_len, want_b)
+        m = b_len - a_len
+        want = [alpha * counts[m - 1], alpha * counts[m] + mult_b]
+        if counts[b_len - 1:b_len + 1] != want or not mult_b:
             raise StructureError(f"predicted shape ({a_len},{b_len}) failed the scaling window")
-        hit = _scaling_hit(rods, counts, a_len, b_len, alpha, mult_b, w)
-        want = RodSet(((a_len, alpha), (b_len, swap_mult(b_len, want_b))))
-        if hit.s != want:
-            raise StructureError(
-                f"scan found {format_rodset(hit.s)} where {format_rodset(want)} was predicted"
-            )
-        return hit
+        return _scaling_hit(rods, counts, a_len, b_len, alpha, mult_b, w)
 
     hits: list[ScalingHit] = []
     if kind == "adjacent":
@@ -598,27 +591,25 @@ _NEG_CLASS = {((1, -1), (2, -1)): "(-1,-2) mod 3"}
 class BorweinTable(Record):
     """Signed pairs (sa*a, sb*b) whose trinomial 1 - sa*x^a - sb*x^b is
     divisible by char_poly([1,-2]) or char_poly([-1,-2]), partitioned by
-    the residue classes of the classification theorem.  ``unclassified``
-    holds any hit outside those classes (there are none)."""
+    the residue classes of the classification theorem.  borwein_classify
+    raises on a hit outside those classes, a bug, so ``unclassified`` is
+    always empty."""
 
-    __slots__ = ("bound", "classes", "unclassified")
+    __slots__ = ("bound", "classes")
     bound: int
     classes: dict
-    unclassified: tuple
+    unclassified = ()
 
     def to_json(self) -> dict:
         return {
             "bound": self.bound,
             "classes": {label: [list(p) for p in pairs] for label, pairs in self.classes.items()},
-            "unclassified": [list(entry) for entry in self.unclassified],
+            "unclassified": [],
         }
 
     def __str__(self) -> str:
-        """One line per class with its hit count, then the unclassified count if any."""
-        lines = [f"{label}: {len(pairs)} hits" for label, pairs in self.classes.items()]
-        if self.unclassified:
-            lines.append(f"unclassified: {len(self.unclassified)}")
-        return "\n".join(lines)
+        """One line per class with its hit count."""
+        return "\n".join(f"{label}: {len(pairs)} hits" for label, pairs in self.classes.items())
 
 
 def _power_residues(char: list, bound: int) -> list[tuple[int, ...]]:
@@ -651,13 +642,13 @@ def borwein_classify(bound: int) -> BorweinTable:
     must equal the base's two-rod window targets (_window_targets) with
     +-1 multiplicities, the trivial self-expansion included, since the
     (1,-2) class contains it; the window targets are read from the
-    counts alone, with no Q built and no witness run.  A disagreement is
-    a bug and raises StructureError.
+    counts alone, with no Q built and no witness run.  Each pair is then
+    filed in its class.  A disagreement, or a pair outside the classes,
+    is a bug and raises StructureError.
     """
     if bound < 2:
         raise StructureError("bound must be at least 2")
     classes: dict = {}
-    unclassified: list = []
     for base, modulus, known in ((_BORWEIN_POS, 6, _POS_CLASSES), (_BORWEIN_NEG, 3, _NEG_CLASS)):
         classes.update({label: [] for label in known.values()})
         # The cross-check's counts come first: a bound too large to hold
@@ -678,13 +669,6 @@ def borwein_classify(bound: int) -> BorweinTable:
             for b in b_list
             for a in a_list[:bisect_left(a_list, b)]
         )
-        for b, a, sa, sb in hits:
-            pair = (sa * a, sb * b)
-            label = known.get(tuple(sorted(((a % modulus, sa), (b % modulus, sb)))))
-            if label is None:
-                unclassified.append((format_rodset(base), pair))
-            else:
-                classes[label].append(pair)
         windowed = [
             (alpha * a, mult_b * b)
             for b, a, alpha, mult_b in _window_targets(counts, bound, 2)
@@ -694,8 +678,12 @@ def borwein_classify(bound: int) -> BorweinTable:
             raise StructureError(
                 "trinomial residues and the window classes disagree; this is a bug"
             )
-    return BorweinTable(
-        bound,
-        {label: tuple(pairs) for label, pairs in classes.items()},
-        tuple(unclassified),
-    )
+        for b, a, sa, sb in hits:
+            label = known.get(tuple(sorted(((a % modulus, sa), (b % modulus, sb)))))
+            if label is None:
+                raise StructureError(
+                    f"{base} divides the trinomial of ({sa * a},{sb * b}) outside the classes; "
+                    "this is a bug"
+                )
+            classes[label].append((sa * a, sb * b))
+    return BorweinTable(bound, {label: tuple(pairs) for label, pairs in classes.items()})

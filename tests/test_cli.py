@@ -406,6 +406,20 @@ def test_module_entry_point():
     assert proc.stdout == "1,1,2,3,5,8\n"
 
 
+def test_cyclo_of_a_hard_semiprime_fails_at_once():
+    # 1000000007 * 1000000009: the order is split by Pollard's rho, not trial
+    # division, and Phi_d's phi(d) + 1 coefficients are then refused.
+    proc = subprocess.run(
+        [sys.executable, "-m", "trainyard", "cyclo", "1000000016000000063"],
+        capture_output=True,
+        text=True,
+        env=_src_env(),
+        timeout=5,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
 def test_import_leaves_the_cyclotomic_module_unloaded():
     # _cyclotomic is imported on first use, so that it stays off every process's startup.
     probe = "import sys, trainyard, trainyard.cli; print('trainyard._cyclotomic' in sys.modules)"

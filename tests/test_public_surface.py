@@ -81,61 +81,55 @@ REPRS = (
         "s=RodSet(pairs=((1, 1), (3, 1), (4, 1))), horizon=64, q_finite=True, r_finite=True)"
     ),
     (
-        "PeriodReport(periodic=True, least_period=6, cyclotomic_factors=(6,), "
-        "q_to_period=RodSet(pairs=((1, 1), (3, -1), (4, -1))), window_confirmed=True)"
+        "PeriodReport(least_period=6, cyclotomic_factors=(6,), "
+        "q_to_period=RodSet(pairs=((1, 1), (3, -1), (4, -1))))"
     ),
+    "PeriodReport(least_period=None, cyclotomic_factors=(1,), q_to_period=None)",
+    "LucasReport(s=3, t=2, sign=1, horizon=12)",
     (
-        "PeriodReport(periodic=False, least_period=None, cyclotomic_factors=(1,), "
-        "q_to_period=None, window_confirmed=True)"
-    ),
-    (
-        "LucasReport(s=3, t=2, sign=1, horizon=12, passed=True, mod_check=True, "
-        "divisibility_check=True, failure=None)"
-    ),
-    (
-        "ScalingHit(a=1, b=5, alpha=1, mult_a=1, mult_b=1, s=RodSet(pairs=((1, 1), (5, 1))), "
+        "ScalingHit(a=1, b=5, alpha=1, mult_b=1, s=RodSet(pairs=((1, 1), (5, 1))), "
         "q=RodSet(pairs=((1, -1), (2, 1))))"
     ),
     (
-        "ScalingHit(a=2, b=7, alpha=2, mult_a=2, mult_b=-1, s=RodSet(pairs=((2, 2), (7, -1))), "
+        "ScalingHit(a=2, b=7, alpha=2, mult_b=-1, s=RodSet(pairs=((2, 2), (7, -1))), "
         "q=RodSet(pairs=((2, -1), (3, 1), (4, -1))))"
     ),
     (
-        "ScalingHit(a=3, b=7, alpha=2, mult_a=2, mult_b=1, s=RodSet(pairs=((3, 2), (7, 1))), "
+        "ScalingHit(a=3, b=7, alpha=2, mult_b=1, s=RodSet(pairs=((3, 2), (7, 1))), "
         "q=RodSet(pairs=((2, 1), (3, -1), (4, 1))))"
     ),
     (
-        "ScalingHit(a=4, b=13, alpha=3, mult_a=3, mult_b=1, s=RodSet(pairs=((4, 3), (13, 1))), "
+        "ScalingHit(a=4, b=13, alpha=3, mult_b=1, s=RodSet(pairs=((4, 3), (13, 1))), "
         "q=RodSet(pairs=((2, 1), (3, 1), (4, -2), (5, 2), (6, -1), (8, 1), (9, -1), (10, "
         "1))))"
     ),
     (
-        "ScalingHit(a=5, b=14, alpha=4, mult_a=4, mult_b=1, s=RodSet(pairs=((5, 4), (14, 1))), "
+        "ScalingHit(a=5, b=14, alpha=4, mult_b=1, s=RodSet(pairs=((5, 4), (14, 1))), "
         "q=RodSet(pairs=((2, 1), (3, 1), (4, 1), (5, -2), (6, 2), (7, -1), (9, 1), (10, -1), "
         "(11, 1))))"
     ),
     (
-        "ScalingHit(a=7, b=16, alpha=7, mult_a=7, mult_b=2, s=RodSet(pairs=((7, 7), (16, 2))), "
+        "ScalingHit(a=7, b=16, alpha=7, mult_b=2, s=RodSet(pairs=((7, 7), (16, 2))), "
         "q=RodSet(pairs=((2, 1), (3, 1), (4, 1), (5, 2), (6, 2), (7, -4), (8, 4), (9, -2), "
         "(11, 2), (12, -2), (13, 2))))"
     ),
     (
-        "ScalingHit(a=2, b=3, alpha=5, mult_a=5, mult_b=-2, s=RodSet(pairs=((2, 5), (3, -2))), "
+        "ScalingHit(a=2, b=3, alpha=5, mult_b=-2, s=RodSet(pairs=((2, 5), (3, -2))), "
         "q=RodSet(pairs=((1, -2),)))"
     ),
     (
-        "ScalingHit(a=3, b=4, alpha=-12, mult_a=-12, mult_b=5, s=RodSet(pairs=((3, -12), (4, "
+        "ScalingHit(a=3, b=4, alpha=-12, mult_b=5, s=RodSet(pairs=((3, -12), (4, "
         "5))), q=RodSet(pairs=((1, -2), (2, 5))))"
     ),
     (
-        "ScalingHit(a=4, b=5, alpha=29, mult_a=29, mult_b=-12, s=RodSet(pairs=((4, 29), (5, "
+        "ScalingHit(a=4, b=5, alpha=29, mult_b=-12, s=RodSet(pairs=((4, 29), (5, "
         "-12))), q=RodSet(pairs=((1, -2), (2, 5), (3, -12))))"
     ),
     (
         "BorweinTable(bound=8, classes={'(1,5) mod 6': ((1, 5), (5, 7)), '(1,-2) mod 6': ((1, "
         "-2), (-2, 7), (1, -8), (7, -8)), '(-2,-4) mod 6': ((-2, -4), (-4, -8)), "
         "'(-4,5) mod 6': ((-4, 5),), '(-1,-2) mod 3': ((-1, -2), (-2, -4), (-1, -5), (-4, -5), "
-        "(-2, -7), (-5, -7), (-1, -8), (-4, -8), (-7, -8))}, unclassified=())"
+        "(-2, -7), (-5, -7), (-1, -8), (-4, -8), (-7, -8))})"
     ),
     "EnumerationResult(net=0, total=2, trains=(((1, 1, 1), (1, 1, 1)), ((2, 1, -1),)))",
 )

@@ -6,6 +6,8 @@ import random
 
 import pytest
 import sympy
+from hypothesis import given
+from hypothesis import strategies as st
 
 from trainyard import (
     SeriesError,
@@ -21,6 +23,8 @@ from trainyard import (
 )
 from trainyard._cyclotomic import _prime_divisors, cyclotomic_orders, cyclotomic_root
 from trainyard.series import poly_trim
+
+from conftest import PROPERTY
 
 X = sympy.symbols("x")
 
@@ -183,6 +187,21 @@ LARGE = (10**6 + 3, 2**61 - 1, 2 * (2**61 - 1), 999983 * 999979, 2**10 * 3**7 * 
 def test_prime_divisors_against_sympy():
     for n in [*range(1, 5001), *LARGE]:
         assert _prime_divisors(n) == sympy.primefactors(n), f"prime divisors of {n}"
+
+
+_PRIME_BELOW_2_31 = st.integers(2**16, 2**31 - 1).map(sympy.prevprime)
+
+
+@PROPERTY
+@given(
+    st.one_of(
+        st.tuples(_PRIME_BELOW_2_31, _PRIME_BELOW_2_31).map(lambda pq: pq[0] * pq[1]),
+        st.integers(1, 2**62),
+    )
+)
+def test_prime_divisors_of_large_n_against_sympy(n):
+    # A semiprime with two factors near 2^31 takes trial division about 10^9 steps.
+    assert _prime_divisors(n) == sympy.primefactors(n), f"prime divisors of {n}"
 
 
 def test_cyclotomic_of_a_large_prime_order():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import random
 import re
 import shlex
@@ -28,6 +29,41 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in the library: {found}"
+
+
+def _bug_raises(tree: ast.Module) -> list:
+    """(line, raised callable as source text) of each raise whose message says "this is a bug"."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+            text = "".join(
+                part.value
+                for part in ast.walk(node.exc)
+                if isinstance(part, ast.Constant) and isinstance(part.value, str)
+            )
+            if "this is a bug" in text:
+                found.append((node.lineno, ast.unparse(node.exc.func)))
+    return found
+
+
+def test_bug_raises_are_domain_errors():
+    # A bug check raises one of the library's ValueError subclasses, so that the
+    # CLI reports it as a domain error (exit 1, one error: line) and not a traceback.
+    checked, found = 0, []
+    for path in SOURCES:
+        for line, name in _bug_raises(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            cls = importlib.import_module(f"trainyard.{path.stem}")
+            for part in name.split("."):
+                cls = getattr(cls, part)
+            checked += 1
+            if not (
+                isinstance(cls, type)
+                and issubclass(cls, ValueError)
+                and cls.__module__.startswith("trainyard.")
+            ):
+                found.append(f"{path.name}:{line} {name}")
+    assert checked, "no bug checks found"
+    assert not found, f"bug checks that raise no library ValueError: {found}"
 
 
 def _unused_imports(tree: ast.Module) -> list:

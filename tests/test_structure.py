@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+import re
 from collections import Counter
 from unittest import mock
 
@@ -86,9 +87,8 @@ def test_detect_period_flags_a_period_that_is_not_least(monkeypatch):
     # witness holds, and only the window repeat at p shows the period is not least.
     lcm = math.lcm
     monkeypatch.setattr(math, "lcm", lambda *orders: 2 * lcm(*orders))
-    report = detect_period(parse_rodset("[1,-2]"))
-    assert report.periodic and report.least_period == 12
-    assert report.window_confirmed is False, "the counts repeat first at 6, not 12"
+    with pytest.raises(StructureError, match="repeat before the period 12; this is a bug"):
+        detect_period(parse_rodset("[1,-2]"))  # the counts repeat first at 6, not 12
 
 
 def test_detect_period_negative_and_errors():
@@ -146,9 +146,9 @@ def test_graeffe_certificate_catches_a_skipped_order(monkeypatch):
     monkeypatch.setattr(
         _cyclotomic, "cyclotomic_screen", lambda terms, d: d != 13 and screen(terms, d)
     )
-    report = detect_period(rods)
-    assert not report.periodic and report.cyclotomic_factors == (3, 5, 7, 8, 11)
-    assert report.window_confirmed is False, "the certificate must not back a missed order"
+    # The certificate must not back the missed order: the verdict raises instead.
+    with pytest.raises(StructureError, match="peel missed an order; this is a bug"):
+        detect_period(rods)
     # The window scan it replaces stops at 4 * 38^2, far short of the period.
     assert window_period_scan(rods, 4 * 38 * 38) is None
 
@@ -632,11 +632,13 @@ def test_lucas_check_reports_a_broken_divisibility(monkeypatch, horizon, failure
         return counts
 
     monkeypatch.setattr(structure, "train_counts", l12_off_by_one)
-    report = lucas_check(3, 2, 1, horizon)
-    assert report.mod_check is True
-    assert report.divisibility_check is (failure is None)
-    assert report.passed is (failure is None)
-    assert report.failure == failure
+    if failure is None:
+        report = lucas_check(3, 2, 1, horizon)
+        assert (report.passed, report.mod_check, report.divisibility_check) == (True, True, True)
+        assert report.failure is None
+    else:
+        with pytest.raises(StructureError, match=re.escape(f"{failure}; this is a bug")):
+            lucas_check(3, 2, 1, horizon)
 
 
 @pytest.mark.parametrize("index, bump, n, f_n", [(1, 1, 1, 4), (0, 2, 2, 15)])
@@ -648,10 +650,9 @@ def test_lucas_check_reports_a_broken_mod_law(monkeypatch, index, bump, n, f_n):
         return counts
 
     monkeypatch.setattr(structure, "train_counts", one_count_off)
-    report = lucas_check(3, 2, 1, 20)
-    assert report.mod_check is False
-    assert not report.passed
-    assert report.failure == f"s-divisibility broke at n={n}: F(n)={f_n}"
+    failure = f"s-divisibility broke at n={n}: F(n)={f_n}; this is a bug"
+    with pytest.raises(StructureError, match=re.escape(failure)):
+        lucas_check(3, 2, 1, 20)
 
 
 def test_lucas_counts_regression():
@@ -744,10 +745,15 @@ def test_borwein_classify_small_bound():
         borwein_classify(1)
 
 
-def test_borwein_text_counts_each_class_and_the_unclassified():
+def test_borwein_text_counts_each_class_and_the_unclassified(monkeypatch):
     assert str(borwein_classify(12)).splitlines()[0] == "(1,5) mod 6: 4 hits"
-    table = structure.BorweinTable(12, {"(1,5) mod 6": ((1, 5),)}, (("[1,-2]", (1, 3)),))
-    assert str(table) == "(1,5) mod 6: 1 hits\nunclassified: 1"
+    table = structure.BorweinTable(12, {"(1,5) mod 6": ((1, 5),)})
+    assert str(table) == "(1,5) mod 6: 1 hits"
+    assert table.unclassified == () and table.to_json()["unclassified"] == []
+    # A hit outside the theorem's classes is a bug: it raises, not an unclassified line.
+    monkeypatch.delitem(structure._POS_CLASSES, ((1, 1), (5, 1)))
+    with pytest.raises(StructureError, match=r"\(1,5\) outside the classes; this is a bug"):
+        borwein_classify(12)
 
 
 def _signed_key(lengths, modulus: int) -> tuple:
