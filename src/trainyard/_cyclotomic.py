@@ -15,6 +15,7 @@ are cached.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 from itertools import accumulate
 
@@ -26,10 +27,10 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def _is_prime(n: int) -> bool:
-    """Miller-Rabin over _SMALL_PRIMES: deterministic below _PRIME_TEST_BOUND.
+    """Miller-Rabin over _SMALL_PRIMES: a proof below 318665857834031151167461 (3.2e23).
 
-    False is a proof that n is not prime at any size; True is one only
-    below that bound.
+    That is the least composite that passes, 399165290221 * 798330580441;
+    False is a proof at any size.
     """
     if n < 2:
         return False
@@ -51,10 +52,6 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-# The least composite that passes _is_prime: 399165290221 * 798330580441.
-_PRIME_TEST_BOUND = 318665857834031151167461
 
 
 def _rho_factor(n: int) -> int:
@@ -83,10 +80,9 @@ def _prime_divisors(n: int) -> list:
     """The distinct primes dividing n >= 1, ascending.
 
     _SMALL_PRIMES are taken out by trial division.  A cofactor left is
-    prime when _is_prime proves it, below _PRIME_TEST_BOUND; one it
-    rejects is composite at any size and is split by _rho_factor, each
-    part in turn.  A probable prime at or above the bound is not proved,
-    so it is trial-divided, which takes about sqrt(n) steps.
+    prime when _is_prime says so, a proof for every n below 6.5e20 that
+    moebius_cyclotomic lets through; one it rejects is composite and is
+    split by _rho_factor, each part in turn.
     """
     primes = {p for p in _SMALL_PRIMES if n % p == 0}
     for p in primes:
@@ -95,20 +91,11 @@ def _prime_divisors(n: int) -> list:
     left = [n] if n > 1 else []
     while left:
         n = left.pop()
-        if not _is_prime(n):
-            f = _rho_factor(n)
-            left += [f, n // f]
-        elif n < _PRIME_TEST_BOUND:
+        if _is_prime(n):
             primes.add(n)
         else:
-            p = _SMALL_PRIMES[-1]
-            while n % p:
-                p += 2
-            primes.add(p)
-            while n % p == 0:
-                n //= p
-            if n > 1:
-                left.append(n)
+            f = _rho_factor(n)
+            left += [f, n // f]
     return sorted(primes)
 
 
@@ -141,9 +128,17 @@ def cyclotomic_orders(top: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def moebius_cyclotomic(d: int) -> tuple:
-    """Phi_d (d >= 1) as an ascending coefficient tuple; see series.cyclotomic."""
+    """Phi_d (d >= 1) as an ascending coefficient tuple; see series.cyclotomic.
+
+    A d with d // bit_length(d) past sys.maxsize raises OverflowError
+    before it is factored: phi(d) >= d / (omega(d) + 1) >= d / bit_length(d),
+    as the i-th prime is at least i + 1, so no list could hold Phi_d.
+    Every d factored is therefore below 6.5e20.
+    """
     if d == 1:
         return (-1, 1)  # x - 1
+    if d // d.bit_length() > sys.maxsize:
+        raise OverflowError(f"Phi_{d} has more coefficients than a list can hold")
     primes = _prime_divisors(d)
     deg = d // math.prod(primes) * math.prod(p - 1 for p in primes)
     # mu(s) is +1 on the squarefree divisors s with an even number of primes.

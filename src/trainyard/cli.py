@@ -318,8 +318,6 @@ def _cmd_poly(args):
 
 
 def _cmd_cyclo(args):
-    if args.d < 1:
-        raise _CliError("cyclotomic order must be at least 1")
     coeffs = cyclotomic(args.d)
     return {"d": args.d, "coefficients": coeffs}, [poly_text(coeffs)]
 

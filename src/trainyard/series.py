@@ -351,7 +351,7 @@ def cyclotomic(d: int) -> Poly:
     phi(d) + 1 coefficients.  Memoized, so a scan over many d is cheap.
     """
     if d < 1:
-        raise SeriesError("cyclotomic index must be >= 1")
+        raise SeriesError("cyclotomic order must be at least 1")
     from ._cyclotomic import moebius_cyclotomic  # built on first use, not at import
 
     return list(moebius_cyclotomic(d))

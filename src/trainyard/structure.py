@@ -18,7 +18,8 @@ Four families of questions about a finite rod set R:
 
 * **Expandability scans** — which one- and two-rod sets does R expand
   to?  For each length n <= bound the window is
-  v_n = (F(n-1), ..., F(n - max R + 1)), with F(k) = 0 for k < 0.  A
+  v_n = (F(n - max R + 1), ..., F(n-1)), oldest first, a slice of the
+  counts padded once with max R - 1 zeros (F(k) = 0 for k < 0).  A
   one-rod target [a^F(a)] is a length whose window is all zero, tested
   straight from the counts.  For two rods each nonzero window is
   written s_n * c_n * u_n: c_n is the gcd of its entries and u_n is
@@ -39,7 +40,7 @@ Four families of questions about a finite rod set R:
 * **Lucas families** — R = [1^(±s), 2^t] with gcd(s, t) = 1 produces
   Lucas-like counts: L(n) = F(n-1, R) is a divisibility sequence, and
   the predictable two-rod expansions of R (adjacent, skip, multiple
-  chains) come out of the scan machinery in closed form.  lucas_check
+  chains) have closed forms in R's own counts.  lucas_check
   decides the laws from the rod algebra, not pair by pair: one window
   test L(d) | L(2d) makes (d, 2d) a two-rod target, which gives
   L(d) | L(kd) for every k, and the mod-s law is read off the first two
@@ -271,12 +272,7 @@ class ScalingHit(Record):
         return f"a={self.a} b={self.b} alpha={self.alpha} S={self.s} Q={self.q}"
 
 
-def _window(counts: list[int], n: int, w: int) -> tuple[int, ...]:
-    """The window v_n = (F(n-1), ..., F(n-w+1)), with F(k) = 0 for k < 0."""
-    return tuple(counts[max(n - w + 1, 0):n][::-1]) + (0,) * (w - 1 - n)
-
-
-def _direction(window: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+def _direction(window: list[int]) -> tuple[tuple[int, ...], int]:
     """A nonzero window v as (u, s*c) with v = s*c*u; (v, 0) when v is all zero.
 
     c is the gcd of v's entries and s the sign of its first nonzero
@@ -307,22 +303,24 @@ def scan_one_expansions(rods: RodSet, bound: int) -> list[tuple[int, int]]:
         raise StructureError("bound must be at least 1")
     w = rods.max_length
     counts = train_counts(rods, bound)
-    # _window pads with zeros, so its in-range entries decide whether it is all zero.
+    # The window's entries before F(0) are zero, so the counts in range decide it.
     return [(a, counts[a]) for a in range(1, bound + 1) if not any(counts[max(a - w + 1, 0):a])]
 
 
 def _window_targets(counts: list[int], bound: int, w: int) -> Iterator[tuple[int, int, int, int]]:
     """Every two-rod target (b, a, alpha, mult_b) of the counts, a < b <= bound, w = max R.
 
-    One ascending pass over b: b's window direction and scale, then the
-    earlier members m of b's class from newest to oldest, so a = b - m
-    ascends, then b joins its class.  A member m with c_m | c_b gives
-    alpha = s_b*c_b / (s_m*c_m) and mult_b = F(b) - alpha*F(m), and the
-    target is yielded when mult_b is nonzero.  So the order is (b, a).
+    v_b is padded[b:b + w - 1], oldest first, with w - 1 zeros before the
+    counts.  One ascending pass over b: b's window direction and scale,
+    then the earlier members m of b's class from newest to oldest, so
+    a = b - m ascends, then b joins its class.  A member m with c_m | c_b
+    gives alpha = s_b*c_b / (s_m*c_m) and mult_b = F(b) - alpha*F(m), and
+    the target is yielded when mult_b is nonzero.  So the order is (b, a).
     """
+    padded = [0] * (w - 1) + counts
     classes: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for b in range(1, bound + 1):
-        u, scale_b = _direction(_window(counts, b, w))
+        u, scale_b = _direction(padded[b:b + w - 1])
         if not scale_b:
             continue
         members = classes.setdefault(u, [])
@@ -366,7 +364,7 @@ def scan_two_expansions(
 ) -> list[ScalingHit]:
     """All two-rod expansion targets [a^alpha, b^mult_b], 1 <= a < b <= bound.
 
-    A pair hits when the window v_n = (F(n-1), ..., F(n-w+1)), w = max R,
+    A pair hits when the window v_n = (F(n-w+1), ..., F(n-1)), w = max R,
     scales by a nonzero integer alpha from n = b - a to n = b, and the
     length-b multiplicity mult_b = F(b) - alpha*F(b - a) comes out
     nonzero.  _window_targets yields exactly those pairs from the window
@@ -487,7 +485,7 @@ def lucas_two_shapes(
     d: int | None = None,
     k_max: int = 1,
 ) -> list[ScalingHit]:
-    """The predictable two-rod expansions of R = [1^(sign*s), 2^t].
+    """The predictable two-rod expansions of R = [1^(sign*s), 2^t], F its own counts.
 
     kind "adjacent": shapes (a, a+1) for a_min <= a <= a_max, with
     S = [a^F(a), (a+1)^(t*F(a-1))]; each is cross-checked against the
@@ -496,35 +494,22 @@ def lucas_two_shapes(
 
     kind "skip": the shape (a, a+2) for the given ``a``, which needs
     s = 1 or a even so that s divides F(a+1); then
-    S = [a^(F(a+1)/s), (a+2)^(-t^2*F(a-1)/s)].
+    S = [a^(sign*F(a+1)/s), (a+2)^(-sign*t^2*F(a-1)/s)].
 
     kind "multiple": shapes (k*d, (k+1)*d) for 1 <= k <= k_max, d > 2,
-    with alpha = F((k+1)d - 1) / F(d - 1) by Lucas divisibility.
+    with alpha = F((k+1)d - 1) / F(d - 1) by Lucas divisibility and
+    mult_b = F((k+1)d) - alpha*F(d).
 
-    F here counts trains of the sign-positive R; for sign = -1 the odd
-    sign swap F(n) -> (-1)^n F(n) carries every shape over, and each hit
-    is still produced and verified by the scaling window on the actual
-    R.  R is counted once per call, to the largest length needed, and F
-    is read off those counts by the same swap.
+    Only "skip" carries the sign.  R is counted once per call, to the
+    largest length needed, and each hit is verified by the scaling window.
     """
     rods = _lucas_rodset(s, t, sign)
     w = rods.max_length
 
-    def swap_mult(length: int, mult: int) -> int:
-        return -mult if sign == -1 and length % 2 == 1 else mult
-
-    def counted(upto: int) -> tuple[list[int], list[int]]:
-        """R's counts to upto, and the sign-positive F read off them by the swap."""
-        counts = train_counts(rods, upto)
-        return counts, [swap_mult(n, c) for n, c in enumerate(counts)]
-
-    def verified(
-        counts: list[int], a_len: int, b_len: int, want_a: int, want_b: int
-    ) -> ScalingHit:
+    def verified(counts: list[int], a_len: int, b_len: int, alpha: int, mult_b: int) -> ScalingHit:
         """The hit [a^alpha, b^mult_b] of the predicted shape, once the counts give it:
         with max R = 2 the window v_b = alpha*v_(b-a) is F(b - 1) = alpha*F(b - a - 1),
         and F(b) - alpha*F(b - a) must be mult_b, nonzero."""
-        alpha, mult_b = swap_mult(a_len, want_a), swap_mult(b_len, want_b)
         m = b_len - a_len
         want = [alpha * counts[m - 1], alpha * counts[m] + mult_b]
         if counts[b_len - 1:b_len + 1] != want or not mult_b:
@@ -537,9 +522,9 @@ def lucas_two_shapes(
             raise StructureError("adjacent chain starts at a = 2")
         if a_max < a_min:
             raise StructureError(f"adjacent range is empty: a_max = {a_max} < a_min = {a_min}")
-        counts, f = counted(a_max + 1)
+        counts = train_counts(rods, a_max + 1)
         for a_len in range(a_min, a_max + 1):
-            hit = verified(counts, a_len, a_len + 1, f[a_len], t * f[a_len - 1])
+            hit = verified(counts, a_len, a_len + 1, counts[a_len], t * counts[a_len - 1])
             chain_q = RodSet.from_mults({k: counts[k] for k in range(1, a_len)})
             if expand(rods, chain_q).s != hit.s:
                 raise StructureError("minimal-rod chain disagrees with the scan")
@@ -551,22 +536,23 @@ def lucas_two_shapes(
             raise StructureError("skip shapes need a >= 2")
         if s != 1 and a % 2 != 0:
             raise StructureError("skip shapes need s = 1 or a even (s must divide F(a+1))")
-        counts, f = counted(a + 2)
-        if f[a + 1] % s or (t * t * f[a - 1]) % s:
+        counts = train_counts(rods, a + 2)
+        if counts[a + 1] % s or (t * t * counts[a - 1]) % s:
             raise StructureError("s does not divide F(a+1) and t^2*F(a-1); this is a bug")
-        hits.append(verified(counts, a, a + 2, f[a + 1] // s, -(t * t * f[a - 1]) // s))
+        alpha, mult_b = sign * counts[a + 1] // s, -sign * t * t * counts[a - 1] // s
+        hits.append(verified(counts, a, a + 2, alpha, mult_b))
     elif kind == "multiple":
         if d is None or d <= 2:
             raise StructureError('kind "multiple" needs a spacing d > 2')
         if k_max < 1:
             raise StructureError("k_max must be at least 1")
-        counts, f = counted((k_max + 1) * d)
+        counts = train_counts(rods, (k_max + 1) * d)
         for k in range(1, k_max + 1):
             a_len, b_len = k * d, (k + 1) * d
-            if f[b_len - 1] % f[d - 1]:
+            if counts[b_len - 1] % counts[d - 1]:
                 raise StructureError("Lucas divisibility failed; this is a bug")
-            alpha = f[b_len - 1] // f[d - 1]
-            hits.append(verified(counts, a_len, b_len, alpha, f[b_len] - alpha * f[d]))
+            alpha = counts[b_len - 1] // counts[d - 1]
+            hits.append(verified(counts, a_len, b_len, alpha, counts[b_len] - alpha * counts[d]))
     else:
         raise StructureError(f'unknown kind {kind!r}: use "adjacent", "skip" or "multiple"')
     return hits

@@ -228,13 +228,21 @@ HUGE = "100000000000000000000"  # 10^20, past the index range of a list
         ["discrep", "[1]", "[2]", "-n", HUGE],
         ["solveq", "[1,2]", "[3]", "-n", HUGE],
         ["borwein", "-b", HUGE],
+        # The next prime after 10^24, and nextprime(10^14) * nextprime(2 * 10^14):
+        # refused by their size before they are factored.
+        pytest.param(["cyclo", "1000000000000000000000007"], id="cyclo-prime"),
+        pytest.param(["cyclo", "20000000000008900000000000837"], id="cyclo-semiprime"),
     ],
     ids=lambda argv: argv[0],
 )
-def test_sizes_past_the_index_range_fail_at_once(run, argv):
-    code, out, err = run(argv)
-    assert code == 1 and out == ""
-    assert err == "error: input too large to compute (OverflowError)\n"
+def test_sizes_past_the_index_range_fail_at_once(argv):
+    # A subprocess with a deadline, so that a case that hangs fails instead of stalling the run.
+    env = {k: v for k, v in _src_env().items() if k not in ("TRAINYARD_HORIZON", "TRAINYARD_FORMAT")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "trainyard", *argv], capture_output=True, text=True, env=env, timeout=5
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "error: input too large to compute (OverflowError)\n"
 
 
 def test_solveq_past_the_quotient_limit_fails_at_once(run):

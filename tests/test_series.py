@@ -166,7 +166,7 @@ def test_cyclotomic_against_sympy():
     for d in sorted(set(range(1, 301)) | {d for d, _ in cyclotomic_orders(256)}):
         want = from_sympy(sympy.cyclotomic_poly(d, X, polys=True))
         assert cyclotomic(d) == want, f"cyclotomic polynomial {d} is wrong"
-    with pytest.raises(SeriesError, match=">= 1"):
+    with pytest.raises(SeriesError, match="cyclotomic order must be at least 1"):
         cyclotomic(0)
 
 

@@ -28,6 +28,7 @@ from trainyard import (
     expand,
     lucas_check,
     lucas_two_shapes,
+    odd_sign_swap,
     parse_rodset,
     poly_divexact,
     poly_mul,
@@ -710,6 +711,37 @@ def test_lucas_shapes_validation():
         lucas_two_shapes(3, 2, 1, "adjacent", a_min=1)
     with pytest.raises(StructureError, match="range is empty"):
         lucas_two_shapes(3, 2, 1, "adjacent", a_max=1)
+
+
+def _shapes_or_error(s, t, sign, kind, kw):
+    try:
+        return lucas_two_shapes(s, t, sign, kind, **kw)
+    except StructureError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "kind, kw",
+    [("adjacent", {"a_max": 9})]
+    + [("skip", {"a": a}) for a in range(1, 12)]
+    + [("multiple", {"d": d, "k_max": 3}) for d in range(2, 9)],
+)
+def test_lucas_shapes_are_covariant_under_the_odd_sign_swap(kind, kw):
+    # R = [1^(-s), 2^t] is the odd sign swap of [1^s, 2^t], whose counts are
+    # (-1)^n times as large, so each hit carries over with S and Q swapped.
+    for s in range(1, 7):
+        for t in range(1, 7):
+            if math.gcd(s, t) != 1:
+                continue
+            plus = _shapes_or_error(s, t, 1, kind, kw)
+            minus = _shapes_or_error(s, t, -1, kind, kw)
+            if isinstance(plus, tuple) or isinstance(minus, tuple):
+                assert plus == minus, (s, t)
+                continue
+            assert [(h.a, h.b) for h in minus] == [(h.a, h.b) for h in plus], (s, t)
+            for p, m in zip(plus, minus):
+                assert (m.alpha, m.mult_b) == ((-1) ** p.a * p.alpha, (-1) ** p.b * p.mult_b)
+                assert (m.s, m.q) == (odd_sign_swap(p.s), odd_sign_swap(p.q)), (s, t, p.a)
 
 
 def test_lucas_shapes_refuse_a_predicted_alpha_the_window_denies():
