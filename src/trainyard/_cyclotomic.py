@@ -1,15 +1,19 @@
-"""Cyclotomic polynomials and their modular screen, imported on first use.
+"""Cyclotomic polynomials, the orders a periodicity peel tries, and its certificates, imported on first use.
 
 Phi_d is built as a Moebius product over the squarefree divisors of d;
 the candidate orders of a periodicity test are listed, with their phi,
-by a walk over prime powers; and a candidate d is screened by evaluating
-a sparse polynomial at a root of unity of order exactly d modulo a prime.
-Each order is factored, by trial division and Pollard's rho, when it is
-first needed.  A polynomial that is not +-(a product of distinct
-cyclotomics) is certified so by Graeffe root squaring, after Bradford &
-Davenport, "Effective tests for cyclotomic polynomials", ISSAC '88.
-Nothing here runs at import: the orders, the polynomials and the roots
-are cached.
+either by a walk over prime powers (every d with phi(d) <= max R) or by
+Mann's theorem on vanishing sums of roots of unity (the divisors of
+m_t * k over the sparse polynomial's degrees k), whichever counts fewer;
+and a candidate d is screened by evaluating a sparse polynomial at a
+root of unity of order exactly d modulo a prime.  Each order is
+factored, by trial division and Pollard's rho, when it is first needed.
+A polynomial that is not +-self-reciprocal is not +-(a product of
+cyclotomics), a test on its sparse terms; one that is, but is not
++-(a product of distinct cyclotomics), is certified so by Graeffe root
+squaring, after Bradford & Davenport, "Effective tests for cyclotomic
+polynomials", ISSAC '88.  Nothing here runs at import: the orders, the
+polynomials and the roots are cached.
 """
 
 from __future__ import annotations
@@ -100,15 +104,22 @@ def _prime_divisors(n: int) -> list:
 
 
 @lru_cache(maxsize=64)
+def _primes_upto(n: int) -> tuple:
+    """The primes p <= n, ascending."""
+    return tuple(p for p in range(2, n + 1) if _is_prime(p))
+
+
+@lru_cache(maxsize=64)
 def cyclotomic_orders(top: int) -> tuple:
     """The pairs (d, phi(d)) with phi(d) <= top, d ascending: the Phi_d of degree <= top.
 
     phi is multiplicative with phi(p^k) = p^(k-1) * (p - 1), so these d
     are the products of powers of distinct primes p, each with
     p - 1 <= top, whose totients multiply to at most top.  A depth-first
-    walk over the primes in ascending order lists them.
+    walk over the primes in ascending order lists them.  Every d <= top + 1
+    has phi(d) <= top, so there are at least top + 1 of them.
     """
-    primes = [p for p in range(2, top + 2) if _is_prime(p)]
+    primes = _primes_upto(top + 1)
     found = []
 
     def walk(start: int, d: int, phi: int) -> None:
@@ -124,6 +135,81 @@ def cyclotomic_orders(top: int) -> tuple:
 
     walk(0, 1, 1)
     return tuple(sorted(found))
+
+
+def _mann_shapes(terms: list) -> list:
+    """The factorization {p: e} of m_t * k for each nonzero degree k of the t terms (see peel_orders)."""
+    small = _primes_upto(len(terms))
+    shapes = []
+    for k, _ in terms:
+        if k:
+            shape = dict.fromkeys(small, 1)
+            for p in _prime_divisors(k):
+                while k % p == 0:
+                    k //= p
+                    shape[p] = shape.get(p, 0) + 1
+            shapes.append(shape)
+    return shapes
+
+
+def _add_divisors(shape: dict, top: int, found: dict) -> None:
+    """Enter each divisor d of prod p^e over shape with phi(d) <= top into found, as d: phi(d).
+
+    A prime power multiplies phi by at least 1, so a divisor past top is
+    extended no further.
+    """
+    divisors = [(1, 1)]
+    for p, e in shape.items():
+        more = []
+        for d, phi in divisors:
+            power, t = p, phi * (p - 1)
+            for _ in range(e):
+                if t > top:
+                    break
+                more.append((d * power, t))
+                power, t = power * p, t * p
+        divisors += more
+    found.update(divisors)
+
+
+def peel_orders(terms: list, top: int) -> tuple:
+    """The orders (d, phi(d)) a periodicity peel tries, d ascending: the walk or Mann's list.
+
+    ``terms`` are the t nonzero terms (k, c) of a polynomial f of degree
+    ``top`` with constant term 1.  Mann, "On linear relations between
+    roots of unity", Mathematika 12 (1965): in a vanishing sum of roots of
+    unity with rational coefficients and no vanishing proper subsum, every
+    ratio of two of its roots has order dividing m_t, the product of the
+    primes <= t, t the number of terms.  If Phi_d divides f, f(zeta) = 0 at
+    a primitive d-th root zeta, and the terms merged by value zeta^k split
+    into such sums.  The constant term's value 1 either cancels against a
+    term with zeta^k_j = 1, or shares a minimal sum with a term k_j != 0
+    whose zeta^k_j has order dividing m_t.  Either way d divides m_t * k_j.
+    So the divisors of m_t * k_j over the nonzero degrees, cut at
+    phi(d) <= top, hold every order the walk (cyclotomic_orders) would
+    find a factor at, and the peel finds the same factors in the same
+    order on either list.
+
+    The list that is cheaper to list is chosen from counts, building
+    neither first: the walk lists len(cyclotomic_orders(top)) >= top + 1
+    orders, and Mann's list generates sum_j tau(m_t * k_j) divisors before
+    the cut, at least (t - 1) * 2^pi(t).  The degrees are factored only
+    when that floor is below the walk's length, and the walk is built
+    only when their count passes top + 1.  Dense polynomials, whose m_t
+    is a large primorial, keep the walk.
+    """
+    t = len(terms)
+    floor = (t - 1) << len(_primes_upto(t))
+    if floor > top and floor >= len(cyclotomic_orders(top)):
+        return cyclotomic_orders(top)
+    shapes = _mann_shapes(terms)
+    count = sum(math.prod(e + 1 for e in shape.values()) for shape in shapes)
+    if count > top + 1 and count >= len(cyclotomic_orders(top)):
+        return cyclotomic_orders(top)
+    found: dict = {}
+    for shape in shapes:
+        _add_divisors(shape, top, found)
+    return tuple(sorted(found.items()))
 
 
 @lru_cache(maxsize=None)
@@ -207,15 +293,27 @@ def graeffe_step(f: list) -> list:
     return g
 
 
+def self_reciprocal(terms: list) -> bool:
+    """True when the polynomial with these ascending nonzero terms, constant term 1, is +-self-reciprocal.
+
+    That is x^m * f(1/x) = eps * f(x) for its degree m: eps = c_m is +-1
+    and c_(m-k) = eps * c_k for every k, a test in O(terms).  Phi_d is
+    palindromic for d >= 2 and Phi_1 = x - 1 anti-palindromic, so every
+    +-(product of cyclotomics), repeated factors or not, passes; a
+    polynomial that fails is not one, an exact certificate.
+    """
+    m, eps = terms[-1]
+    return eps in (1, -1) and [(m - k, eps * c) for k, c in reversed(terms)] == terms
+
+
 def graeffe_certificate(char: list, residual: list, peeled) -> tuple:
     """(which, steps): the fact showing that char is not +-(distinct cyclotomics), or None.
 
-    char has constant term 1 and degree m; residual is what is left of it
-    after dividing out each Phi_d, d in ``peeled``, once.  Three facts
-    certify the verdict, tried in this order:
+    char has constant term 1, degree m and passes self_reciprocal, so its
+    leading coefficient is +-1; residual is what is left of it after
+    dividing out each Phi_d, d in ``peeled``, once.  Two facts certify the
+    verdict, tried in this order:
 
-    * "lead": char's leading coefficient is not +-1, as a product of
-      cyclotomic polynomials has.
     * "bound": a Graeffe iterate (see graeffe_step; each keeps degree m,
       constant term 1 and a unit leading coefficient) has a coefficient
       above C(m, floor(m/2)).  With every root on the unit circle no
@@ -226,16 +324,16 @@ def graeffe_certificate(char: list, residual: list, peeled) -> tuple:
       divided by each peeled Phi_d, and one that divides it again shows
       a repeated factor.
 
-    One of the first two facts holds or the iterates reach a fixed
-    point: a root off the unit circle makes the Mahler measure, and with
-    it the coefficients, grow without bound, and a product of
-    cyclotomics settles within max v_2(d) + 1 steps.  None is returned
-    when the fixed point shows no repeated factor; a complete peel then
-    leaves no residual, so a None over a nonempty residual means the peel
-    missed an order.  ``steps`` counts the Graeffe steps taken.
+    One of them holds or the iterates reach a fixed point: a root off
+    the unit circle makes the Mahler measure, and with it the
+    coefficients, grow without bound, and a product of cyclotomics
+    settles within max v_2(d) + 1 steps.  None is returned when the fixed
+    point shows no repeated factor; a complete peel then leaves no
+    residual, so a None over a nonempty residual means the peel missed
+    an order.  Only "repeat" checks the peel, and it needs every root to
+    be a root of unity, so a char that fails self_reciprocal loses no
+    check by skipping this test.  ``steps`` counts the Graeffe steps taken.
     """
-    if char[-1] not in (1, -1):
-        return "lead", 0
     m = len(char) - 1
     bound = math.comb(m, m // 2)
     f, steps = char, 0

@@ -6,15 +6,18 @@ Four families of questions about a finite rod set R:
   count series is 1/char_poly(R), so the sequence is periodic precisely
   when the characteristic polynomial is (up to sign) a product of
   distinct cyclotomic polynomials; the least period is the lcm of their
-  orders.  Each candidate Phi_d is screened at a root of unity of order
-  d modulo a prime and only the survivors are divided exactly.  A
-  period is proved by the counts, whose first max R-window repeats
-  first at it; a non-periodic verdict by the Graeffe root-squaring
-  test, which certifies that the characteristic polynomial has a
-  leading coefficient other than +-1, a root off the unit circle (an
-  iterate's coefficient passes C(m, floor(m/2)), m = max R), or a
+  orders.  The candidate orders d are every d with phi(d) <= max R, or,
+  when fewer, those that Mann's theorem on vanishing sums of roots of
+  unity (1965) leaves, the divisors of m_t * k over the char's degrees k.
+  Each candidate Phi_d is screened at a root of unity of order d modulo
+  a prime and only the survivors are divided exactly.  A period is
+  proved by the counts, whose first max R-window repeats first at it.
+  A non-periodic verdict is certified by the char's sparse terms when it
+  is not +-self-reciprocal, as every product of cyclotomics is; else by
+  the Graeffe root-squaring test, which finds a root off the unit circle
+  (an iterate's coefficient passes C(m, floor(m/2)), m = max R) or a
   repeated cyclotomic factor.  One bound on the work (PERIOD_WORK_LIMIT)
-  is checked before either.
+  is checked before the peel.
 
 * **Expandability scans** — which one- and two-rod sets does R expand
   to?  For each length n <= bound the window is
@@ -68,17 +71,20 @@ from .expansion import DEFAULT_HORIZON, _witness, expand
 from .rodset import Record, RodSet
 from .series import char_poly, char_terms, cyclotomic, poly_divexact
 
-# Largest confirmation detect_period takes on, in counted terms times nonzero
-# char terms: p + max R terms for a period p, and 4 * (max R)^2 before the
-# peel, which refuses a set before its dense char is built.  Timed on a 2-vCPU
+# Largest confirmation detect_period takes on, in units times nonzero char
+# terms: p + max R counted terms for a period p, and 4 * (max R)^2 units before
+# the peel, which refuses a set before its dense char is built.  Timed on a 2-vCPU
 # Xeon VM, Python 3.11.  A period pass costs 0.25 to 0.45 us a unit, about two
 # thirds of it the witness's sparse pass: the Phi_3*Phi_5*Phi_7*Phi_8*Phi_11*
 # Phi_13 set (p = 120120, 39 terms, 4.7e6) takes 1.2 to 2.2 s, of which the
-# witness takes 0.8 to 1.4 s.  The non-periodic side,
-# now the peel and the Graeffe certificate (at most about (max R)^2 / 4
-# products a step, fewer while the iterates are sparse, 9 to 13 steps on
-# chains), costs far less than its units: [1, 1118^-1] (1.5e7) 0.17 s,
-# [1, 2, ..., 128] (8.5e6) 0.02 s; [1, 2000^-1] (4.8e7, refused) would take 1.7 s.
+# witness takes 0.8 to 1.4 s.  The non-periodic side costs far less than its
+# units.  A char that is not +-self-reciprocal pays the peel alone, on the
+# orders Mann's theorem leaves when they are fewer: in a fresh process
+# [1, 1118^-1] (1.5e7) takes 0.004 s and [1, 2, ..., 128] (8.5e6) 0.03 s, and
+# [1, 10000^-1] (1.2e9, refused) would take 0.005 s.  A +-self-reciprocal char
+# pays the Graeffe certificate too (at most about (max R)^2 / 4 products a
+# step, fewer while the iterates are sparse): [1, 433^-3, 865, 866^-1] (1.5e7)
+# takes 0.22 s.
 PERIOD_WORK_LIMIT = 15 * 10**6
 
 
@@ -160,13 +166,13 @@ def window_period_scan(rods: RodSet, horizon: int) -> int | None:
     return _least_repeat(train_counts(rods, horizon + w - 1), w, horizon)
 
 
-def _check_work(terms: int, nonzero: int, verdict: str) -> None:
-    """Refuse a confirmation pass of terms x nonzero char terms over PERIOD_WORK_LIMIT."""
-    work = terms * nonzero
+def _check_work(units: int, nonzero: int, needs: str) -> None:
+    """Refuse units x nonzero char terms over PERIOD_WORK_LIMIT; needs.format(units) says what for."""
+    work = units * nonzero
     if work > PERIOD_WORK_LIMIT:
         raise StructureError(
-            f"confirming a {verdict} verdict needs {terms} counted terms x {nonzero} nonzero "
-            f"char terms = {work}, over the limit PERIOD_WORK_LIMIT = {PERIOD_WORK_LIMIT}"
+            f"{needs.format(units)} x {nonzero} nonzero char terms = {work}, "
+            f"over the limit PERIOD_WORK_LIMIT = {PERIOD_WORK_LIMIT}"
         )
 
 
@@ -175,44 +181,50 @@ def detect_period(rods: RodSet) -> PeriodReport:
 
     The sequence is periodic iff char_poly(rods) is a product of
     distinct cyclotomic polynomials (times -1 when x - 1 is among
-    them).  The candidate orders are the d with phi(d) <= max R, listed
-    with their phi by a walk over prime powers.  Each
-    candidate is first screened: the sparse char is evaluated at a root
-    of unity of order exactly d modulo a prime ell = 1 (mod d), and a
-    nonzero value proves Phi_d does not divide it.  Every survivor is
-    decided by exact division, and each is peeled at most once: a
-    repeated cyclotomic factor means polynomial growth, not periodicity.
+    them).  The candidate orders, with their phi, come from
+    _cyclotomic.peel_orders: the d with phi(d) <= max R, or the divisors
+    of m_t * k over the degrees k of the char's t nonzero terms, m_t the
+    product of the primes <= t (Mann, Mathematika 12, 1965), whichever
+    costs fewer orders to list.  Both hold every d whose Phi_d divides,
+    in ascending order, so the peel finds the same factors on either.  Each candidate is first screened: the sparse char is
+    evaluated at a root of unity of order exactly d modulo a prime
+    ell = 1 (mod d), and a nonzero value proves Phi_d does not divide
+    it.  Every survivor is decided by exact division, and each is peeled
+    at most once: a repeated cyclotomic factor means polynomial growth,
+    not periodicity.
 
     Every verdict is confirmed, and a failed confirmation is a bug that
-    raises StructureError.  A non-periodic verdict by the Graeffe
-    root-squaring test (_cyclotomic.graeffe_certificate), iterated on
-    char_poly(rods) with g(x^2) = f(x) * f(-x).  Any one of three facts
-    certifies it: the leading coefficient is not +-1; an iterate has a
-    coefficient above C(m, floor(m/2)), m = max R, so a root lies off
-    the unit circle; or the iterates reach a fixed point, so every root
-    is a root of unity, and the residual the peel left divides by a
-    peeled Phi_d once more, a repeated factor; with none of the three the
-    peel missed an order.  A period p is confirmed
-    by one exact count pass to p + max R - 1: the first max R-window
-    repeats at p and not before, which proves F(n + p) = F(n) for all n
-    by the depth-max R recursion, and the counts F(1..p - max R) are Q
-    to [p], confirmed by the exact witness.  Work is bounded by
-    PERIOD_WORK_LIMIT in counted terms times nonzero char terms:
-    4 * (max R)^2 terms first, so that a set too large is refused before
-    its dense characteristic polynomial is built, and p + max R terms
-    before the count pass.
+    raises StructureError.  A non-periodic verdict by one of two
+    certificates.  A char whose sparse terms are not +-self-reciprocal
+    (_cyclotomic.self_reciprocal: a leading coefficient other than +-1,
+    or c_(m-k) != c_m * c_k for some k) is no product of cyclotomics.
+    A +-self-reciprocal char gets the Graeffe root-squaring test
+    (_cyclotomic.graeffe_certificate), iterated with
+    g(x^2) = f(x) * f(-x): an iterate has a coefficient above
+    C(m, floor(m/2)), m = max R, so a root lies off the unit circle; or
+    the iterates reach a fixed point, so every root is a root of unity,
+    and the residual the peel left divides by a peeled Phi_d once more,
+    a repeated factor; with neither the peel missed an order.  A period
+    p is confirmed by one exact count pass to p + max R - 1: the first
+    max R-window repeats at p and not before, which proves
+    F(n + p) = F(n) for all n by the depth-max R recursion, and the
+    counts F(1..p - max R) are Q to [p], confirmed by the exact witness.
+    Work is bounded by PERIOD_WORK_LIMIT in units times nonzero char
+    terms: 4 * (max R)^2 units first, so that a set too large is refused
+    before its dense characteristic polynomial is built, and p + max R
+    counted terms before the count pass.
     """
     # built on first use
-    from ._cyclotomic import cyclotomic_orders, cyclotomic_screen, graeffe_certificate
+    from ._cyclotomic import cyclotomic_screen, graeffe_certificate, peel_orders, self_reciprocal
 
     if not rods.pairs:
         raise StructureError("periodicity is about nonempty rod sets")
     top = rods.max_length
     terms = char_terms(rods)
-    _check_work(4 * top * top, len(terms), "non-periodic")
+    _check_work(4 * top * top, len(terms), "deciding periodicity needs 4 * (max R)^2 = {}")
     char = residual = char_poly(rods)
     factors: list[int] = []
-    for d, degree in cyclotomic_orders(top):
+    for d, degree in peel_orders(terms, top):
         if degree >= len(residual) or not cyclotomic_screen(terms, d):
             continue
         quotient = poly_divexact(residual, cyclotomic(d))
@@ -222,13 +234,13 @@ def detect_period(rods: RodSet) -> PeriodReport:
             if len(residual) == 1:
                 break
     if len(residual) != 1:
-        if graeffe_certificate(char, residual, factors)[0] is None:
+        if self_reciprocal(terms) and graeffe_certificate(char, residual, factors)[0] is None:
             raise StructureError("no Graeffe certificate: the peel missed an order; this is a bug")
         return PeriodReport(None, tuple(factors), None)
     if residual[0] not in (1, -1):
         raise StructureError("peeling left a non-unit constant; this is a bug")
     period = math.lcm(*factors)
-    _check_work(period + top, len(terms), "periodic")
+    _check_work(period + top, len(terms), "confirming a periodic verdict needs {} counted terms")
     counts = train_counts(rods, period + top - 1)
     q = RodSet(tuple([(n, c) for n, c in enumerate(counts[1:period - top + 1], 1) if c]))
     _witness(rods, q, RodSet(((period, 1),)), DEFAULT_HORIZON)

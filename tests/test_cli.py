@@ -257,11 +257,32 @@ def test_period_past_the_length_limit_fails_at_once(run):
     code, out, err = run(["period", "[1,1000000000]"])
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "PERIOD_WORK_LIMIT" in err
+    assert "non-periodic" not in err, "the charge comes before any verdict"
+
+
+def test_period_refusal_names_the_charge_not_a_verdict(run):
+    # 1 - x^1400 is periodic; the 4 * (max R)^2 charge is refused before the peel decides that.
+    code, out, err = run(["period", "[1400]"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: deciding periodicity needs ") and "PERIOD_WORK_LIMIT" in err
+    assert "non-periodic" not in err
 
 
 def test_period_accepts_a_long_chain(run):
     # max R 256 was past the old length limit; its non-periodic bound is 4 * 256^2 x 3 terms.
     assert run(["period", "[1,-256]"]) == (0, "not periodic\n", "")
+
+
+@pytest.mark.parametrize("literal", ["[1,-1118]", "[-1,-1118]"])
+def test_period_of_the_longest_chain_in_range_answers_at_once(literal):
+    # The longest [+-1, k^-1] chain under PERIOD_WORK_LIMIT.  Its char fails the
+    # reciprocity test, and Mann's theorem leaves a few dozen orders to peel.
+    env = {k: v for k, v in _src_env().items() if k not in ("TRAINYARD_HORIZON", "TRAINYARD_FORMAT")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "trainyard", "period", literal],
+        capture_output=True, text=True, env=env, timeout=5,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "not periodic\n", "")
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

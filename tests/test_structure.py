@@ -40,7 +40,14 @@ from trainyard import (
     window_period_scan,
 )
 from trainyard import _cyclotomic, expansion, structure
-from trainyard._cyclotomic import cyclotomic_orders, cyclotomic_screen, graeffe_certificate, graeffe_step
+from trainyard._cyclotomic import (
+    cyclotomic_orders,
+    cyclotomic_screen,
+    graeffe_certificate,
+    graeffe_step,
+    peel_orders,
+    self_reciprocal,
+)
 from trainyard.series import char_terms, poly_trim
 
 from conftest import PROPERTY, _recurrence_counts, oracle_lucas_check, oracle_window_period
@@ -212,7 +219,9 @@ def test_graeffe_iterates_of_distinct_cyclotomics_stay_within_the_binomials(orde
 
 
 def test_graeffe_certificate_lead_and_bound():
-    assert graeffe_certificate(char_poly(parse_rodset("[1^2]")), [1, -2], ()) == ("lead", 0)
+    # 1 - 2x leads with -2, so it fails the reciprocity test before Graeffe runs.
+    rods = parse_rodset("[1^2]")
+    assert not self_reciprocal(char_terms(rods)) and str(detect_period(rods)) == "not periodic"
     # 1 - x - x^2 has a root inside the unit circle; one step gives 1 - 3y + y^2, past C(2, 1).
     assert graeffe_certificate([1, -1, -1], [1, -1, -1], ()) == ("bound", 1)
 
@@ -299,6 +308,80 @@ def test_cyclotomic_screen_never_rejects_a_factor(rods):
     assert set(report.cyclotomic_factors) == dividing
     for d in report.cyclotomic_factors:
         assert dup_cyclotomic_p(cyclotomic(d)[::-1], ZZ), f"peeled factor {d} is not cyclotomic"
+
+
+# Sparse sets: max R <= 60, at most 7 char terms, multiplicities +-1 and +-2.
+sparse_sets = st.dictionaries(
+    st.integers(1, 60), st.sampled_from((1, -1, 2, -2)), min_size=1, max_size=6
+).map(RodSet.from_mults)
+
+
+@PROPERTY
+@given(sparse_sets)
+@example(parse_rodset("[1^2]"))
+def test_every_char_that_fails_the_reciprocity_test_has_a_graeffe_certificate(rods):
+    # Graeffe certifies the same verdict that the reciprocity test gives for free.
+    assume(not self_reciprocal(char_terms(rods)))
+    char = char_poly(rods)
+    assert graeffe_certificate(char, char, ())[0] is not None, f"no certificate for {rods}"
+    assert not detect_period(rods).periodic
+
+
+@PROPERTY
+@given(st.sets(st.integers(1, 60), min_size=1, max_size=4))
+def test_every_product_of_distinct_cyclotomics_passes_the_reciprocity_test(orders):
+    product = sympy.Poly(sympy.prod(sympy.cyclotomic_poly(d, X) for d in orders), X)
+    coeffs = [int(c) for c in reversed(product.all_coeffs())]
+    sign = coeffs[0]  # +-1: only Phi_1 has constant term -1
+    terms = [(k, sign * c) for k, c in enumerate(coeffs) if c]
+    assert self_reciprocal(terms), f"Phi_d for d in {sorted(orders)}"
+
+
+@functools.cache
+def _sympy_totient(d):
+    return int(sympy.totient(d))
+
+
+def _sympy_mann_orders(terms, top):
+    """The divisors d of m_t * k over the nonzero degrees k with phi(d) <= top, with phi, by sympy.
+
+    phi(d) >= sqrt(d / 2), so only the d <= 2 * top^2 need their phi.
+    """
+    m_t = sympy.primorial(len(terms), nth=False)
+    divisors = {int(d) for k, _ in terms if k for d in sympy.divisors(m_t * k) if d <= 2 * top * top}
+    return tuple(sorted((d, _sympy_totient(d)) for d in divisors if _sympy_totient(d) <= top))
+
+
+@PROPERTY
+@given(sparse_sets | cyclotomic_products())
+@example(parse_rodset("[1,2,3,4,5,6,7,8,9,10,11,12]"))
+@example(rodset_from_char_poly(_cyclotomic_product((1, 2, 3, 5, 7, 9))))
+def test_the_peel_finds_the_same_factors_on_the_walk_and_on_manns_list(rods):
+    terms, top = char_terms(rods), rods.max_length
+    walk, mann = cyclotomic_orders(top), _sympy_mann_orders(terms, top)
+    assert peel_orders(terms, top) in (walk, mann)
+    reports = []
+    for orders in (walk, mann):
+        with mock.patch.object(_cyclotomic, "peel_orders", lambda terms, top: orders):
+            reports.append(detect_period(rods).to_json())
+    assert reports[0] == reports[1], f"the peel of {rods} depends on its list"
+
+
+@PROPERTY
+@given(sparse_sets | cyclotomic_products())
+@example(parse_rodset("[1,2,3,4,5,6,7,8,9,10,11,12]"))
+@example(parse_rodset("[1,-1118]"))
+def test_peel_orders_never_takes_the_longer_list(rods):
+    # The walk lists its orders one by one; Mann's list generates tau(m_t * k)
+    # divisors for each degree k before the cut.
+    terms, top = char_terms(rods), rods.max_length
+    m_t = sympy.primorial(len(terms), nth=False)
+    generated = sum(sympy.divisor_count(m_t * k) for k, _ in terms if k)
+    chosen, walk = peel_orders(terms, top), cyclotomic_orders(top)
+    if chosen is walk:
+        assert len(walk) <= generated, f"walked {len(walk)} orders for {rods}, not {generated}"
+    else:
+        assert generated <= len(walk), f"generated {generated} orders for {rods}, not {len(walk)}"
 
 
 def test_detect_period_cyclotomic_rod_set():
