@@ -51,19 +51,16 @@ Four families of questions about a finite rod set R:
 
 * **Borwein trinomials** — which trinomials 1 ∓ x^a ∓ x^b does
   char_poly([1,-2]) (resp. [-1,-2]) divide?  Exactly the signed pairs
-  in four residue classes mod 6 (resp. one class mod 3); the
-  classification reduces every power x^a modulo the characteristic
-  polynomial once, groups the lengths by residue, and tests each pair of
-  residues and signs once, so that one sort lists only the hits.  The
-  window classes of the base's counts cross-check it: they give the
-  same pairs as the two-rod targets with unit multiplicities, read
-  without building Q.
+  in four residue classes mod 6 (resp. one class mod 3).  With max R = 2
+  these are the base's two-rod targets with unit multiplicities, so the
+  classification reads them off the window classes of the base's counts,
+  without building Q, and checks them both ways against the theorem:
+  every pair falls in a class, and every pair a class predicts is found.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections.abc import Iterator
 
 from .counts import train_counts
@@ -186,12 +183,12 @@ def detect_period(rods: RodSet) -> PeriodReport:
     of m_t * k over the degrees k of the char's t nonzero terms, m_t the
     product of the primes <= t (Mann, Mathematika 12, 1965), whichever
     costs fewer orders to list.  Both hold every d whose Phi_d divides,
-    in ascending order, so the peel finds the same factors on either.  Each candidate is first screened: the sparse char is
-    evaluated at a root of unity of order exactly d modulo a prime
-    ell = 1 (mod d), and a nonzero value proves Phi_d does not divide
-    it.  Every survivor is decided by exact division, and each is peeled
-    at most once: a repeated cyclotomic factor means polynomial growth,
-    not periodicity.
+    in ascending order, so the peel finds the same factors on either.
+    Each candidate is first screened: the sparse char is evaluated at a
+    root of unity of order exactly d modulo a prime ell = 1 (mod d),
+    and a nonzero value proves Phi_d does not divide it.  Every survivor
+    is decided by exact division, and each is peeled at most once: a
+    repeated cyclotomic factor means polynomial growth, not periodicity.
 
     Every verdict is confirmed, and a failed confirmation is a bug that
     raises StructureError.  A non-periodic verdict by one of two
@@ -610,78 +607,49 @@ class BorweinTable(Record):
         return "\n".join(f"{label}: {len(pairs)} hits" for label, pairs in self.classes.items())
 
 
-def _power_residues(char: list, bound: int) -> list[tuple[int, ...]]:
-    """x^a mod char for a = 0..bound: each is x times the last, its top term
-    reduced by char, whose leading coefficient must be +-1."""
-    lead = char[-1]
-    residue = [1] + [0] * (len(char) - 2)
-    table = [tuple(residue)]
-    for _ in range(bound):
-        top = residue[-1]
-        residue = [0] + residue[:-1]
-        if top:
-            residue = [c - top * lead * d for c, d in zip(residue, char)]
-        table.append(tuple(residue))
-    return table
-
-
 def borwein_classify(bound: int) -> BorweinTable:
     """Classify all signed trinomials 1 - sa*x^a - sb*x^b, a < b <= bound.
 
     Divisibility by x^2 - x + 1 (the [1,-2] characteristic) lands
     exactly on four signed residue classes mod 6; divisibility by
     x^2 + x + 1 (the [-1,-2] characteristic) on one class mod 3.  The
-    lengths are grouped by their residue x^a mod char, which takes at
-    most 6 values; each (residue of a, residue of b, sa, sb) is tested
-    once, and one sort of the hits in the groups that pass lists them in
-    (b, a, sa, sb) order.  At most one sign pair divides for each (a, b):
-    two differing in one sign would make char divide 2x^a or 2x^b, and
-    two differing in both sum to 2.  The pairs found, in that order,
-    must equal the base's two-rod window targets (_window_targets) with
-    +-1 multiplicities, the trivial self-expansion included, since the
-    (1,-2) class contains it; the window targets are read from the
-    counts alone, with no Q built and no witness run.  Each pair is then
-    filed in its class.  A disagreement, or a pair outside the classes,
-    is a bug and raises StructureError.
+    hits are read off the rod algebra alone: with max R = 2, char(base)
+    divides 1 - sa*x^a - sb*x^b exactly when [a^sa, b^sb] is a two-rod
+    target of the base, so they are the base's window targets
+    (_window_targets) with +-1 multiplicities, the trivial self-expansion
+    included, since the (1,-2) class contains it.  They come from the
+    counts alone, with no Q built and no witness run, in (b, a) order.
+    The theorem's classes check them both ways: every pair must fall in a
+    class, where it is filed, and each class must hold exactly the pairs
+    it predicts, every a < b <= bound with (a, b) mod the modulus and the
+    signs of its key, taken in either order.  A pair outside the classes,
+    or a class that disagrees with the windows, is a bug and raises
+    StructureError.
     """
     if bound < 2:
         raise StructureError("bound must be at least 2")
     classes: dict = {}
     for base, modulus, known in ((_BORWEIN_POS, 6, _POS_CLASSES), (_BORWEIN_NEG, 3, _NEG_CLASS)):
-        classes.update({label: [] for label in known.values()})
-        # The cross-check's counts come first: a bound too large to hold
-        # fails here at once, not after a residue walk of every a <= bound.
-        counts = train_counts(base, bound)
-        residues = _power_residues(char_poly(base), bound)
-        lengths: dict[tuple[int, ...], list[int]] = {}  # 1..bound by residue x^a mod char
-        for a in range(1, bound + 1):
-            lengths.setdefault(residues[a], []).append(a)
-        hits = sorted(
-            (b, a, sa, sb)
-            for va, a_list in lengths.items()
-            for vb, b_list in lengths.items()
-            for sa in (1, -1)
-            for sb in (1, -1)
-            # char(base) divides 1 - sa*x^a - sb*x^b iff its residue vanishes
-            if not any(u - sa * v - sb * w for u, v, w in zip(residues[0], va, vb))
-            for b in b_list
-            for a in a_list[:bisect_left(a_list, b)]
-        )
-        windowed = [
-            (alpha * a, mult_b * b)
-            for b, a, alpha, mult_b in _window_targets(counts, bound, 2)
-            if abs(alpha) == 1 and abs(mult_b) == 1
-        ]
-        if windowed != [(sa * a, sb * b) for b, a, sa, sb in hits]:
-            raise StructureError(
-                "trinomial residues and the window classes disagree; this is a bug"
+        found: dict = {label: [] for label in known.values()}
+        for b, a, alpha, mult_b in _window_targets(train_counts(base, bound), bound, 2):
+            if abs(alpha) == 1 and abs(mult_b) == 1:
+                label = known.get(tuple(sorted(((a % modulus, alpha), (b % modulus, mult_b)))))
+                if label is None:
+                    raise StructureError(
+                        f"{base} divides the trinomial of ({alpha * a},{mult_b * b}) outside "
+                        "the classes; this is a bug"
+                    )
+                found[label].append((alpha * a, mult_b * b))
+        for key, label in known.items():
+            predicted = sorted(
+                (b, a, sa, sb)
+                for (ra, sa), (rb, sb) in {key, key[::-1]}
+                for b in range(rb or modulus, bound + 1, modulus)
+                for a in range(ra or modulus, b, modulus)
             )
-        for b, a, sa, sb in hits:
-            label = known.get(tuple(sorted(((a % modulus, sa), (b % modulus, sb)))))
-            if label is None:
+            if found[label] != [(sa * a, sb * b) for b, a, sa, sb in predicted]:
                 raise StructureError(
-                    f"{base} divides the trinomial of ({sa * a},{sb * b}) outside the classes; "
-                    "this is a bug"
+                    f"the window targets of {base} and the class {label} disagree; this is a bug"
                 )
-            classes[label].append((sa * a, sb * b))
+        classes.update(found)
     return BorweinTable(bound, {label: tuple(pairs) for label, pairs in classes.items()})

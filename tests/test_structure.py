@@ -926,16 +926,25 @@ def test_borwein_builds_no_q_and_runs_no_witness(monkeypatch):
 
 
 def test_borwein_raises_when_residues_and_window_classes_disagree(monkeypatch):
-    power_residues = structure._power_residues
+    window_targets = structure._window_targets
 
-    def one_residue_off(char, bound):
-        table = power_residues(char, bound)
-        table[7] = (table[7][0] + 1,) + table[7][1:]
-        return table
+    def one_unit_target_dropped(counts, bound, w):
+        targets = list(window_targets(counts, bound, w))
+        units = [t for t in targets if abs(t[2]) == abs(t[3]) == 1]
+        targets.remove(units[len(units) // 2])
+        return iter(targets)
 
-    monkeypatch.setattr(structure, "_power_residues", one_residue_off)
+    monkeypatch.setattr(structure, "_window_targets", one_unit_target_dropped)
     with pytest.raises(StructureError, match="disagree"):
         borwein_classify(40)
+
+
+def test_borwein_raises_on_a_class_the_windows_never_fill(monkeypatch):
+    # char([1,-2]) divides no 1 - x^a - x^b with a = 0, b = 3 mod 6, so a class
+    # of them predicts pairs that no window target gives.
+    monkeypatch.setitem(structure._POS_CLASSES, ((0, 1), (3, 1)), "(0,3) mod 6")
+    with pytest.raises(StructureError, match="disagree"):
+        borwein_classify(12)
 
 
 def test_borwein_membership_is_exactly_divisibility():
