@@ -69,6 +69,13 @@ class _CliError(ValueError):
     """Domain-level failure raised by CLI plumbing (file handling etc.)."""
 
 
+def _too_long(bits) -> _CliError:
+    return _CliError(
+        f"an output integer has {bits} bits, over the limit "
+        f"OUTPUT_INT_BITS_LIMIT = {OUTPUT_INT_BITS_LIMIT} bits"
+    )
+
+
 def _bounded(result):
     """result, once no int in it has more than OUTPUT_INT_BITS_LIMIT bits.
 
@@ -81,10 +88,7 @@ def _bounded(result):
         item = stack.pop()
         if isinstance(item, int):
             if item.bit_length() > OUTPUT_INT_BITS_LIMIT:
-                raise _CliError(
-                    f"an output integer has {item.bit_length()} bits, over the limit "
-                    f"OUTPUT_INT_BITS_LIMIT = {OUTPUT_INT_BITS_LIMIT} bits"
-                )
+                raise _too_long(item.bit_length())
         elif isinstance(item, (list, tuple)):
             stack.extend(item)
         elif isinstance(item, Record):
@@ -304,7 +308,14 @@ def _cmd_enumerate(args):
 
 
 def _cmd_binom(args):
-    value = _bounded(binomial_count(_rodset_arg(args.r), args.n))
+    rods = _rodset_arg(args.r)
+    if len(rods.pairs) == 1:
+        # [a^u] counts u^(n/a) when a | n: refused by a lower bound on its bits, before computing it.
+        (a, u), = rods.pairs
+        bits = (args.n // a) * (abs(u).bit_length() - 1) + 1
+        if args.n % a == 0 and bits > OUTPUT_INT_BITS_LIMIT:
+            raise _too_long(f"at least {bits}")
+    value = _bounded(binomial_count(rods, args.n))
     return {"value": value}, [str(value)]
 
 

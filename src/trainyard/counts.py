@@ -132,7 +132,9 @@ def _mediator(r: RodSource, s: RodSource, n: int) -> tuple:
     """1 + C_Q = (1 - C_S)/(1 - C_R) for r -> Q -> s, as the nonzero terms of its N and D.
 
     That is (D_S - N_S) * D_R / (D_S * (D_R - N_R)), through degree n
-    for prefix sources; both constant terms are 1.
+    for prefix sources; both constant terms are 1.  A finite set or a
+    prefix has D = 1, and sparse_mul multiplies by 1 for free, so the
+    mediator of two finite sets is just the two numerators D - N.
     """
     num_r, den_r = r.fraction(n)
     num_s, den_s = s.fraction(n)

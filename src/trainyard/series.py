@@ -316,7 +316,17 @@ def sparse_mul(p_terms, q_terms) -> list:
     solvers' mediator N/D and the witness's cross products when an input
     is a rational source; the all-finite witness is a pass of its own
     (expansion._identity_holds).
+
+    A factor that is the unit polynomial, the one term (0, 1), costs
+    nothing: the other factor's terms are already the product, and come
+    back as a new list with no dict built and no sort.  That is every
+    D = 1 of a finite set or a prefix: the mediator of two finite sets
+    forms no product at all.
     """
+    if len(q_terms) == 1 and q_terms[0] == (0, 1):
+        return list(p_terms)
+    if len(p_terms) == 1 and p_terms[0] == (0, 1):
+        return list(q_terms)
     return sorted(item for item in _add_products({}, q_terms, p_terms).items() if item[1])
 
 

@@ -245,6 +245,18 @@ def test_sizes_past_the_index_range_fail_at_once(argv):
     assert proc.stderr == "error: input too large to compute (OverflowError)\n"
 
 
+def test_binom_refuses_a_long_power_before_computing_it():
+    # 3^(3 * 10^7) would take seconds to compute before its length is refused.
+    env = {k: v for k, v in _src_env().items() if k not in ("TRAINYARD_HORIZON", "TRAINYARD_FORMAT")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "trainyard", "binom", "[1^3]", "30000000"],
+        capture_output=True, text=True, env=env, timeout=5,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "OUTPUT_INT_BITS_LIMIT" in proc.stderr
+
+
 def test_solveq_past_the_quotient_limit_fails_at_once(run):
     # Deciding this Q would need a dense quotient of degree 10^9 - 2.
     code, out, err = run(["solveq", "[1,2]", "[1000000000]"])

@@ -308,12 +308,13 @@ def test_solve_r_runs_the_witness_once(monkeypatch):
         (solve_Q, "[1,2]", "[2,3]"),
         (solve_R, "[2]", "[1,3,4]"),
         (solve_R, "[2]", "[1]"),
+        (solve_Q, ArithmeticRods(1, 1), "[1,3,4]"),  # the rational witness, its D_S = 1 product free
     ],
 )
 def test_a_failed_witness_makes_the_solvers_raise(monkeypatch, solve, first, s):
     monkeypatch.setattr(expansion, "_identity_holds", lambda *args: False)
     with pytest.raises(ExpansionError, match="this is a bug"):
-        solve(parse_rodset(first), parse_rodset(s))
+        solve(parse_rodset(first) if isinstance(first, str) else first, parse_rodset(s))
 
 
 def test_odd_sign_swap_covariance():

@@ -3,8 +3,8 @@
 ``ArithmeticRods`` and ``TrainsOf`` are checked against their definitions
 written out here: the composition oracle on the source cut to lengths
 <= n (finite sets and prefixes too), sympy polynomial division for the
-finiteness of duals and of solved mediators, and sympy ring series for
-the duality identity.
+finiteness of duals and of solved mediators, sympy ring series for
+the duality identity, and dense products for the mediator N/D.
 """
 
 from __future__ import annotations
@@ -21,12 +21,16 @@ from trainyard import (
     PrefixRods,
     RodSet,
     TrainsOf,
+    discrepancies,
     dual,
     expand,
     solve_Q,
     solve_R,
     train_counts,
 )
+from trainyard import series
+from trainyard.counts import _mediator
+from trainyard.series import nonzero_terms, poly_mul
 
 from conftest import PROPERTY, oracle_net_count
 
@@ -177,3 +181,63 @@ def test_solve_r_is_exact(case):
     assert got.r_finite is (quotient is not None)
     if quotient is not None:
         assert got.r == rods_of(quotient, -1)
+
+
+def dense_fraction(source, n: int) -> tuple:
+    """Dense coefficient lists of N and D, from the definitions above (a prefix: N through n, D = 1)."""
+    if isinstance(source, PrefixRods):
+        return [0, *source.mults[:n]], [1]
+    return tuple(
+        [int(c) for c in reversed(sympy.Poly(p, X).all_coeffs())]
+        for p in numerator_and_denominator(source)
+    )
+
+
+def dense_minus(p: list, q: list) -> list:
+    """p - q on dense coefficient lists."""
+    size = max(len(p), len(q))
+    return [a - b for a, b in zip(p + [0] * (size - len(p)), q + [0] * (size - len(q)))]
+
+
+@st.composite
+def mediator_inputs(draw):
+    """R and S of any of the four kinds, and a degree n no prefix among them runs short of."""
+    kinds = st.one_of(finite_sets, sources, prefix_sources)
+    r, s = draw(kinds), draw(kinds)
+    n = draw(st.integers(0, 12))
+    for x in (r, s):
+        if not x.exact:
+            n = min(n, len(x.mults))
+    return r, s, n
+
+
+@PROPERTY
+@given(case=mediator_inputs())
+def test_the_mediator_is_the_dense_product_on_nonzero_terms(case):
+    # N = (D_S - N_S) D_R and D = D_S (D_R - N_R), whether or not a D is the unit.
+    r, s, n = case
+    num_r, den_r = dense_fraction(r, n)
+    num_s, den_s = dense_fraction(s, n)
+    num, den = _mediator(r, s, n)
+    assert num == nonzero_terms(poly_mul(dense_minus(den_s, num_s), den_r))
+    assert den == nonzero_terms(poly_mul(den_s, dense_minus(den_r, num_r)))
+
+
+def test_finite_solves_form_no_sparse_product(monkeypatch):
+    # Finite R and S have D_R = D_S = 1, which sparse_mul multiplies by for free.
+    calls = []
+    products = series._add_products
+    monkeypatch.setattr(series, "_add_products", lambda *args: calls.append(args) or products(*args))
+    r, q = RodSet.from_mults({1: 1, 2: 1}), RodSet.from_mults({2: 1})
+    s = RodSet.from_mults({1: 1, 3: 1, 4: 1})
+    assert solve_Q(r, s).q == q
+    assert solve_R(q, s).r == r
+    assert discrepancies(r, s, 20)[:4] == [0, 1, 0, 0]
+    assert calls == []
+    # An infinite Q's prefix witness forms (1 - C_R)(1 + C_Q) and skips its two products by D = 1.
+    assert solve_Q(RodSet.from_mults({2: 1}), RodSet.from_mults({1: 1})).q_finite is False
+    assert len(calls) == 1
+    # A source R's D_R = 1 - x^2 is a product the mediator still forms.
+    calls.clear()
+    solve_Q(ArithmeticRods(1, 2), s)
+    assert calls
