@@ -7,6 +7,11 @@ for the mediating rod set of an expansion in either direction, decides
 periodicity algebraically, scans for one- and two-rod expansion
 targets, and verifies the Lucas-family and Borwein-trinomial structure
 — everything cross-checkable against a brute-force enumeration.
+
+Every name in ``__all__`` is read from the package.  The layers under the
+searches (``rodset``, ``series``, ``counts``, ``expansion``) load with it;
+``structure`` loads on first use of one of its names, which then binds them
+all, so a caller that never searches does not pay for importing it.
 """
 
 from .counts import (
@@ -54,20 +59,6 @@ from .series import (
     rodset_from_char_poly,
     series_inverse,
     series_mul,
-)
-from .structure import (
-    BorweinTable,
-    LucasReport,
-    PeriodReport,
-    ScalingHit,
-    StructureError,
-    borwein_classify,
-    detect_period,
-    lucas_check,
-    lucas_two_shapes,
-    scan_one_expansions,
-    scan_two_expansions,
-    window_period_scan,
 )
 
 __version__ = "0.1.0"
@@ -125,3 +116,23 @@ __all__ = [
     "window_period_scan",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # PEP 562: the structure searches load on first use, so that a process
+    # that calls none of them never imports (or compiles) their module.  The
+    # first one asked for binds every exported name and removes both hooks, so
+    # that later reads are plain module attributes that CPython specializes.
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import structure
+
+    namespace = globals()
+    namespace.update((key, getattr(structure, key)) for key in __all__ if key not in namespace)
+    namespace.pop("__getattr__", None)
+    namespace.pop("__dir__", None)
+    return namespace[name]
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

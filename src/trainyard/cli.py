@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import math
 import os
 import re
@@ -46,14 +45,6 @@ from .expansion import (
 )
 from .rodset import Record, RodSet, format_rodset, parse_rodset
 from .series import cyclotomic, poly_divexact, poly_mul, poly_text
-from .structure import (
-    borwein_classify,
-    detect_period,
-    lucas_check,
-    lucas_two_shapes,
-    scan_one_expansions,
-    scan_two_expansions,
-)
 
 
 # Longest integer the CLI prints, in bits.  Decimal conversion is quadratic in
@@ -166,6 +157,8 @@ def _csv(values) -> str:
 
 # ---------------------------------------------------------------------------
 # Subcommand handlers: each returns (JSON object, text lines) for main to print.
+# The structure handlers import the searches when called, after their
+# arguments are parsed, so that no other call loads them.
 
 
 def _cmd_counts(args):
@@ -240,11 +233,17 @@ def _cmd_expandmin(args):
 
 
 def _cmd_period(args):
-    return _rendered(_bounded(detect_period(_rodset_arg(args.r))))
+    rods = _rodset_arg(args.r)
+    from .structure import detect_period
+
+    return _rendered(_bounded(detect_period(rods)))
 
 
 def _cmd_scan1(args):
-    hits = _bounded(scan_one_expansions(_rodset_arg(args.r), args.bound))
+    rods = _rodset_arg(args.r)
+    from .structure import scan_one_expansions
+
+    hits = _bounded(scan_one_expansions(rods, args.bound))
     return [{"a": a, "mult": m} for a, m in hits], [
         f"a={a} mult={m}" for a, m in hits
     ] or ["none"]
@@ -255,17 +254,22 @@ def _hits_output(hits):
 
 
 def _cmd_scan2(args):
-    hits = scan_two_expansions(
-        _rodset_arg(args.r), args.bound, include_trivial=args.include_trivial
-    )
-    return _hits_output(hits)
+    rods = _rodset_arg(args.r)
+    from .structure import scan_two_expansions
+
+    return _hits_output(scan_two_expansions(rods, args.bound, include_trivial=args.include_trivial))
 
 
 def _cmd_lucas(args):
-    return _rendered(lucas_check(args.s, args.t, args.sign, _horizon(args)))
+    horizon = _horizon(args)
+    from .structure import lucas_check
+
+    return _rendered(lucas_check(args.s, args.t, args.sign, horizon))
 
 
 def _cmd_lucas_shapes(args):
+    from .structure import lucas_two_shapes
+
     hits = lucas_two_shapes(
         args.s,
         args.t,
@@ -281,6 +285,8 @@ def _cmd_lucas_shapes(args):
 
 
 def _cmd_borwein(args):
+    from .structure import borwein_classify
+
     return _rendered(borwein_classify(args.bound))
 
 
@@ -337,119 +343,108 @@ def _cmd_cyclo(args):
 # Parser
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _arg(*flags, **options):
+    """One add_argument call, as (flags, options)."""
+    return flags, options
+
+
+def _build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for argv: when argv[0] names a subcommand, with that subparser alone.
+
+    Otherwise (no arguments, -h, an unknown word) it holds every subcommand.
+    A subparser's help, usage and errors do not depend on its siblings, and
+    the top-level usage, which an unrecognized argument prints, lists every
+    name either way, so each call prints the same bytes as with the whole
+    tree while building one subparser instead of nineteen.
+    """
+    horizon, bound = _arg("-n", type=int), _arg("-b", "--bound", type=int, required=True)
+    # name -> (handler, help, arguments): each subcommand, declared once.
+    commands = {
+        "counts": (_cmd_counts, "net train counts F(0..N)", (
+            _arg("rodset", nargs="?", help='rod-set literal, e.g. "[1,-2]"'),
+            _arg("--arith", metavar="A,D,SIGN", help="arithmetic rods a, a+d, a+2d, ..."),
+            _arg("--trains", metavar="RODSET", help="rods = trains of RODSET (prefix - to negate)"),
+            _arg("-n", type=int, help="largest length (default: horizon)"),
+        )),
+        "discrep": (_cmd_discrep, "discrepancies D(1..N) of R against S's recursion",
+                    (_arg("r"), _arg("s"), horizon)),
+        "expand": (_cmd_expand, "S with R -> Q -> S", (_arg("r"), _arg("q"), horizon)),
+        "solveq": (_cmd_solveq, "Q with R -> Q -> S, with finiteness verdict",
+                   (_arg("r"), _arg("s"), horizon)),
+        "solver": (_cmd_solver, "R with R -> Q -> S", (_arg("q"), _arg("s"), horizon)),
+        "dual": (_cmd_dual, "dual rod set Q* (inverts 1 + C(x,Q))", (_arg("q"), horizon)),
+        "compose": (_cmd_compose, "Q of the composite expansion", (_arg("q1"), _arg("q2"))),
+        "fromseq": (_cmd_fromseq, "rod set whose train counts match a sequence", (
+            _arg("values", metavar="V0,V1,...", help="count sequence, starting 1"),
+        )),
+        "expandmin": (_cmd_expandmin, "expand away the minimal-length rods", (_arg("r"),)),
+        "period": (_cmd_period, "exact periodicity of n -> F(n,R)", (_arg("r"),)),
+        "scan1": (_cmd_scan1, "one-rod expansion targets [a^m]", (_arg("r"), bound)),
+        "scan2": (_cmd_scan2, "two-rod expansion targets [a^ma, b^mb]", (
+            _arg("r"),
+            bound,
+            _arg("--include-trivial", action="store_true", help="keep the empty-Q self-expansion"),
+        )),
+        "lucas": (_cmd_lucas, "Lucas-family laws for R = [1^(±s), 2^t], for every multiple", (
+            _arg("s", type=int),
+            _arg("t", type=int),
+            _arg("sign", type=_sign_arg),
+            _arg("-n", type=int,
+                 help="decide L(d) | L(kd) for every d <= n/2 and every k (default: horizon)"),
+        )),
+        "lucas-shapes": (_cmd_lucas_shapes, "closed-form two-rod expansions of Lucas rod sets", (
+            _arg("s", type=int),
+            _arg("t", type=int),
+            _arg("sign", type=_sign_arg),
+            _arg("--kind", choices=("adjacent", "skip", "multiple"), required=True),
+            _arg("--a-min", type=int, default=2),
+            _arg("--a-max", type=int, default=4),
+            _arg("--a", type=int),
+            _arg("--d", type=int),
+            _arg("--k-max", type=int, default=1),
+        )),
+        "borwein": (_cmd_borwein, "classify trinomials 1 ∓ x^a ∓ x^b", (bound,)),
+        "enumerate": (_cmd_enumerate, "brute-force train enumeration", (
+            _arg("r"),
+            _arg("n", type=int),
+            _arg("--list", action="store_true", help="print each train"),
+            _arg("--cap", type=int, default=DEFAULT_ENUMERATION_CAP),
+        )),
+        "binom": (_cmd_binom, "binomial-sum count for 1- or 2-length rod sets",
+                  (_arg("r"), _arg("n", type=int))),
+        "poly": (_cmd_poly, "exact polynomial arithmetic (ascending coefficient CSV)", (
+            _arg("op", choices=("mul", "div")),
+            _arg("p1"),
+            _arg("p2"),
+        )),
+        "cyclo": (_cmd_cyclo, "cyclotomic polynomial of order d", (_arg("d", type=int),)),
+    }
+    named = argv[0] if argv and argv[0] in commands else None
     parser = argparse.ArgumentParser(
         prog="trainyard",
         description="Exact net-train-count algebra on signed rod sets.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler)
-        return p
-
-    p = add("counts", _cmd_counts, "net train counts F(0..N)")
-    p.add_argument("rodset", nargs="?", help='rod-set literal, e.g. "[1,-2]"')
-    p.add_argument("--arith", metavar="A,D,SIGN", help="arithmetic rods a, a+d, a+2d, ...")
-    p.add_argument("--trains", metavar="RODSET", help="rods = trains of RODSET (prefix - to negate)")
-    p.add_argument("-n", type=int, help="largest length (default: horizon)")
-
-    p = add("discrep", _cmd_discrep, "discrepancies D(1..N) of R against S's recursion")
-    p.add_argument("r")
-    p.add_argument("s")
-    p.add_argument("-n", type=int)
-
-    p = add("expand", _cmd_expand, "S with R -> Q -> S")
-    p.add_argument("r")
-    p.add_argument("q")
-    p.add_argument("-n", type=int)
-
-    p = add("solveq", _cmd_solveq, "Q with R -> Q -> S, with finiteness verdict")
-    p.add_argument("r")
-    p.add_argument("s")
-    p.add_argument("-n", type=int)
-
-    p = add("solver", _cmd_solver, "R with R -> Q -> S")
-    p.add_argument("q")
-    p.add_argument("s")
-    p.add_argument("-n", type=int)
-
-    p = add("dual", _cmd_dual, "dual rod set Q* (inverts 1 + C(x,Q))")
-    p.add_argument("q")
-    p.add_argument("-n", type=int)
-
-    p = add("compose", _cmd_compose, "Q of the composite expansion")
-    p.add_argument("q1")
-    p.add_argument("q2")
-
-    p = add("fromseq", _cmd_fromseq, "rod set whose train counts match a sequence")
-    p.add_argument("values", metavar="V0,V1,...", help="count sequence, starting 1")
-
-    p = add("expandmin", _cmd_expandmin, "expand away the minimal-length rods")
-    p.add_argument("r")
-
-    p = add("period", _cmd_period, "exact periodicity of n -> F(n,R)")
-    p.add_argument("r")
-
-    p = add("scan1", _cmd_scan1, "one-rod expansion targets [a^m]")
-    p.add_argument("r")
-    p.add_argument("-b", "--bound", type=int, required=True)
-
-    p = add("scan2", _cmd_scan2, "two-rod expansion targets [a^ma, b^mb]")
-    p.add_argument("r")
-    p.add_argument("-b", "--bound", type=int, required=True)
-    p.add_argument("--include-trivial", action="store_true", help="keep the empty-Q self-expansion")
-
-    p = add("lucas", _cmd_lucas, "Lucas-family laws for R = [1^(±s), 2^t], for every multiple")
-    p.add_argument("s", type=int)
-    p.add_argument("t", type=int)
-    p.add_argument("sign", type=_sign_arg)
-    p.add_argument(
-        "-n", type=int, help="decide L(d) | L(kd) for every d <= n/2 and every k (default: horizon)"
+    # With one subparser built, the metavar keeps every name in the top-level usage.
+    sub = parser.add_subparsers(
+        dest="command", required=True, metavar=named and "{%s}" % ",".join(commands)
     )
-
-    p = add("lucas-shapes", _cmd_lucas_shapes, "closed-form two-rod expansions of Lucas rod sets")
-    p.add_argument("s", type=int)
-    p.add_argument("t", type=int)
-    p.add_argument("sign", type=_sign_arg)
-    p.add_argument("--kind", choices=("adjacent", "skip", "multiple"), required=True)
-    p.add_argument("--a-min", type=int, default=2)
-    p.add_argument("--a-max", type=int, default=4)
-    p.add_argument("--a", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--k-max", type=int, default=1)
-
-    p = add("borwein", _cmd_borwein, "classify trinomials 1 ∓ x^a ∓ x^b")
-    p.add_argument("-b", "--bound", type=int, required=True)
-
-    p = add("enumerate", _cmd_enumerate, "brute-force train enumeration")
-    p.add_argument("r")
-    p.add_argument("n", type=int)
-    p.add_argument("--list", action="store_true", help="print each train")
-    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
-
-    p = add("binom", _cmd_binom, "binomial-sum count for 1- or 2-length rod sets")
-    p.add_argument("r")
-    p.add_argument("n", type=int)
-
-    p = add("poly", _cmd_poly, "exact polynomial arithmetic (ascending coefficient CSV)")
-    # Let coefficient lists that start with a negative number ("-1,1")
-    # parse as positionals rather than options.
-    p._negative_number_matcher = re.compile(r"^-\d+(?:,-?\d+)*$")
-    p.add_argument("op", choices=("mul", "div"))
-    p.add_argument("p1")
-    p.add_argument("p2")
-
-    p = add("cyclo", _cmd_cyclo, "cyclotomic polynomial of order d")
-    p.add_argument("d", type=int)
-
+    for name, (handler, help_text, arguments) in commands.items():
+        if named in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            p.set_defaults(handler=handler)
+            for flags, options in arguments:
+                p.add_argument(*flags, **options)
+    if "poly" in sub.choices:
+        # Let coefficient lists that start with a negative number ("-1,1")
+        # parse as positionals rather than options.
+        sub.choices["poly"]._negative_number_matcher = re.compile(r"^-\d+(?:,-?\d+)*$")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_parser(argv).parse_args(argv)
     # Python 3.10.0 to 3.10.6 have no cap to raise.
     cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if cap is not None:
@@ -464,7 +459,11 @@ def main(argv: list[str] | None = None) -> int:
 def _run(args: argparse.Namespace) -> int:
     try:
         obj, lines = args.handler(args)
-        text = [json.dumps(obj)] if _format() == "json" else lines
+        text = lines
+        if _format() == "json":
+            import json  # only a JSON call pays for loading it
+
+            text = [json.dumps(obj)]
     except (ValueError, argparse.ArgumentTypeError) as exc:
         # Every domain error in the package is a ValueError subclass.
         print(f"error: {exc}", file=sys.stderr)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -484,6 +485,98 @@ def test_cli_import_loads_no_record_machinery():
     added = loaded[1] - loaded[0]
     assert "trainyard.cli" in added
     assert not added & {"dataclasses", "inspect"}, sorted(added)
+
+
+@pytest.mark.parametrize(
+    "setup, loaded, unloaded",
+    [
+        # bench/tracer.py reads trainyard.expansion from sys.modules right after importing the package.
+        ("import trainyard", {"trainyard.expansion"}, {"trainyard.structure", "json"}),
+        ("import trainyard.cli", {"trainyard.cli"}, {"trainyard.structure", "json"}),
+        ("from trainyard import cli; cli.main(['counts', '[1,2]', '-n', '5'])",
+         {"trainyard.counts"}, {"trainyard.structure", "json"}),
+        ("from trainyard import cli; cli.main(['period', '[1,-2]'])",
+         {"trainyard.structure"}, {"json"}),
+        ("from trainyard import cli; cli.main(['period', '[1,'])", set(), {"trainyard.structure", "json"}),
+    ],
+)
+def test_startup_loads_only_what_the_call_uses(setup, loaded, unloaded):
+    probe = "; import sys; print(' '.join(sorted(sys.modules)))"
+    env = {k: v for k, v in _src_env().items() if not k.startswith("TRAINYARD_")}
+    proc = subprocess.run(
+        [sys.executable, "-c", setup + probe], capture_output=True, text=True, env=env
+    )
+    assert "Traceback" not in proc.stderr, proc.stderr
+    modules = set(proc.stdout.splitlines()[-1].split())
+    assert loaded <= modules, sorted(loaded - modules)
+    assert not unloaded & modules, sorted(unloaded & modules)
+
+
+def _subparsers(parser) -> dict:
+    """The subcommand parsers a parser holds, by name."""
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+# One argv per subcommand, each parsed alike by the whole tree and by its subparser alone.
+SAMPLE_ARGV = {
+    "counts": ["counts", "--trains=-[2]", "-n", "7"],
+    "discrep": ["discrep", "[1,2]", "[2,3]", "-n", "8"],
+    "expand": ["expand", "[1,2]", "[2]"],
+    "solveq": ["solveq", "[1,2]", "[2,3]", "-n", "8"],
+    "solver": ["solver", "[2]", "[1,3,4]"],
+    "dual": ["dual", "[2]", "-n", "8"],
+    "compose": ["compose", "[2]", "[3]"],
+    "fromseq": ["fromseq", "1,1,2,5"],
+    "expandmin": ["expandmin", "[1^3,2^2]"],
+    "period": ["period", "[1,-2]"],
+    "scan1": ["scan1", "[1,-2]", "-b", "7"],
+    "scan2": ["scan2", "[2,3]", "--bound", "16", "--include-trivial"],
+    "lucas": ["lucas", "3", "2", "-", "-n", "20"],
+    "lucas-shapes": ["lucas-shapes", "3", "2", "+", "--kind", "skip", "--a", "4"],
+    "borwein": ["borwein", "-b", "12"],
+    "enumerate": ["enumerate", "[2,3]", "5", "--list"],
+    "binom": ["binom", "[3,5]", "70"],
+    "poly": ["poly", "div", "-1,0,1", "-1,1"],
+    "cyclo": ["cyclo", "105"],
+}
+
+
+def test_a_lone_subparser_matches_the_whole_tree():
+    full = cli._build_parser([])
+    assert list(SAMPLE_ARGV) == list(_subparsers(full))
+    for name, argv in SAMPLE_ARGV.items():
+        lone = cli._build_parser(argv)
+        assert list(_subparsers(lone)) == [name]
+        for fmt in ("format_help", "format_usage"):
+            assert getattr(_subparsers(lone)[name], fmt)() == getattr(_subparsers(full)[name], fmt)(), name
+        # The top-level usage is what an unrecognized argument prints.
+        assert lone.format_usage() == full.format_usage()
+        assert lone.parse_args(argv) == full.parse_args(argv), name
+
+
+def test_whole_tree_when_no_subcommand_is_named(capsys):
+    for argv in ([], ["-h"], ["--help"], ["frobnicate"], ["-h", "counts"]):
+        assert list(_subparsers(cli._build_parser(argv))) == list(SAMPLE_ARGV), argv
+    with pytest.raises(SystemExit) as info:
+        cli.main(["-h"])
+    assert info.value.code == 0
+    listed = capsys.readouterr().out
+    assert all(f"\n    {name} " in listed for name in SAMPLE_ARGV), listed
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["frobnicate", "[1,2]"], ["scan1", "[1,2]"], ["counts", "[1,2]", "--bogus"],
+     ["period", "[1,-2]", "extra"], ["poly", "mod", "1", "1"]],
+)
+def test_usage_errors_print_what_the_whole_tree_prints(argv, capsys):
+    stderr = []
+    for build in (cli._build_parser, lambda argv: cli._build_parser([])):
+        with pytest.raises(SystemExit) as info:
+            build(argv).parse_args(argv)
+        assert info.value.code == 2
+        stderr.append(capsys.readouterr().err)
+    assert stderr[0] == stderr[1] and stderr[0].startswith("usage: trainyard"), stderr
 
 
 ROD = st.sampled_from(("[]", "[1,2]", "[2,3]", "[1,-2]", "[-1,-2]", "[1^2,3]", "[2^3,-5]",

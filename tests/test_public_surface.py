@@ -6,7 +6,11 @@ from __future__ import annotations
 import copy
 import inspect
 import json
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +37,42 @@ def test_every_exported_name_resolves():
     missing = [name for name in trainyard.__all__ if not hasattr(trainyard, name)]
     assert not missing, f"__all__ names what the package lacks: {missing}"
     assert len(set(trainyard.__all__)) == len(trainyard.__all__), "__all__ repeats a name"
+
+
+# Run in a fresh process, where trainyard.structure has not been loaded yet.
+LAZY_PROBE = """
+import sys
+import trainyard
+
+def unknown_name_fails():
+    try:
+        trainyard.no_such_name
+    except AttributeError as exc:
+        assert "'trainyard'" in str(exc) and "no_such_name" in str(exc), exc
+    else:
+        raise AssertionError("an unknown name resolved")
+
+names = set(trainyard.__all__)
+assert names <= set(dir(trainyard)), sorted(names - set(dir(trainyard)))
+unknown_name_fails()
+assert "trainyard.structure" not in sys.modules, "dir or a failed lookup loaded structure"
+from trainyard import *
+assert names <= set(globals()), sorted(names - set(globals()))
+assert trainyard.detect_period is trainyard.structure.detect_period is detect_period
+assert "__getattr__" not in vars(trainyard), "the hook outlived the binding"
+assert names <= set(dir(trainyard)) and names <= set(vars(trainyard))
+unknown_name_fails()
+print("ok")
+"""
+
+
+def test_structure_names_load_on_first_use_and_bind_once():
+    # Binding every name at once keeps one object per name, so that a
+    # monkeypatch or the benchmark's tracer replaces what every caller reads.
+    src = Path(trainyard.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", LAZY_PROBE], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr
 
 
 def _records() -> list:
