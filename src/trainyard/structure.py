@@ -62,6 +62,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
+from itertools import compress, repeat
+from operator import floordiv, mod, not_
 
 from .counts import train_counts
 from .expansion import DEFAULT_HORIZON, _witness, expand
@@ -281,20 +283,6 @@ class ScalingHit(Record):
         return f"a={self.a} b={self.b} alpha={self.alpha} S={self.s} Q={self.q}"
 
 
-def _direction(window: list[int]) -> tuple[tuple[int, ...], int]:
-    """A nonzero window v as (u, s*c) with v = s*c*u; (v, 0) when v is all zero.
-
-    c is the gcd of v's entries and s the sign of its first nonzero
-    entry, so u is primitive with its first nonzero entry positive.
-    """
-    scale = math.gcd(*window)
-    if scale == 0:
-        return window, 0
-    if next(x for x in window if x) < 0:
-        scale = -scale
-    return tuple(x // scale for x in window), scale
-
-
 def scan_one_expansions(rods: RodSet, bound: int) -> list[tuple[int, int]]:
     """All a <= bound where rods expands to the single-rod set [a^mult].
 
@@ -305,6 +293,13 @@ def scan_one_expansions(rods: RodSet, bound: int) -> list[tuple[int, int]]:
     would make the count series 1/(1 - C(x, R)) a polynomial.  For
     max R = 1 every window is empty, so every a qualifies (each [1^m]
     expands to every [a^(m^a)]).
+
+    One pass over the window columns: column i = 1..max R - 1 is
+    padded[i:i + bound], the counts after max R - 1 zeros (F(k) = 0 for
+    k < 0), so row a - 1 of the columns is a's window.  The zero-window
+    flags are not any(row), and compress keeps the (a, F(a)) they mark.
+    max R = 1 leaves no window column, so one zero column stands in for
+    its empty windows.
     """
     if not rods.pairs:
         raise StructureError("scan needs a nonempty rod set")
@@ -312,27 +307,39 @@ def scan_one_expansions(rods: RodSet, bound: int) -> list[tuple[int, int]]:
         raise StructureError("bound must be at least 1")
     w = rods.max_length
     counts = train_counts(rods, bound)
-    # The window's entries before F(0) are zero, so the counts in range decide it.
-    return [(a, counts[a]) for a in range(1, bound + 1) if not any(counts[max(a - w + 1, 0):a])]
+    padded = [0] * (w - 1) + counts
+    columns = [padded[i:i + bound] for i in range(1, w)] or [[0] * bound]
+    flags = map(not_, map(any, zip(*columns)))
+    return list(compress(zip(range(1, bound + 1), counts[1:]), flags))
 
 
 def _window_targets(counts: list[int], bound: int, w: int) -> Iterator[tuple[int, int, int, int]]:
     """Every two-rod target (b, a, alpha, mult_b) of the counts, a < b <= bound, w = max R.
 
     v_b is padded[b:b + w - 1], oldest first, with w - 1 zeros before the
-    counts.  One ascending pass over b: b's window direction and scale,
-    then the earlier members m of b's class from newest to oldest, so
-    a = b - m ascends, then b joins its class.  A member m with c_m | c_b
-    gives alpha = s_b*c_b / (s_m*c_m) and mult_b = F(b) - alpha*F(m), and
-    the target is yielded when mult_b is nonzero.  So the order is (b, a).
+    counts.  The w - 1 window columns padded[i:i + bound], i = 1..w - 1,
+    are sliced once: zip(*columns) reads v_b as row b - 1 and
+    map(gcd, *columns) its scale c_b, both at C speed.  A nonzero v_b
+    takes the sign s_b of its first nonzero entry, and its direction is
+    u_b = v_b // (s_b*c_b), primitive with its first nonzero entry
+    positive.  map(gcd, *columns) needs a column, so w >= 2: the callers
+    guarantee it (scan_two_expansions refuses w < 2, Borwein has w = 2).
+
+    One ascending pass over b: b's window direction and scale, then the
+    earlier members m of b's class from newest to oldest, so a = b - m
+    ascends, then b joins its class.  A member m with c_m | c_b gives
+    alpha = s_b*c_b / (s_m*c_m) and mult_b = F(b) - alpha*F(m), and the
+    target is yielded when mult_b is nonzero.  So the order is (b, a).
     """
     padded = [0] * (w - 1) + counts
+    columns = [padded[i:i + bound] for i in range(1, w)]
     classes: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for b in range(1, bound + 1):
-        u, scale_b = _direction(padded[b:b + w - 1])
+    for b, window, scale_b in zip(range(1, bound + 1), zip(*columns), map(math.gcd, *columns)):
         if not scale_b:
             continue
-        members = classes.setdefault(u, [])
+        if next(filter(None, window)) < 0:
+            scale_b = -scale_b
+        members = classes.setdefault(tuple(map(floordiv, window, repeat(scale_b))), [])
         for m, scale_m in reversed(members):
             if scale_b % scale_m == 0:
                 alpha = scale_b // scale_m
@@ -464,7 +471,10 @@ def lucas_check(s: int, t: int, sign: int, horizon: int) -> LucasReport:
     q_(d-1) = F(d - 1): L(kd) = L(d)*G((k - 1)d), also when beta = 0.  One
     test per d decides every multiple of d.  A d > horizon // 2 has no
     proper multiple within the horizon, so the verdict covers every pair
-    m | n <= horizon.
+    m | n <= horizon.  The tests run as one pass over two slices of the
+    counts, L(d) = counts[:horizon // 2] and L(2d) = counts[1::2] to the
+    same length: a zero L(d) first, then any(map(mod, ...)).  Only when
+    one fails is the first failing d looked up for the message.
     """
     rods = _lucas_rodset(s, t, sign)
     if horizon < 1:
@@ -475,10 +485,14 @@ def lucas_check(s: int, t: int, sign: int, horizon: int) -> LucasReport:
         for n, f in ((1, f1), (2, sign * s * f1 + t * counts[0])):
             if (f % s == 0) != (n % 2 == 1):
                 raise StructureError(f"s-divisibility broke at n={n}: F(n)={f}; this is a bug")
-    for d in range(1, horizon // 2 + 1):
-        num, den = counts[2 * d - 1], counts[d - 1]  # L(2d), L(d)
-        if den == 0 or num % den:
-            raise StructureError(f"L({d}) does not divide L({2 * d}): {den} vs {num}; this is a bug")
+    half = horizon // 2
+    dens, nums = counts[:half], counts[1:2 * half:2]  # L(d), L(2d) for d = 1..half
+    # A zero L(d) is tested first: map(mod) would raise ZeroDivisionError on it.
+    if 0 in dens or any(map(mod, nums, dens)):
+        d, den, num = next(
+            (d, den, num) for d, den, num in zip(range(1, half + 1), dens, nums) if den == 0 or num % den
+        )
+        raise StructureError(f"L({d}) does not divide L({2 * d}): {den} vs {num}; this is a bug")
     return LucasReport(s, t, sign, horizon)
 
 

@@ -465,7 +465,7 @@ def test_scan_one_expansions(literal, bound, hits):
 @PROPERTY
 @given(
     st.dictionaries(
-        st.integers(1, 6), st.sampled_from((-3, -2, -1, 1, 2, 3)), min_size=1, max_size=4
+        st.integers(1, 8), st.sampled_from((-3, -2, -1, 1, 2, 3)), min_size=1, max_size=4
     ).map(RodSet.from_mults),
     st.integers(1, 40),
 )
@@ -600,11 +600,15 @@ def test_scan_and_period_build_no_expansion_record(monkeypatch):
 @PROPERTY
 @given(
     st.dictionaries(
-        st.integers(1, 6), st.sampled_from((-3, -2, -1, 1, 2, 3)), min_size=2, max_size=4
+        st.integers(1, 8), st.sampled_from((-3, -2, -1, 1, 2, 3)), min_size=2, max_size=4
     ).map(RodSet.from_mults),
     st.integers(2, 40),
 )
 def test_scan_two_equals_the_pairwise_oracle(pairwise_scan, rods, bound):
+    _assert_scan_two_is_pairwise(pairwise_scan, rods, bound)
+
+
+def _assert_scan_two_is_pairwise(pairwise_scan, rods, bound):
     for include_trivial in (False, True):
         hits = scan_two_expansions(rods, bound, include_trivial=include_trivial)
         got = [(h.a, h.b, h.alpha, h.mult_b, h.s, h.q) for h in hits]
@@ -612,6 +616,17 @@ def test_scan_two_equals_the_pairwise_oracle(pairwise_scan, rods, bound):
             f"window classes and the pairwise window test disagree for {rods} "
             f"(include_trivial={include_trivial})"
         )
+
+
+# The Lucas parameters the structure-scan benchmark draws its {1, 2} sets from.
+BENCH_LUCAS = [(1, 1), (1, 2), (2, 1), (3, 1), (1, 3), (3, 2), (2, 3), (4, 1), (1, 4), (4, 3)]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("s, t", BENCH_LUCAS)
+def test_scan_two_on_lucas_sets_equals_the_pairwise_oracle(pairwise_scan, s, t, sign):
+    # max R = 2: each window is the single entry F(n - 1), its sign is the class.
+    _assert_scan_two_is_pairwise(pairwise_scan, RodSet(((1, sign * s), (2, t))), 50)
 
 
 def test_scan_two_large_bound_keeps_the_padovan_hits():
@@ -723,6 +738,19 @@ def test_lucas_check_reports_a_broken_divisibility(monkeypatch, horizon, failure
     else:
         with pytest.raises(StructureError, match=re.escape(f"{failure}; this is a bug")):
             lucas_check(3, 2, 1, horizon)
+
+
+def test_lucas_check_reports_a_zero_divisor(monkeypatch):
+    # L(3) = F(2) = 11 for [1^3, 2^2]; set to 0, it divides no L(6) = 495, and the check
+    # must raise the divisibility bug, not ZeroDivisionError.
+    def l3_zero(rods, n):
+        counts = train_counts(rods, n)
+        counts[2] = 0
+        return counts
+
+    monkeypatch.setattr(structure, "train_counts", l3_zero)
+    with pytest.raises(StructureError, match=re.escape("L(3) does not divide L(6): 0 vs 495; this is a bug")):
+        lucas_check(3, 2, 1, 12)
 
 
 @pytest.mark.parametrize("index, bump, n, f_n", [(1, 1, 1, 4), (0, 2, 2, 15)])
@@ -866,7 +894,13 @@ def test_borwein_text_counts_each_class_and_the_unclassified(monkeypatch):
     assert str(table) == "(1,5) mod 6: 1 hits"
     assert table.unclassified == () and table.to_json()["unclassified"] == []
     # A hit outside the theorem's classes is a bug: it raises, not an unclassified line.
-    monkeypatch.delitem(structure._POS_CLASSES, ((1, 1), (5, 1)))
+    # Patch a copy: deleting and restoring the key in place would move it last and
+    # reorder every later classification in the session.
+    monkeypatch.setattr(
+        structure,
+        "_POS_CLASSES",
+        {k: v for k, v in structure._POS_CLASSES.items() if k != ((1, 1), (5, 1))},
+    )
     with pytest.raises(StructureError, match=r"\(1,5\) outside the classes; this is a bug"):
         borwein_classify(12)
 
