@@ -37,8 +37,10 @@ Four families of questions about a finite rod set R:
   Q finite: its discrepancies vanish on max R consecutive lengths ending
   at b, and past b they follow R's recursion, so they stay zero.
   scan_two_expansions reads Q off the counts it already holds and
-  confirms every hit by the exact witness (1 - C_S) = (1 - C_R)(1 + C_Q)
-  before it is reported.
+  proves every hit before it is reported: the exact witness
+  (1 - C_S) = (1 - C_R)(1 + C_Q), for the Q the counts define, reduces
+  to max R comparisons at Q's boundary once the counts are checked
+  against R's recursion (_boundary).
 
 * **Lucas families** — R = [1^(±s), 2^t] with gcd(s, t) = 1 produces
   Lucas-like counts: L(n) = F(n-1, R) is a divisibility sequence, and
@@ -61,9 +63,9 @@ Four families of questions about a finite rod set R:
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from itertools import compress, repeat
-from operator import floordiv, mod, not_
+from operator import floordiv, mod, mul, not_, sub
 
 from .counts import train_counts
 from .expansion import DEFAULT_HORIZON, _witness, expand
@@ -258,8 +260,9 @@ class ScalingHit(Record):
     ``alpha`` is the unique scaling ratio F(b - i) / F(b - a - i) on
     the window 1 <= i < max R, and a's multiplicity in S (``mult_a``).
     ``q`` is the finite mediating rod set, of degree at most b - max R, whose
-    multiplicities are the discrepancies of R against S; the exact
-    witness (1 - C_S) = (1 - C_R)(1 + C_Q) holds for it.
+    multiplicities are the discrepancies of R against S; the boundary
+    check (_boundary) proved the exact witness
+    (1 - C_S) = (1 - C_R)(1 + C_Q) for the Q the counts define.
     """
 
     __slots__ = ("a", "b", "alpha", "mult_b", "s", "q")
@@ -349,29 +352,96 @@ def _window_targets(counts: list[int], bound: int, w: int) -> Iterator[tuple[int
         members.append((b, scale_b))
 
 
+def _check_counts(rods: RodSet, counts: list[int], top: int) -> None:
+    """Raise unless char(R) * F = 1 through degree top, top >= 0.
+
+    One column pass per rod k subtracts m_k * F(n - k) from F(n) for all
+    k <= n <= top at once (map stops at the end of rest[k:], so the counts
+    need no slice), and what is left must be 1 at degree 0 and zero after.
+    It is a loop of its own, not the series kernel that made the counts.
+    """
+    rest = counts[:top + 1]
+    for k, m in rods.pairs:
+        rest[k:] = map(sub, rest[k:], map(mul, counts, repeat(m)))
+    if rest[0] != 1 or any(rest[1:]):
+        raise StructureError(f"the counts of {rods} break its recursion; this is a bug")
+
+
+def _boundary(
+    rods: RodSet, counts: list[int], w: int, top: int
+) -> Callable[[int, int, int, int], bool]:
+    """The boundary check holds(a, b, alpha, mult_b) of hits with b - w <= top, w = max R.
+
+    With T = b - w and A_T = sum of F(n)*x^n over n <= T, the Q the counts
+    define is 1 + C_Q = A_T - alpha*x^a*A_(T-a) (A empty below degree 0).
+    Once char(R) * F = 1 is checked through top (_check_counts, here),
+    (1 - C_R)*A_T = 1 - E_T exactly, where E_T lives on the degrees
+    T+1..T+w with e_T(T+j) = sum over rods k >= j of m_k*F(T+j-k).  So
+    (1 - C_S) = (1 - C_R)(1 + C_Q) holds exactly when
+    E_T - alpha*x^a*E_(T-a) = mult_b*x^b, which is w comparisons; for
+    a > T it reads E_T = alpha*x^a + mult_b*x^b, and for T < 0 (Q empty)
+    S = R, which never holds, since R has a rod at w > b.  Each tail E_t is w sums of
+    R's reversed dense multiplicities against the counts ending at F(t),
+    made the first time a hit needs it and kept in a dict of this call.
+    A hit past top reads unchecked counts, a bug that raises.
+    """
+    _check_counts(rods, counts, top)
+    padded = [0] * (w - 1) + counts[:top + 1]
+    reversed_mults = [0] * w
+    for k, m in rods.pairs:
+        reversed_mults[w - k] = m
+    tails: dict[int, list[int]] = {}
+
+    def tail(t: int) -> list[int]:
+        """e_t(t+1), ..., e_t(t+w): padded[t:t + w] is F(t-w+1), ..., F(t)."""
+        if t not in tails:
+            window = padded[t:t + w]
+            tails[t] = [sum(map(mul, reversed_mults, window[j:])) for j in range(w)]
+        return tails[t]
+
+    def holds(a: int, b: int, alpha: int, mult_b: int) -> bool:
+        t = b - w
+        if t > top:
+            raise StructureError(f"the hit at b = {b} reads counts past degree {top}; this is a bug")
+        if t < 0:  # Q is empty, so S would be R, but R has a rod at w > b
+            return False
+        if a > t:
+            rest = list(tail(t))
+            rest[a - t - 1] -= alpha
+        else:
+            rest = list(map(sub, tail(t), map(mul, tail(t - a), repeat(alpha))))
+        rest[-1] -= mult_b
+        return not any(rest)
+
+    return holds
+
+
 def _scaling_hit(
-    rods: RodSet, counts: list[int], a: int, b: int, alpha: int, mult_b: int, w: int
+    rods: RodSet, counts: list[int], a: int, b: int, alpha: int, mult_b: int, w: int,
+    holds: Callable[[int, int, int, int], bool],
 ) -> ScalingHit:
     """The witnessed hit [a^alpha, b^mult_b] once v_b = alpha*v_(b-a), w = max R.
 
-    The caller gives mult_b = F(b) - alpha*F(b - a), nonzero.  Q's
-    multiplicities are the discrepancies D(n) = F(n) - alpha*F(n - a) for
-    1 <= n <= b - w (the F(n - b) term is zero there).  The window makes
-    D vanish on b - w < n < b and mult_b makes D(b) = 0.  The product
+    The caller gives mult_b = F(b) - alpha*F(b - a), nonzero, and the
+    boundary check holds of the call (_boundary).  Q's multiplicities are
+    the discrepancies D(n) = F(n) - alpha*F(n - a) for 1 <= n <= b - w
+    (the F(n - b) term is zero there).  The window makes D vanish on
+    b - w < n < b and mult_b makes D(b) = 0.  The product
     D * (1 - C(x, R)) = 1 - C(x, S) has degree b, so past b D follows
     R's recursion from w zeros in a row and stays zero: Q is finite, of
-    degree at most b - w.  Q's pairs are built in one ascending pass and
-    validated by RodSet itself.  The exact witness (expansion._witness,
-    no Expansion record) then confirms the hit; its failure is a bug and
-    raises ExpansionError.
+    degree at most b - w.  The boundary check proves the exact witness
+    (1 - C_S) = (1 - C_R)(1 + C_Q) for the Q the counts define; its
+    failure is a bug and raises StructureError.  Q's pairs are then built
+    from the same counts in one ascending pass and validated by RodSet.
     """
     shape = RodSet(((a, alpha), (b, mult_b)))
+    if not holds(a, b, alpha, mult_b):
+        raise StructureError(f"the boundary check of {rods} -> {shape} failed; this is a bug")
     top = b - w
     mults = counts[1:min(a, top + 1)] + [
         f - alpha * g for f, g in zip(counts[a:top + 1], counts)
     ]
     q = RodSet(tuple([(n, m) for n, m in enumerate(mults, 1) if m]))
-    _witness(rods, q, shape, DEFAULT_HORIZON)
     return ScalingHit(a, b, alpha, mult_b, shape, q)
 
 
@@ -386,10 +456,13 @@ def scan_two_expansions(
     nonzero.  _window_targets yields exactly those pairs from the window
     classes (see the module docstring), in O(bound * w) gcds plus the
     pairs inside classes.  That window makes Q finite (see _scaling_hit),
-    so Q is read off the counts, and every hit is confirmed by the exact
-    witness before being reported; a failed witness raises ExpansionError.
-    Ordered by (b, a).  The no-op expansion of a two-rod set to itself
-    (empty Q) is suppressed unless ``include_trivial`` is set.
+    so Q is read off the counts, and every hit is proved by the boundary
+    check of the exact witness before being reported; a failed check
+    raises StructureError.  The counts are checked once, through the last
+    target's b - w, and only when there is a target to report.  Ordered by
+    (b, a).  The no-op expansion of a two-rod set to itself (empty Q) is
+    suppressed unless ``include_trivial`` is set: its target, R's own
+    pairs, is dropped before its Q is built.
     """
     if not rods.pairs:
         raise StructureError("scan needs a nonempty rod set")
@@ -399,11 +472,18 @@ def scan_two_expansions(
     if bound < 2:
         raise StructureError("bound must be at least 2")
     counts = train_counts(rods, bound)
-    hits = [
-        _scaling_hit(rods, counts, a, b, alpha, mult_b, w)
-        for b, a, alpha, mult_b in _window_targets(counts, bound, w)
+    trivial = () if include_trivial else rods.pairs
+    targets = [
+        (b, a, alpha, mult_b) for b, a, alpha, mult_b in _window_targets(counts, bound, w)
+        if ((a, alpha), (b, mult_b)) != trivial
     ]
-    return hits if include_trivial else [hit for hit in hits if hit.q.pairs]
+    if not targets:
+        return []
+    holds = _boundary(rods, counts, w, targets[-1][0] - w)
+    return [
+        _scaling_hit(rods, counts, a, b, alpha, mult_b, w, holds)
+        for b, a, alpha, mult_b in targets
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -524,34 +604,23 @@ def lucas_two_shapes(
     mult_b = F((k+1)d) - alpha*F(d).
 
     Only "skip" carries the sign.  R is counted once per call, to the
-    largest length needed, and each hit is verified by the scaling window.
+    largest length b any shape needs.  Each shape is first held to the
+    scaling window: with max R = 2, v_b = alpha*v_(b-a) is
+    F(b - 1) = alpha*F(b - a - 1), and F(b) - alpha*F(b - a) must be
+    mult_b, nonzero.  Then each is a hit through _scaling_hit, whose
+    boundary check, on counts checked once through b - 2, proves the
+    exact witness for the Q the counts define; a failure is a bug and
+    raises StructureError.
     """
     rods = _lucas_rodset(s, t, sign)
     w = rods.max_length
-
-    def verified(counts: list[int], a_len: int, b_len: int, alpha: int, mult_b: int) -> ScalingHit:
-        """The hit [a^alpha, b^mult_b] of the predicted shape, once the counts give it:
-        with max R = 2 the window v_b = alpha*v_(b-a) is F(b - 1) = alpha*F(b - a - 1),
-        and F(b) - alpha*F(b - a) must be mult_b, nonzero."""
-        m = b_len - a_len
-        want = [alpha * counts[m - 1], alpha * counts[m] + mult_b]
-        if counts[b_len - 1:b_len + 1] != want or not mult_b:
-            raise StructureError(f"predicted shape ({a_len},{b_len}) failed the scaling window")
-        return _scaling_hit(rods, counts, a_len, b_len, alpha, mult_b, w)
-
-    hits: list[ScalingHit] = []
     if kind == "adjacent":
         if a_min < 2:
             raise StructureError("adjacent chain starts at a = 2")
         if a_max < a_min:
             raise StructureError(f"adjacent range is empty: a_max = {a_max} < a_min = {a_min}")
         counts = train_counts(rods, a_max + 1)
-        for a_len in range(a_min, a_max + 1):
-            hit = verified(counts, a_len, a_len + 1, counts[a_len], t * counts[a_len - 1])
-            chain_q = RodSet.from_mults({k: counts[k] for k in range(1, a_len)})
-            if expand(rods, chain_q).s != hit.s:
-                raise StructureError("minimal-rod chain disagrees with the scan")
-            hits.append(hit)
+        shapes = [(n, n + 1, counts[n], t * counts[n - 1]) for n in range(a_min, a_max + 1)]
     elif kind == "skip":
         if a is None:
             raise StructureError('kind "skip" needs the length a')
@@ -562,22 +631,34 @@ def lucas_two_shapes(
         counts = train_counts(rods, a + 2)
         if counts[a + 1] % s or (t * t * counts[a - 1]) % s:
             raise StructureError("s does not divide F(a+1) and t^2*F(a-1); this is a bug")
-        alpha, mult_b = sign * counts[a + 1] // s, -sign * t * t * counts[a - 1] // s
-        hits.append(verified(counts, a, a + 2, alpha, mult_b))
+        shapes = [(a, a + 2, sign * counts[a + 1] // s, -sign * t * t * counts[a - 1] // s)]
     elif kind == "multiple":
         if d is None or d <= 2:
             raise StructureError('kind "multiple" needs a spacing d > 2')
         if k_max < 1:
             raise StructureError("k_max must be at least 1")
         counts = train_counts(rods, (k_max + 1) * d)
+        shapes = []
         for k in range(1, k_max + 1):
             a_len, b_len = k * d, (k + 1) * d
             if counts[b_len - 1] % counts[d - 1]:
                 raise StructureError("Lucas divisibility failed; this is a bug")
             alpha = counts[b_len - 1] // counts[d - 1]
-            hits.append(verified(counts, a_len, b_len, alpha, counts[b_len] - alpha * counts[d]))
+            shapes.append((a_len, b_len, alpha, counts[b_len] - alpha * counts[d]))
     else:
         raise StructureError(f'unknown kind {kind!r}: use "adjacent", "skip" or "multiple"')
+    for a_len, b_len, alpha, mult_b in shapes:
+        m = b_len - a_len
+        want = [alpha * counts[m - 1], alpha * counts[m] + mult_b]
+        if counts[b_len - 1:b_len + 1] != want or not mult_b:
+            raise StructureError(f"predicted shape ({a_len},{b_len}) failed the scaling window")
+    holds = _boundary(rods, counts, w, len(counts) - 1 - w)
+    hits = [_scaling_hit(rods, counts, *shape, w, holds) for shape in shapes]
+    if kind == "adjacent":
+        for hit in hits:
+            chain_q = RodSet.from_mults({k: counts[k] for k in range(1, hit.a)})
+            if expand(rods, chain_q).s != hit.s:
+                raise StructureError("minimal-rod chain disagrees with the scan")
     return hits
 
 

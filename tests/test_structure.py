@@ -568,15 +568,115 @@ def test_scan_two_hits_agree_with_the_solver_and_sympy(rods, bound):
 def test_scan_two_hits_are_witnessed(monkeypatch):
     rods = parse_rodset("[2,3]")
     seen = []
-    witness = expansion._identity_holds
-    monkeypatch.setattr(
-        expansion, "_identity_holds", lambda *args: seen.append(args[2]) or witness(*args)
+    boundary = structure._boundary
+
+    def spied(*args):
+        holds = boundary(*args)
+
+        def spy(*hit):
+            seen.append((hit, holds(*hit)))
+            return seen[-1][1]
+
+        return spy
+
+    monkeypatch.setattr(structure, "_boundary", spied)
+    for include_trivial in (True, False):
+        seen.clear()
+        hits = scan_two_expansions(rods, 16, include_trivial=include_trivial)
+        assert seen == [((h.a, h.b, h.alpha, h.mult_b), True) for h in hits], (
+            "every hit, and only hits, must pass the boundary check"
+        )
+    seen.clear()
+    hits = lucas_two_shapes(3, 2, 1, "multiple", d=4, k_max=2)
+    assert seen == [((h.a, h.b, h.alpha, h.mult_b), True) for h in hits]
+    seen.clear()
+    assert scan_two_expansions(rods, 4) == [] and seen == [], (
+        "a scan whose only target is the trivial one checks nothing"
     )
-    hits = scan_two_expansions(rods, 16, include_trivial=True)
-    assert seen == [h.s for h in hits], "every hit, and only hits, must pass the witness"
-    monkeypatch.setattr(expansion, "_identity_holds", lambda *args: False)
-    with pytest.raises(ExpansionError, match="this is a bug"):
+    monkeypatch.setattr(structure, "_boundary", lambda *args: lambda *hit: False)
+    with pytest.raises(StructureError, match="this is a bug"):
         scan_two_expansions(rods, 16)
+    with pytest.raises(StructureError, match="this is a bug"):
+        lucas_two_shapes(3, 2, 1, "adjacent")
+
+
+nonzero_mults = st.sampled_from((-3, -2, -1, 1, 2, 3))
+
+
+def _char_times_prefix(rods: RodSet, counts: list, t: int) -> Counter:
+    """(1 - C_R) * (F(0) + F(1)x + ... + F(t)x^t), by the test's own dict product."""
+    out = Counter()
+    for n, f in enumerate(counts[:t + 1]):
+        out[n] += f
+        for k, m in rods.pairs:
+            out[n + k] -= m * f
+    return out
+
+
+def _near_hits(rods: RodSet, counts: list, bound: int):
+    """Shapes (a, b, alpha, mult_b) whose mult_b satisfies (1 - C_S) = (1 - C_R)(1 + C_Q) at
+    degree b, with an alpha read off one more degree, or a small one, so that often a single
+    degree of Q's boundary decides.  Below b = max R (Q empty) every shape differs from R."""
+    w = rods.max_length
+    prefix = functools.lru_cache(None)(lambda t: _char_times_prefix(rods, counts, t))
+    for b in range(2, bound + 1):
+        t = b - w
+        for a in range(1, b):
+            if t < 0:
+                yield a, b, 1, 1
+                continue
+            if a > t:  # 1 + C_Q is F's prefix alone: alpha is read at degree a
+                lower, alphas = Counter(), {-prefix(t)[a], 1 - prefix(t)[a]}
+            else:  # alpha is read at one of the degrees t+1..b-1
+                lower = prefix(t - a)
+                alphas = {-2, -1, 1, 2} | {
+                    prefix(t)[d] // lower[d - a]
+                    for d in range(t + 1, b)
+                    if lower[d - a] and prefix(t)[d] % lower[d - a] == 0
+                }
+            for alpha in alphas:
+                yield a, b, alpha, lower[b - a] * alpha - prefix(t)[b]
+
+
+@PROPERTY
+@given(
+    st.dictionaries(st.integers(1, 8), nonzero_mults, min_size=1, max_size=4)
+    .map(RodSet.from_mults)
+    .filter(lambda rods: rods.max_length >= 2),
+    st.integers(8, 40),
+    st.lists(
+        st.tuples(st.integers(1, 40), st.integers(1, 40), nonzero_mults, nonzero_mults), max_size=8
+    ),
+    st.tuples(st.sampled_from((-2, -1, 1, 2)), st.sampled_from((-2, -1, 1, 2))),
+    st.sampled_from((-1, 1, 2)),
+)
+def test_the_boundary_check_is_the_exact_witness(rods, bound, extra, nudge, bump):
+    w = rods.max_length
+    top = bound - w
+    counts = train_counts(rods, bound)
+    holds = structure._boundary(rods, counts, w, top)
+    candidates = []
+    for b, a, alpha, mult_b in structure._window_targets(counts, bound, w):
+        candidates += [(a, b, alpha, mult_b), (a, b, alpha + nudge[0], mult_b)]
+        candidates.append((a, b, alpha, mult_b + nudge[1]))
+    candidates += [(a, b, alpha, mult_b) for a, b, alpha, mult_b in extra if a < b <= bound]
+    candidates += _near_hits(rods, counts, bound)
+    for a, b, alpha, mult_b in candidates:
+        if not (alpha and mult_b):
+            continue
+        # The Q the counts define: D(n) = F(n) - alpha*F(n - a) for 1 <= n <= b - w.
+        q = RodSet.from_mults(
+            {n: counts[n] - alpha * (counts[n - a] if n >= a else 0) for n in range(1, b - w + 1)}
+        )
+        shape = RodSet(((a, alpha), (b, mult_b)))
+        assert holds(a, b, alpha, mult_b) == expansion._identity_holds(rods, q, shape, 64), (
+            f"the boundary check and the dict witness disagree on {rods} -> {q} -> {shape}"
+        )
+    for index in range(top + 1):
+        broken = list(counts)
+        broken[index] += bump
+        with pytest.raises(StructureError, match="this is a bug"):
+            structure._check_counts(rods, broken, top)
 
 
 def test_scan_and_period_build_no_expansion_record(monkeypatch):
