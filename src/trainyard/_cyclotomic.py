@@ -276,7 +276,7 @@ def cyclotomic_screen(terms, d: int) -> bool:
     True only means that Phi_d may divide: exact division decides.
     """
     ell, zeta = cyclotomic_root(d)
-    return sum(c * pow(zeta, k % d, ell) for k, c in terms) % ell == 0
+    return sum([c * pow(zeta, k % d, ell) for k, c in terms]) % ell == 0
 
 
 def graeffe_step(f: list) -> list:

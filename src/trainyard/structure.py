@@ -10,14 +10,15 @@ Four families of questions about a finite rod set R:
   when fewer, those that Mann's theorem on vanishing sums of roots of
   unity (1965) leaves, the divisors of m_t * k over the char's degrees k.
   Each candidate Phi_d is screened at a root of unity of order d modulo
-  a prime and only the survivors are divided exactly.  A period is
+  a prime, and only the survivors are divided exactly, each on the char's
+  fold mod x^d - 1, so the peel builds no dense char.  A period is
   proved by the counts, whose first max R-window repeats first at it.
   A non-periodic verdict is certified by the char's sparse terms when it
   is not +-self-reciprocal, as every product of cyclotomics is; else by
   the Graeffe root-squaring test, which finds a root off the unit circle
   (an iterate's coefficient passes C(m, floor(m/2)), m = max R) or a
   repeated cyclotomic factor.  One bound on the work (PERIOD_WORK_LIMIT)
-  is checked before the peel.
+  is charged for each step, before the step builds anything dense.
 
 * **Expandability scans** — which one- and two-rod sets does R expand
   to?  For each length n <= bound the window is
@@ -70,22 +71,25 @@ from operator import floordiv, mod, mul, not_, sub
 from .counts import train_counts
 from .expansion import DEFAULT_HORIZON, _witness, expand
 from .rodset import Record, RodSet
-from .series import char_poly, char_terms, cyclotomic, poly_divexact
+from .series import char_poly, char_terms, poly_divexact
 
-# Largest confirmation detect_period takes on, in units times nonzero char
-# terms: p + max R counted terms for a period p, and 4 * (max R)^2 units before
-# the peel, which refuses a set before its dense char is built.  Timed on a 2-vCPU
-# Xeon VM, Python 3.11.  A period pass costs 0.25 to 0.45 us a unit, about two
-# thirds of it the witness's sparse pass: the Phi_3*Phi_5*Phi_7*Phi_8*Phi_11*
-# Phi_13 set (p = 120120, 39 terms, 4.7e6) takes 1.2 to 2.2 s, of which the
-# witness takes 0.8 to 1.4 s.  The non-periodic side costs far less than its
-# units.  A char that is not +-self-reciprocal pays the peel alone, on the
-# orders Mann's theorem leaves when they are fewer: in a fresh process
-# [1, 1118^-1] (1.5e7) takes 0.004 s and [1, 2, ..., 128] (8.5e6) 0.03 s, and
-# [1, 10000^-1] (1.2e9, refused) would take 0.005 s.  A +-self-reciprocal char
-# pays the Graeffe certificate too (at most about (max R)^2 / 4 products a
-# step, fewer while the iterates are sparse): [1, 433^-3, 865, 866^-1] (1.5e7)
-# takes 0.22 s.
+# Largest work detect_period takes on, charged before each step builds anything
+# dense.  Timed on a 2-vCPU Xeon VM, Python 3.11.
+# * The peel's fold divisions: min(d, max R + 1) * (phi(d) + 1) units for each
+#   survivor d divided, summed.  A dense Phi_d costs about 30 ns a unit: dividing
+#   the char Phi_1009 * Phi_2018 (2.0e6 units) by Phi_2018 takes 0.06 s.  Sparse
+#   ones cost far less: 1 - x^4200 (24 orders) takes 0.002 s, and 1 - x^(10^9)
+#   is refused at Phi_3125 (1.8e7) after 0.002 s.  A char that is not
+#   +-self-reciprocal pays nothing more: [1, 10000^-1] takes 0.2 ms and
+#   [1, 10^9] 0.8 ms.
+# * The Graeffe certificate, on +-self-reciprocal chars only: 4 * (max R)^2 units
+#   times the nonzero char terms, at most about (max R)^2 / 4 products a step,
+#   fewer while the iterates are sparse: [1, 433^-3, 865, 866^-1] (1.5e7) takes
+#   0.13 s.
+# * The count pass: p + max R counted terms times the nonzero char terms for a
+#   period p, 0.29 to 0.30 us a unit, two thirds of it the witness's sparse pass:
+#   the Phi_3*Phi_5*Phi_7*Phi_8*Phi_11*Phi_13 set (p = 120120, 39 terms, 4.7e6)
+#   takes 1.3 to 1.4 s, of which the witness takes 0.9 s.
 PERIOD_WORK_LIMIT = 15 * 10**6
 
 
@@ -115,6 +119,13 @@ class PeriodReport(Record):
     cyclotomic_factors: tuple[int, ...]
     q_to_period: RodSet | None
     window_confirmed = True
+
+    def __init__(
+        self, least_period: int | None, cyclotomic_factors: tuple[int, ...], q_to_period: RodSet | None
+    ) -> None:
+        object.__setattr__(self, "least_period", least_period)
+        object.__setattr__(self, "cyclotomic_factors", cyclotomic_factors)
+        object.__setattr__(self, "q_to_period", q_to_period)
 
     @property
     def periodic(self) -> bool:
@@ -167,14 +178,15 @@ def window_period_scan(rods: RodSet, horizon: int) -> int | None:
     return _least_repeat(train_counts(rods, horizon + w - 1), w, horizon)
 
 
-def _check_work(units: int, nonzero: int, needs: str) -> None:
-    """Refuse units x nonzero char terms over PERIOD_WORK_LIMIT; needs.format(units) says what for."""
-    work = units * nonzero
+def _check_work(work: int, needs: str, *args) -> None:
+    """Refuse work over PERIOD_WORK_LIMIT; needs.format(*args) says what for."""
     if work > PERIOD_WORK_LIMIT:
         raise StructureError(
-            f"{needs.format(units)} x {nonzero} nonzero char terms = {work}, "
-            f"over the limit PERIOD_WORK_LIMIT = {PERIOD_WORK_LIMIT}"
+            f"{needs.format(*args)} = {work}, over the limit PERIOD_WORK_LIMIT = {PERIOD_WORK_LIMIT}"
         )
+
+
+_cyclotomic = None  # the module, bound by detect_period's first call and read as a global after
 
 
 def detect_period(rods: RodSet) -> PeriodReport:
@@ -191,62 +203,88 @@ def detect_period(rods: RodSet) -> PeriodReport:
     Each candidate is first screened: the sparse char is evaluated at a
     root of unity of order exactly d modulo a prime ell = 1 (mod d),
     and a nonzero value proves Phi_d does not divide it.  Every survivor
-    is decided by exact division, and each is peeled at most once: a
-    repeated cyclotomic factor means polynomial growth, not periodicity.
+    d with phi(d) <= max R - sum of phi over the factors found is
+    decided exactly on the char's fold mod x^d - 1, its terms summed by
+    degree mod d into min(d, max R + 1) coefficients: Phi_d divides
+    x^d - 1, so it divides the char exactly when it divides the fold.
+    Distinct Phi_d are coprime, so each factor is found once, in
+    ascending order; a repeated cyclotomic factor means polynomial
+    growth, not periodicity.  The product of the factors found divides
+    the char, whose constant term is 1, so the char is periodic exactly
+    when their phi sum to max R: the cofactor is then +-1.
 
     Every verdict is confirmed, and a failed confirmation is a bug that
     raises StructureError.  A non-periodic verdict by one of two
     certificates.  A char whose sparse terms are not +-self-reciprocal
     (_cyclotomic.self_reciprocal: a leading coefficient other than +-1,
-    or c_(m-k) != c_m * c_k for some k) is no product of cyclotomics.
-    A +-self-reciprocal char gets the Graeffe root-squaring test
-    (_cyclotomic.graeffe_certificate), iterated with
-    g(x^2) = f(x) * f(-x): an iterate has a coefficient above
-    C(m, floor(m/2)), m = max R, so a root lies off the unit circle; or
-    the iterates reach a fixed point, so every root is a root of unity,
-    and the residual the peel left divides by a peeled Phi_d once more,
-    a repeated factor; with neither the peel missed an order.  A period
+    or c_(m-k) != c_m * c_k for some k) is no product of cyclotomics,
+    and no dense object is built for it.  A +-self-reciprocal char is
+    built dense, divided by the factors found into a residual, and gets
+    the Graeffe root-squaring test (_cyclotomic.graeffe_certificate),
+    iterated with g(x^2) = f(x) * f(-x): an iterate has a coefficient
+    above C(m, floor(m/2)), m = max R, so a root lies off the unit
+    circle; or the iterates reach a fixed point, so every root is a root
+    of unity, and the residual divides by a found Phi_d once more, a
+    repeated factor; with neither the peel missed an order.  A period
     p is confirmed by one exact count pass to p + max R - 1: the first
     max R-window repeats at p and not before, which proves
     F(n + p) = F(n) for all n by the depth-max R recursion, and the
     counts F(1..p - max R) are Q to [p], confirmed by the exact witness.
-    Work is bounded by PERIOD_WORK_LIMIT in units times nonzero char
-    terms: 4 * (max R)^2 units first, so that a set too large is refused
-    before its dense characteristic polynomial is built, and p + max R
-    counted terms before the count pass.
+    Work is bounded by PERIOD_WORK_LIMIT, charged for the work each step
+    does, before it builds anything dense: each fold division
+    min(d, max R + 1) * (phi(d) + 1), summed over the orders divided;
+    Graeffe, on a +-self-reciprocal char only, 4 * (max R)^2 units times
+    the nonzero char terms; the count pass p + max R counted terms times
+    the nonzero char terms.
     """
-    # built on first use
-    from ._cyclotomic import cyclotomic_screen, graeffe_certificate, peel_orders, self_reciprocal
-
+    global _cyclotomic
     if not rods.pairs:
         raise StructureError("periodicity is about nonempty rod sets")
+    if _cyclotomic is None:
+        from . import _cyclotomic  # compiled on first use, not at import
+    cyc = _cyclotomic
     top = rods.max_length
     terms = char_terms(rods)
-    _check_work(4 * top * top, len(terms), "deciding periodicity needs 4 * (max R)^2 = {}")
-    char = residual = char_poly(rods)
     factors: list[int] = []
-    for d, degree in peel_orders(terms, top):
-        if degree >= len(residual) or not cyclotomic_screen(terms, d):
+    found = spent = 0
+    for d, phi in cyc.peel_orders(terms, top):
+        if phi > top - found or not cyc.cyclotomic_screen(terms, d):
             continue
-        quotient = poly_divexact(residual, cyclotomic(d))
-        if quotient is not None:
-            residual = quotient
+        width = min(d, top + 1)
+        spent += width * (phi + 1)
+        _check_work(spent, "peeling through Phi_{} needs fold length x (phi(d) + 1) "
+                    "summed over the orders divided", d)
+        fold = [0] * width
+        for k, c in terms:
+            fold[k % d] += c
+        if poly_divexact(fold, cyc.moebius_cyclotomic(d)) is not None:
             factors.append(d)
-            if len(residual) == 1:
+            found += phi
+            if found == top:
                 break
-    if len(residual) != 1:
-        if self_reciprocal(terms) and graeffe_certificate(char, residual, factors)[0] is None:
-            raise StructureError("no Graeffe certificate: the peel missed an order; this is a bug")
+    if found != top:
+        if cyc.self_reciprocal(terms):
+            units = 4 * top * top
+            _check_work(units * len(terms), "the Graeffe certificate needs 4 * (max R)^2 = "
+                        "{} x {} nonzero char terms", units, len(terms))
+            char = residual = char_poly(rods)
+            for d in factors:
+                residual = poly_divexact(residual, cyc.moebius_cyclotomic(d))
+                if residual is None:
+                    raise StructureError(f"Phi_{d} divides the fold but not the char; this is a bug")
+            if cyc.graeffe_certificate(char, residual, factors)[0] is None:
+                raise StructureError("no Graeffe certificate: the peel missed an order; this is a bug")
         return PeriodReport(None, tuple(factors), None)
-    if residual[0] not in (1, -1):
-        raise StructureError("peeling left a non-unit constant; this is a bug")
     period = math.lcm(*factors)
-    _check_work(period + top, len(terms), "confirming a periodic verdict needs {} counted terms")
+    _check_work((period + top) * len(terms), "confirming a periodic verdict needs "
+                "{} counted terms x {} nonzero char terms", period + top, len(terms))
     counts = train_counts(rods, period + top - 1)
+    first = _least_repeat(counts, top, period)
+    if first != period:
+        where = "before" if first else "nowhere up to"
+        raise StructureError(f"the counts repeat {where} the period {period}; this is a bug")
     q = RodSet(tuple([(n, c) for n, c in enumerate(counts[1:period - top + 1], 1) if c]))
     _witness(rods, q, RodSet(((period, 1),)), DEFAULT_HORIZON)
-    if _least_repeat(counts, top, period) != period:
-        raise StructureError(f"the counts repeat before the period {period}; this is a bug")
     return PeriodReport(period, tuple(factors), q)
 
 

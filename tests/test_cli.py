@@ -13,6 +13,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -266,19 +267,23 @@ def test_solveq_past_the_quotient_limit_fails_at_once(run):
 
 
 def test_period_past_the_length_limit_fails_at_once(run):
-    # A dense characteristic polynomial of degree 10^9 would be built otherwise.
-    code, out, err = run(["period", "[1,1000000000]"])
+    # 1 - x - x^(10^9) is decided on its sparse terms, with no dense polynomial built.
+    assert run(["period", "[1,1000000000]"]) == (0, "not periodic\n", "")
+    # 1 - x^(10^9) is periodic, but dividing the folds by its orders d | 10^9 is over the limit.
+    code, out, err = run(["period", "[1000000000]"])
     assert code == 1 and out == ""
-    assert err.startswith("error: ") and "PERIOD_WORK_LIMIT" in err
-    assert "non-periodic" not in err, "the charge comes before any verdict"
+    assert err.startswith("error: peeling through Phi_") and "PERIOD_WORK_LIMIT" in err
 
 
 def test_period_refusal_names_the_charge_not_a_verdict(run):
-    # 1 - x^1400 is periodic; the 4 * (max R)^2 charge is refused before the peel decides that.
+    # 1 - x^1400 is periodic, and its 24 folds are cheap, though 4 * 1400^2 is over the limit.
     code, out, err = run(["period", "[1400]"])
+    assert (code, err) == (0, "") and out.startswith("periodic p=1400 factors=1,2,4,5,7,")
+    # 1 - x + 3x^1000 - x^1999 + x^2000 is +-self-reciprocal, so only Graeffe could certify it.
+    code, out, err = run(["period", "[1,-1000^3,1999,-2000]"])
     assert code == 1 and out == ""
-    assert err.startswith("error: deciding periodicity needs ") and "PERIOD_WORK_LIMIT" in err
-    assert "non-periodic" not in err
+    assert err.startswith("error: the Graeffe certificate needs ") and "PERIOD_WORK_LIMIT" in err
+    assert "periodic" not in err
 
 
 def test_period_accepts_a_long_chain(run):
@@ -286,16 +291,29 @@ def test_period_accepts_a_long_chain(run):
     assert run(["period", "[1,-256]"]) == (0, "not periodic\n", "")
 
 
-@pytest.mark.parametrize("literal", ["[1,-1118]", "[-1,-1118]"])
+# The chains are not periodic: a root of unity z of 1 - a*z - b*z^k has |1 - a*z| = 1, so
+# order 3 or 6, and Phi_3 or Phi_6 alone cannot make up a degree k > 2.  And 1 - x^1400 is
+# -(the product of Phi_d over d | 1400).
+LONG_PERIOD_ANSWERS = {
+    "[1,-1118]": "not periodic\n",
+    "[-1,-1118]": "not periodic\n",
+    "[1,-10000]": "not periodic\n",
+    "[-1,-10000]": "not periodic\n",
+    "[1,1000000000]": "not periodic\n",
+    "[1400]": f"periodic p=1400 factors={','.join(map(str, sympy.divisors(1400)))} Q=[]\n",
+}
+
+
+@pytest.mark.parametrize("literal", LONG_PERIOD_ANSWERS)
 def test_period_of_the_longest_chain_in_range_answers_at_once(literal):
-    # The longest [+-1, k^-1] chain under PERIOD_WORK_LIMIT.  Its char fails the
-    # reciprocity test, and Mann's theorem leaves a few dozen orders to peel.
+    # No dense char is built: Mann's theorem leaves a few dozen orders to screen and fold, the
+    # chains then fail the reciprocity test, and [1400] is confirmed by its count pass.
     env = {k: v for k, v in _src_env().items() if k not in ("TRAINYARD_HORIZON", "TRAINYARD_FORMAT")}
     proc = subprocess.run(
         [sys.executable, "-m", "trainyard", "period", literal],
         capture_output=True, text=True, env=env, timeout=5,
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "not periodic\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, LONG_PERIOD_ANSWERS[literal], "")
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -496,8 +514,10 @@ def test_cli_import_loads_no_record_machinery():
         ("from trainyard import cli; cli.main(['counts', '[1,2]', '-n', '5'])",
          {"trainyard.counts"}, {"trainyard.structure", "json"}),
         ("from trainyard import cli; cli.main(['period', '[1,-2]'])",
-         {"trainyard.structure"}, {"json"}),
+         {"trainyard.structure", "trainyard._cyclotomic"}, {"json"}),
         ("from trainyard import cli; cli.main(['period', '[1,'])", set(), {"trainyard.structure", "json"}),
+        ("from trainyard import cli; cli.main(['scan2', '[2,3]', '-b', '16'])",
+         {"trainyard.structure"}, {"trainyard._cyclotomic", "json"}),
     ],
 )
 def test_startup_loads_only_what_the_call_uses(setup, loaded, unloaded):

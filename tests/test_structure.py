@@ -14,6 +14,8 @@ import sympy
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from sympy import ZZ
+from sympy.polys.densearith import dup_mul, dup_neg, dup_rem
+from sympy.polys.densebasic import dup_strip
 from sympy.polys.factortools import dup_cyclotomic_p
 
 from trainyard import (
@@ -109,20 +111,32 @@ def test_detect_period_negative_and_errors():
         detect_period(RodSet())
 
 
-def test_detect_period_raises_when_the_peel_leaves_a_non_unit(monkeypatch):
-    # A peel that left 2 instead of 1 is a bug; it must raise even under python -O.
+def test_detect_period_raises_when_a_division_claims_a_false_factor(monkeypatch):
+    # A screen that passes every order is still sound; a division that then claims every
+    # survivor makes 1 - x - x^2 look like Phi_1 * Phi_2, of period 2.  The count pass's
+    # window check (_least_repeat) catches it, since 1, 1, 2, 3 never repeats its first
+    # window, and it must raise even under python -O.
+    monkeypatch.setattr(_cyclotomic, "cyclotomic_screen", lambda terms, d: True)
     monkeypatch.setattr(structure, "poly_divexact", lambda num, den: [2])
-    with pytest.raises(StructureError, match="non-unit constant; this is a bug"):
-        detect_period(parse_rodset("[1,-2]"))
+    with pytest.raises(StructureError, match="repeat nowhere up to the period 2; this is a bug"):
+        detect_period(parse_rodset("[1,2]"))
+    # (1 - x)^2 is +-self-reciprocal: a fold division that claims Phi_1 while the dense
+    # char's division denies it is caught where the residual for Graeffe is built.
+    monkeypatch.setattr(_cyclotomic, "cyclotomic_screen", cyclotomic_screen)
+    monkeypatch.setattr(structure, "poly_divexact", lambda num, den: None if len(num) == 3 else [])
+    with pytest.raises(StructureError, match="Phi_1 divides the fold but not the char; this is a bug"):
+        detect_period(parse_rodset("[1^2,-2]"))
 
 
 def test_detect_period_refuses_past_the_length_limit():
     limit = structure.PERIOD_WORK_LIMIT
-    # The non-periodic horizon 4 * (max R)^2 times the three char terms of [1, k^-1].
+    # 4 * k^2 units x 3 char terms is over the limit, but only Graeffe pays that, and
+    # 1 - x + x^k is not +-self-reciprocal: its sparse terms and folds decide it.
     k = math.isqrt(limit // 12) + 1
-    assert 4 * 256 * 256 * 3 <= limit, "the [1, 256^-1] chain must stay in range"
-    with pytest.raises(StructureError, match="PERIOD_WORK_LIMIT"):
-        detect_period(RodSet(((1, 1), (k, -1))))
+    assert str(detect_period(RodSet(((1, 1), (k, -1))))) == "not periodic"
+    # 1 - x^(10^9) is periodic, but dividing the folds by its orders d | 10^9 passes the limit.
+    with pytest.raises(StructureError, match="peeling through Phi_.* PERIOD_WORK_LIMIT"):
+        detect_period(RodSet(((10**9, 1),)))
 
 
 def _cyclotomic_product(orders):
@@ -267,6 +281,91 @@ def test_detect_period_agrees_with_sympy_factoring(rods):
     assert report.window_confirmed is True, f"no certificate for the verdict on {char}"
 
 
+@functools.cache
+def _orders_by_totient(m):
+    """Every (d, phi(d)) with phi(d) <= m, by a totient sieve to max(6, m^2): phi(d) >= sqrt(d) past 6."""
+    n = max(6, m * m)
+    phi = list(range(n + 1))
+    for p in range(2, n + 1):
+        if phi[p] == p:
+            for k in range(p, n + 1, p):
+                phi[k] -= phi[k] // p
+    return [(d, phi[d]) for d in range(1, n + 1) if phi[d] <= m]
+
+
+@functools.cache
+def _sympy_cyclotomic_dup(d):
+    """Phi_d from sympy, a dense list over ZZ, leading coefficient first."""
+    return [ZZ(int(c)) for c in sympy.Poly(sympy.cyclotomic_poly(d, X), X).all_coeffs()]
+
+
+def _char_dup(pairs, fold=None):
+    """char_poly of the rod pairs, leading coefficient first, its degrees taken mod fold if given."""
+    coeffs = {0: 1}
+    for k, m in pairs:
+        k = k % fold if fold else k
+        coeffs[k] = coeffs.get(k, 0) - m
+    return dup_strip([ZZ(coeffs.get(k, 0)) for k in range(max(coeffs), -1, -1)])
+
+
+@st.composite
+def period_inputs(draw):
+    """(rods, fold, orders): a rod set, the orders d that alone can have Phi_d | char, and a fold.
+
+    Random sets of max R <= 40 and products of at most three distinct Phi_d, d < 60, with
+    periods up to 2000, try every d with phi(d) <= max R.  A chain [a, b*k] has char 1 - a*x - b*x^k, and a root of unity z
+    of it has |1 - a*z| = |z^k| = 1, so z has order 3 or 6: only d <= 6 are tried, on the char
+    folded mod x^60 - 1, which each of those Phi_d divides.
+    """
+    kind = draw(st.sampled_from(("random", "chain", "product")))
+    if kind == "chain":
+        sign = st.sampled_from((1, -1))
+        rods = RodSet(((1, draw(sign)), (draw(st.integers(2, 3000)), draw(sign))))
+        return rods, 60, (1, 2, 3, 4, 5, 6)
+    if kind == "random":
+        mults = draw(st.dictionaries(st.integers(1, 40), st.sampled_from((1, -1, 1, -1, 2, -2, 3)),
+                                     min_size=1, max_size=6))
+        rods = RodSet.from_mults(mults)
+    else:
+        # Orders drawn one by one with lcm <= 2000, so that each count pass stays short;
+        # test_detect_period_long_period_is_witnessed covers a long period.
+        orders = [draw(st.integers(1, 59))]
+        for _ in range(draw(st.integers(0, 2))):
+            orders.append(draw(st.sampled_from(
+                [d for d in range(1, 60) if d not in orders and math.lcm(d, *orders) <= 2000])))
+        product = [ZZ(1)]
+        for d in orders:
+            product = dup_mul(product, _sympy_cyclotomic_dup(d), ZZ)
+        coeffs = [int(c) for c in reversed(product)]
+        rods = rodset_from_char_poly(coeffs if coeffs[0] == 1 else [-c for c in coeffs])
+    top = rods.max_length
+    return rods, None, tuple(d for d, phi in _orders_by_totient(top) if phi <= top)
+
+
+@PROPERTY
+@given(period_inputs())
+@example((RodSet(((1, 1), (10000, -1))), 60, (1, 2, 3, 4, 5, 6)))
+@example((RodSet(((1, -1), (10000, -1))), 60, (1, 2, 3, 4, 5, 6)))
+@example((RodSet(((1, 1), (10**9, 1))), 60, (1, 2, 3, 4, 5, 6)))
+@example((RodSet(((1, 1), (3001, -1))), 60, (1, 2, 3, 4, 5, 6)))
+@example((RodSet(((1, -1), (2, -1))), 60, (1, 2, 3, 4, 5, 6)))  # 1 + x + x^2 = Phi_3
+@example((RodSet(((1, 1), (2, 1), (3, 2))), None, (1, 2, 3, 4, 6)))  # Phi_3 * (1 - 2x)
+def test_detect_period_factors_are_the_cyclotomic_divisors_sympy_finds(case):
+    rods, fold, orders = case
+    char = _char_dup(rods.pairs, fold)
+    divisors = tuple(d for d in orders if not dup_rem(char, _sympy_cyclotomic_dup(d), ZZ))
+    report = detect_period(rods)
+    assert report.cyclotomic_factors == divisors, f"{rods}: sympy finds {divisors}"
+    product = [ZZ(1)]
+    for d in divisors:
+        product = dup_mul(product, _sympy_cyclotomic_dup(d), ZZ)
+    # A chain's char is folded only past degree 60, where no product of its Phi_d reaches max R.
+    whole = len(product) - 1 == rods.max_length and char in (product, dup_neg(product, ZZ))
+    assert report.periodic == whole, f"{rods}: the product of its Phi_d is +-char: {whole}"
+    if whole:
+        assert report.least_period == math.lcm(*divisors)
+
+
 def test_detect_period_refuses_a_period_past_the_work_limit():
     # max R 42 passes the non-periodic bound, but p + max R = 360402 counted terms
     # times 43 char terms do not.
@@ -275,6 +374,28 @@ def test_detect_period_refuses_a_period_past_the_work_limit():
     with pytest.raises(StructureError, match="PERIOD_WORK_LIMIT") as refused:
         detect_period(rods)
     assert "360402 counted terms" in str(refused.value)
+
+
+@pytest.mark.parametrize(
+    "rods, needs",
+    [
+        # 1 - x + 3x^500 - x^999 + x^1000 is +-self-reciprocal, so only Graeffe certifies it.
+        (parse_rodset("[1,-500^3,999,-1000]"), "the Graeffe certificate needs 4 * (max R)^2 = 4000000 x 5 "),
+        # Phi_5 * Phi_7 * Phi_8 * Phi_9 * Phi_11 * Phi_13: p + max R = 360402 counted terms.
+        (rodset_from_char_poly(_cyclotomic_product((5, 7, 8, 9, 11, 13))),
+         "confirming a periodic verdict needs 360402 counted terms x 43 "),
+    ],
+    ids=["graeffe", "count-pass"],
+)
+def test_detect_period_refuses_before_building_anything_dense(monkeypatch, rods, needs):
+    def dense(*args):
+        raise AssertionError("built before the refusal")
+
+    monkeypatch.setattr(structure, "char_poly", dense)
+    monkeypatch.setattr(structure, "train_counts", dense)
+    with pytest.raises(StructureError, match="PERIOD_WORK_LIMIT") as refused:
+        detect_period(rods)
+    assert str(refused.value).startswith(needs)
 
 
 def _sympy_cyclotomic(d):
