@@ -8,6 +8,8 @@ m_t * k over the sparse polynomial's degrees k), whichever counts fewer;
 and a candidate d is screened by evaluating a sparse polynomial at a
 root of unity of order exactly d modulo a prime.  Each order is
 factored, by trial division and Pollard's rho, when it is first needed.
+The peel's listing and screening are charged, through a check it
+passes in, before they run.
 A polynomial that is not +-self-reciprocal is not +-(a product of
 cyclotomics), a test on its sparse terms; one that is, but is not
 +-(a product of distinct cyclotomics), is certified so by Graeffe root
@@ -29,13 +31,12 @@ from . import series  # looked up at each call, so that wrappers installed on se
 # The first twelve primes: the bases of _is_prime, and the trial divisors of _prime_divisors.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# The least composite that passes _is_prime, 399165290221 * 798330580441 (3.2e23).
+_PROOF_BOUND = 318665857834031151167461
+
 
 def _is_prime(n: int) -> bool:
-    """Miller-Rabin over _SMALL_PRIMES: a proof below 318665857834031151167461 (3.2e23).
-
-    That is the least composite that passes, 399165290221 * 798330580441;
-    False is a proof at any size.
-    """
+    """Miller-Rabin over _SMALL_PRIMES: a proof below _PROOF_BOUND; False is a proof at any size."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -84,9 +85,11 @@ def _prime_divisors(n: int) -> list:
     """The distinct primes dividing n >= 1, ascending.
 
     _SMALL_PRIMES are taken out by trial division.  A cofactor left is
-    prime when _is_prime says so, a proof for every n below 6.5e20 that
-    moebius_cyclotomic lets through; one it rejects is composite and is
-    split by _rho_factor, each part in turn.
+    prime when _is_prime says so, a proof below _PROOF_BOUND: every n
+    moebius_cyclotomic lets through is below 6.5e20, and every prime of
+    an order the peel lists divides m_t or a degree cofactor that
+    _mann_shapes let through.  One it rejects is composite and is split
+    by _rho_factor, each part in turn.
     """
     primes = {p for p in _SMALL_PRIMES if n % p == 0}
     for p in primes:
@@ -137,19 +140,56 @@ def cyclotomic_orders(top: int) -> tuple:
     return tuple(sorted(found))
 
 
-def _mann_shapes(terms: list) -> list:
-    """The factorization {p: e} of m_t * k for each nonzero degree k of the t terms (see peel_orders)."""
+def _unchecked(work: int, needs: str, *args) -> None:
+    """The check peel_orders makes when its caller passes none: nothing is refused."""
+
+
+def _rho_units(n: int) -> int:
+    """The units charged for splitting a composite n by rho: 2 a step, for about n^(1/4) steps.
+
+    Its least prime q is at most sqrt(n), and the walk repeats modulo q
+    after about sqrt(q) steps.  A step, three products and a gcd, costs
+    about two units of the count pass.
+    """
+    return 2 * math.isqrt(math.isqrt(n))
+
+
+def _mann_shapes(terms: list, check) -> tuple:
+    """(shapes, rho): the factorization {p: e} of m_t * k for each nonzero degree k of the t terms.
+
+    Trial division by _SMALL_PRIMES leaves a cofactor of each k.  One not
+    below _PROOF_BOUND raises OverflowError, since _is_prime proves
+    nothing there.  The composite ones are split by Pollard's rho, at
+    _rho_units each, charged before any is split; ``rho`` is the most of
+    them, which a root of unity may spend again on an order that holds
+    two of a cofactor's primes (see peel_orders).
+    """
     small = _primes_upto(len(terms))
-    shapes = []
+    shapes, rests = [], []
     for k, _ in terms:
         if k:
             shape = dict.fromkeys(small, 1)
-            for p in _prime_divisors(k):
+            for p in [p for p in _SMALL_PRIMES if k % p == 0]:
                 while k % p == 0:
                     k //= p
                     shape[p] = shape.get(p, 0) + 1
             shapes.append(shape)
-    return shapes
+            if k > 1:
+                if k >= _PROOF_BOUND:
+                    raise OverflowError(f"a char degree leaves the cofactor {k}, past where primality is proved")
+                rests.append((shape, k))
+    if not rests:
+        return shapes, 0
+    composite = [k for _, k in rests if not _is_prime(k)]
+    units = list(map(_rho_units, composite))
+    check(sum(units), "factoring the char's degrees needs 2 * n^(1/4) units over {} composite cofactors n",
+          len(composite))
+    for shape, k in rests:
+        for p in _prime_divisors(k) if k in composite else (k,):
+            while k % p == 0:
+                k //= p
+                shape[p] = shape.get(p, 0) + 1
+    return shapes, max(units, default=0)
 
 
 def _add_divisors(shape: dict, top: int, found: dict) -> None:
@@ -172,7 +212,22 @@ def _add_divisors(shape: dict, top: int, found: dict) -> None:
     found.update(divisors)
 
 
-def peel_orders(terms: list, top: int) -> tuple:
+def _screen_units(t: int, top: int, rho: int) -> int:
+    """The units charged for screening one listed order of a t-term char: its powers and its root.
+
+    A term costs one pow.  A root of unity (cyclotomic_root) costs a few
+    Miller-Rabin tests of its prime ell and a few more pow calls, on
+    numbers of b bits, so b^3 // 64 units, and ``rho`` units to factor
+    the order.  b is the bits of 1024 * top, and at least 30: every order
+    listed has phi(d) <= top, and d / phi(d) stays below 16 far past any
+    order a list could hold, so d < 16 * top, and ell = 1 (mod d), the
+    first such prime above 2^29, passes d by a few bits at most.
+    """
+    b = max(30, top.bit_length() + 10)
+    return t + (b * b * b >> 6) + rho
+
+
+def peel_orders(terms: list, top: int, check=_unchecked) -> tuple:
     """The orders (d, phi(d)) a periodicity peel tries, d ascending: the walk or Mann's list.
 
     ``terms`` are the t nonzero terms (k, c) of a polynomial f of degree
@@ -197,19 +252,49 @@ def peel_orders(terms: list, top: int) -> tuple:
     when that floor is below the walk's length, and the walk is built
     only when their count passes top + 1.  Dense polynomials, whose m_t
     is a large primorial, keep the walk.
+
+    ``check(work, needs, *args)`` is called before each step that could
+    run long, and refuses it by raising: the factoring (see _mann_shapes),
+    and the screens of the orders listed, at _screen_units each: the
+    walk's as _walk_unless_longer says, Mann's for its
+    sum_j tau(m_t * k_j) divisors before they are listed.
     """
     t = len(terms)
     floor = (t - 1) << len(_primes_upto(t))
-    if floor > top and floor >= len(cyclotomic_orders(top)):
-        return cyclotomic_orders(top)
-    shapes = _mann_shapes(terms)
+    if floor > top:
+        walk = _walk_unless_longer(check, t, top, floor)
+        if walk is not None:
+            return walk
+    shapes, rho = _mann_shapes(terms, check)
     count = sum(math.prod(e + 1 for e in shape.values()) for shape in shapes)
-    if count > top + 1 and count >= len(cyclotomic_orders(top)):
-        return cyclotomic_orders(top)
+    if count > top + 1:
+        walk = _walk_unless_longer(check, t, top, count)
+        if walk is not None:
+            return walk
+    units = _screen_units(t, top, rho)
+    check(count * units, "screening Mann's orders needs {} divisors x {} units for the terms and a root",
+          count, units)
     found: dict = {}
     for shape in shapes:
         _add_divisors(shape, top, found)
     return tuple(sorted(found.items()))
+
+
+def _walk_unless_longer(check, t: int, top: int, rival: int) -> tuple | None:
+    """cyclotomic_orders(top) for a t-term char, or None when it lists more than ``rival`` > top orders.
+
+    Its screens are charged twice: for top + 1 orders before it is built,
+    the fewest that either list can hold, and for all it lists, at most
+    about twice that, before it is returned.
+    """
+    units = _screen_units(t, top, 0)
+    needs = "screening the orders of degree <= max R needs {} orders x {} units for the terms and a root"
+    check((top + 1) * units, needs, top + 1, units)
+    walk = cyclotomic_orders(top)
+    if rival < len(walk):
+        return None
+    check(len(walk) * units, needs, len(walk), units)
+    return walk
 
 
 @lru_cache(maxsize=None)
@@ -249,7 +334,7 @@ def moebius_cyclotomic(d: int) -> tuple:
 _SCREEN_PRIME_FLOOR = 1 << 29
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def cyclotomic_root(d: int) -> tuple:
     """(ell, zeta): a prime ell = 1 (mod d) and zeta of multiplicative order exactly d mod ell.
 

@@ -18,7 +18,9 @@ Four families of questions about a finite rod set R:
   the Graeffe root-squaring test, which finds a root off the unit circle
   (an iterate's coefficient passes C(m, floor(m/2)), m = max R) or a
   repeated cyclotomic factor.  One bound on the work (PERIOD_WORK_LIMIT)
-  is charged for each step, before the step builds anything dense.
+  is charged for each step before it runs: the factoring of the char's
+  degrees, the screens of the orders listed, the folds, Graeffe and the
+  count pass.
 
 * **Expandability scans** — which one- and two-rod sets does R expand
   to?  For each length n <= bound the window is
@@ -73,8 +75,19 @@ from .expansion import DEFAULT_HORIZON, _witness, expand
 from .rodset import Record, RodSet
 from .series import char_poly, char_terms, poly_divexact
 
-# Largest work detect_period takes on, charged before each step builds anything
-# dense.  Timed on a 2-vCPU Xeon VM, Python 3.11.
+# Largest work detect_period takes on, charged before each step runs.  Timed on a
+# 2-vCPU Xeon VM, Python 3.11, in a fresh process.
+# * Factoring the char's degrees, when Mann's list is taken: about n^(1/4) rho
+#   steps for each composite cofactor n left by trial division, 2 units a step.
+#   A step costs 0.6 us on average, 0.4 to 1.4 us, over six splits of products
+#   of two primes near 5e11.  A cofactor past 3.2e23, where Miller-Rabin proves
+#   nothing, raises OverflowError instead.
+# * The screens: for each order listed, t powers for the t nonzero char terms
+#   and b^3 // 64 for its root of unity, b = max(30, bits of 1024 * max R), plus
+#   the rho units of the largest cofactor, as an order may be factored again.
+#   About 0.18 us a unit cold: [1, 2, ..., 40, 15000] (29,000 orders on the
+#   walk, 1.4e7) takes 2.2 to 2.7 s, and [1, 2, ..., 59, 7000000] and [1, 47#]
+#   (7.4e4 of Mann's orders) are refused at once.
 # * The peel's fold divisions: min(d, max R + 1) * (phi(d) + 1) units for each
 #   survivor d divided, summed.  A dense Phi_d costs about 30 ns a unit: dividing
 #   the char Phi_1009 * Phi_2018 (2.0e6 units) by Phi_2018 takes 0.06 s.  Sparse
@@ -231,8 +244,11 @@ def detect_period(rods: RodSet) -> PeriodReport:
     F(n + p) = F(n) for all n by the depth-max R recursion, and the
     counts F(1..p - max R) are Q to [p], confirmed by the exact witness.
     Work is bounded by PERIOD_WORK_LIMIT, charged for the work each step
-    does, before it builds anything dense: each fold division
-    min(d, max R + 1) * (phi(d) + 1), summed over the orders divided;
+    does, before it runs: peel_orders, given _check_work, charges the
+    factoring of the degrees, 2 units a rho step, and the screens of the orders
+    it lists, before it lists them (see _cyclotomic._screen_units); each
+    fold division min(d, max R + 1) * (phi(d) + 1), summed over the
+    orders divided;
     Graeffe, on a +-self-reciprocal char only, 4 * (max R)^2 units times
     the nonzero char terms; the count pass p + max R counted terms times
     the nonzero char terms.
@@ -247,7 +263,7 @@ def detect_period(rods: RodSet) -> PeriodReport:
     terms = char_terms(rods)
     factors: list[int] = []
     found = spent = 0
-    for d, phi in cyc.peel_orders(terms, top):
+    for d, phi in cyc.peel_orders(terms, top, _check_work):
         if phi > top - found or not cyc.cyclotomic_screen(terms, d):
             continue
         width = min(d, top + 1)

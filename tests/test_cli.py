@@ -286,6 +286,36 @@ def test_period_refusal_names_the_charge_not_a_verdict(run):
     assert "periodic" not in err
 
 
+# The peel lists and screens its candidate orders, and factors the char's degrees to list
+# Mann's, so each of these is charged or refused before it starts.
+UNBOUNDED_PEELS = {
+    # 61 terms: the walk over the orders of degree <= 7000000 would hold 1.4e7 orders.
+    "[" + ",".join(map(str, range(1, 60))) + ",7000000]":
+        "error: screening the orders of degree <= max R needs 7000001 orders x ",
+    # (10^29 + 319) * (10^29 + 10^6 + 149), two primes: rho would take about 10^15 steps.
+    "[1,10000000000000000000000100046800000000000000000000319047531]":
+        "error: input too large to compute (OverflowError)\n",
+    # 47#, the product of the primes <= 47: m_3 * 47# has 73728 divisors, each with a root to find.
+    "[1,614889782588491410]": "error: screening Mann's orders needs 73732 divisors x ",
+}
+
+
+def _period_at_once(literal):
+    """`period literal` in a fresh process, which must end within 5 s."""
+    env = {k: v for k, v in _src_env().items() if k not in ("TRAINYARD_HORIZON", "TRAINYARD_FORMAT")}
+    return subprocess.run(
+        [sys.executable, "-m", "trainyard", "period", literal],
+        capture_output=True, text=True, env=env, timeout=5,
+    )
+
+
+@pytest.mark.parametrize("literal", UNBOUNDED_PEELS)
+def test_period_refuses_an_unbounded_peel_at_once(literal):
+    proc = _period_at_once(literal)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith(UNBOUNDED_PEELS[literal]) and proc.stderr.count("\n") == 1
+
+
 def test_period_accepts_a_long_chain(run):
     # max R 256 was past the old length limit; its non-periodic bound is 4 * 256^2 x 3 terms.
     assert run(["period", "[1,-256]"]) == (0, "not periodic\n", "")
@@ -308,11 +338,7 @@ LONG_PERIOD_ANSWERS = {
 def test_period_of_the_longest_chain_in_range_answers_at_once(literal):
     # No dense char is built: Mann's theorem leaves a few dozen orders to screen and fold, the
     # chains then fail the reciprocity test, and [1400] is confirmed by its count pass.
-    env = {k: v for k, v in _src_env().items() if k not in ("TRAINYARD_HORIZON", "TRAINYARD_FORMAT")}
-    proc = subprocess.run(
-        [sys.executable, "-m", "trainyard", "period", literal],
-        capture_output=True, text=True, env=env, timeout=5,
-    )
+    proc = _period_at_once(literal)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, LONG_PERIOD_ANSWERS[literal], "")
 
 

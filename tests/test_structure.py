@@ -366,36 +366,82 @@ def test_detect_period_factors_are_the_cyclotomic_divisors_sympy_finds(case):
         assert report.least_period == math.lcm(*divisors)
 
 
-def test_detect_period_refuses_a_period_past_the_work_limit():
-    # max R 42 passes the non-periodic bound, but p + max R = 360402 counted terms
-    # times 43 char terms do not.
-    rods = rodset_from_char_poly(_cyclotomic_product((5, 7, 8, 9, 11, 13)))
-    assert rods.max_length == 42
-    with pytest.raises(StructureError, match="PERIOD_WORK_LIMIT") as refused:
-        detect_period(rods)
-    assert "360402 counted terms" in str(refused.value)
-
-
-@pytest.mark.parametrize(
-    "rods, needs",
-    [
-        # 1 - x + 3x^500 - x^999 + x^1000 is +-self-reciprocal, so only Graeffe certifies it.
-        (parse_rodset("[1,-500^3,999,-1000]"), "the Graeffe certificate needs 4 * (max R)^2 = 4000000 x 5 "),
-        # Phi_5 * Phi_7 * Phi_8 * Phi_9 * Phi_11 * Phi_13: p + max R = 360402 counted terms.
-        (rodset_from_char_poly(_cyclotomic_product((5, 7, 8, 9, 11, 13))),
-         "confirming a periodic verdict needs 360402 counted terms x 43 "),
-    ],
-    ids=["graeffe", "count-pass"],
-)
-def test_detect_period_refuses_before_building_anything_dense(monkeypatch, rods, needs):
+def _refuse_dense(monkeypatch, *names):
+    """Make structure's char_poly and train_counts, and the named _cyclotomic functions, fail if called."""
     def dense(*args):
         raise AssertionError("built before the refusal")
 
     monkeypatch.setattr(structure, "char_poly", dense)
     monkeypatch.setattr(structure, "train_counts", dense)
+    for name in names:
+        monkeypatch.setattr(_cyclotomic, name, dense)
+
+
+def test_detect_period_refuses_a_period_past_the_work_limit(monkeypatch):
+    # The peel finds Phi_5 * Phi_7 * Phi_8 * Phi_9 * Phi_11 * Phi_13, so the set is periodic,
+    # but p + max R = 360402 counted terms times 43 char terms are over the limit, and the
+    # count pass is refused before it counts anything.
+    rods = rodset_from_char_poly(_cyclotomic_product((5, 7, 8, 9, 11, 13)))
+    assert rods.max_length == 42
+    _refuse_dense(monkeypatch)
     with pytest.raises(StructureError, match="PERIOD_WORK_LIMIT") as refused:
         detect_period(rods)
+    assert str(refused.value).startswith("confirming a periodic verdict needs 360402 counted terms x 43 ")
+
+
+def test_detect_period_refuses_graeffe_before_building_anything_dense(monkeypatch):
+    # 1 - x + 3x^500 - x^999 + x^1000 is +-self-reciprocal, so only Graeffe certifies it.
+    _refuse_dense(monkeypatch)
+    with pytest.raises(StructureError, match="PERIOD_WORK_LIMIT") as refused:
+        detect_period(parse_rodset("[1,-500^3,999,-1000]"))
+    assert str(refused.value).startswith("the Graeffe certificate needs 4 * (max R)^2 = 4000000 x 5 ")
+
+
+# 47#, the product of the primes <= 47: m_3 * 47# = 2^2 * 3^2 * 5 * ... * 47 has 73728 divisors.
+_PRIMORIAL_47 = 614889782588491410
+# A degree whose cofactor past the trial primes is still past _PROOF_BOUND.
+_PAST_PROOF = (10**29 + 1) * (3 * 10**29 + 13)
+# 24 composite degrees near 2e23 free of the trial primes: about 6.7e5 rho steps each.
+_HARD_TO_FACTOR = [
+    n for n in range(2 * 10**23 + 1, 2 * 10**23 + 10**4, 2)
+    if math.gcd(n, math.prod(sympy.primerange(2, 38))) == 1 and not sympy.isprime(n)
+][:24]
+
+
+@pytest.mark.parametrize(
+    "literal, error, needs, unrun",
+    [
+        # 61 terms make Mann's floor 60 * 2^18 pass max R, so the walk would list 1.4e7 orders.
+        ("[" + ",".join(map(str, range(1, 60))) + ",7000000]", StructureError,
+         "screening the orders of degree <= max R needs 7000001 orders x ", ("_mann_shapes",)),
+        # The degree 47# is factored at once, but m_3 * 47# has 73728 divisors to screen.
+        (f"[1,{_PRIMORIAL_47}]", StructureError, "screening Mann's orders needs 73732 divisors x ",
+         ("_add_divisors",)),
+        ("[" + ",".join(map(str, _HARD_TO_FACTOR)) + "]", StructureError,
+         "factoring the char's degrees needs 2 * n^(1/4) units over 24 composite cofactors n = ",
+         ("_rho_factor",)),
+        # Miller-Rabin proves nothing past _PROOF_BOUND, so the degree is not factored.
+        (f"[1,{_PAST_PROOF}]", OverflowError, "a char degree leaves the cofactor", ("_rho_factor",)),
+    ],
+    ids=["walk", "mann", "rho", "proof"],
+)
+def test_detect_period_refuses_an_unbounded_peel_before_it_runs(monkeypatch, literal, error, needs, unrun):
+    rods = parse_rodset(literal)
+    _refuse_dense(monkeypatch, "cyclotomic_orders", "cyclotomic_root", *unrun)
+    with pytest.raises(error) as refused:
+        detect_period(rods)
     assert str(refused.value).startswith(needs)
+
+
+def test_mann_shapes_split_composite_cofactors_like_sympy():
+    # Cofactors past the trial primes: a prime, a semiprime and a prime square, times small primes.
+    p, q = 1000003, 999983
+    degrees = [2**5 * 41 * p, 3 * p * q, 7**2 * q * q, 43 * 47, 1]
+    terms = [(0, 1)] + [(k, -1) for k in degrees]
+    shapes, rho = _cyclotomic._mann_shapes(terms, _cyclotomic._unchecked)
+    m_t = math.prod(sympy.primerange(2, len(terms) + 1))
+    assert shapes == [sympy.factorint(m_t * k) for k in degrees if k > 1] + [sympy.factorint(m_t)]
+    assert rho == max(2 * math.isqrt(math.isqrt(n)) for n in (p * q, q * q, 43 * 47))
 
 
 def _sympy_cyclotomic(d):
@@ -483,7 +529,7 @@ def test_the_peel_finds_the_same_factors_on_the_walk_and_on_manns_list(rods):
     assert peel_orders(terms, top) in (walk, mann)
     reports = []
     for orders in (walk, mann):
-        with mock.patch.object(_cyclotomic, "peel_orders", lambda terms, top: orders):
+        with mock.patch.object(_cyclotomic, "peel_orders", lambda terms, top, check: orders):
             reports.append(detect_period(rods).to_json())
     assert reports[0] == reports[1], f"the peel of {rods} depends on its list"
 
