@@ -5,17 +5,19 @@ the candidate orders of a periodicity test are listed, with their phi,
 either by a walk over prime powers (every d with phi(d) <= max R) or by
 Mann's theorem on vanishing sums of roots of unity (the divisors of
 m_t * k over the sparse polynomial's degrees k), whichever counts fewer;
-and a candidate d is screened by evaluating a sparse polynomial at a
-root of unity of order exactly d modulo a prime.  Each order is
-factored, by trial division and Pollard's rho, when it is first needed.
-The peel's listing and screening are charged, through a check it
-passes in, before they run.
+and a candidate d is screened, first by Phi_d(+-1), which must divide
+the polynomial's values at +-1, then by evaluating the sparse polynomial
+at a root of unity of order exactly d modulo a prime.  Each order is
+factored, by trial division and Pollard's rho, when it is first needed,
+once for its values at +-1, its root and phi(rad d).  The peel's
+listing and screening are charged, through a check it passes in, before
+they run, and so is each division (division_units).
 A polynomial that is not +-self-reciprocal is not +-(a product of
 cyclotomics), a test on its sparse terms; one that is, but is not
 +-(a product of distinct cyclotomics), is certified so by Graeffe root
 squaring, after Bradford & Davenport, "Effective tests for cyclotomic
 polynomials", ISSAC '88.  Nothing here runs at import: the orders, the
-polynomials and the roots are cached.
+polynomials and each order's root and values are cached.
 """
 
 from __future__ import annotations
@@ -334,18 +336,19 @@ def moebius_cyclotomic(d: int) -> tuple:
 _SCREEN_PRIME_FLOOR = 1 << 29
 
 
-@lru_cache(maxsize=4096)
-def cyclotomic_root(d: int) -> tuple:
+def cyclotomic_root(d: int, primes=None) -> tuple:
     """(ell, zeta): a prime ell = 1 (mod d) and zeta of multiplicative order exactly d mod ell.
 
     zeta is a root of Phi_d modulo ell, so a polynomial that Phi_d
     divides vanishes at zeta; a nonzero value there proves that Phi_d
     does not divide it.  ell is the least such prime above 2^29.
+    ``primes``, the distinct primes dividing d, are found when not given.
     """
     ell = ((_SCREEN_PRIME_FLOOR - 1) // d + 1) * d + 1
     while not _is_prime(ell):
         ell += d
-    primes = _prime_divisors(d)
+    if primes is None:
+        primes = _prime_divisors(d)
     for g in range(2, ell):
         zeta = pow(g, (ell - 1) // d, ell)
         if all(pow(zeta, d // q, ell) != 1 for q in primes):
@@ -353,15 +356,62 @@ def cyclotomic_root(d: int) -> tuple:
     raise series.SeriesError("the multiplicative group mod a prime is cyclic; this is a bug")
 
 
-def cyclotomic_screen(terms, d: int) -> bool:
-    """False when Phi_d provably does not divide the polynomial with these nonzero terms.
+def cyclotomic_ends(d: int, primes=None) -> tuple:
+    """(Phi_d(1), Phi_d(-1)) for d >= 1, read off the distinct primes dividing d.
 
-    The sparse terms are evaluated at the root of unity of
-    :func:`cyclotomic_root`; a nonzero value mod ell rules Phi_d out.
-    True only means that Phi_d may divide: exact division decides.
+    Phi_1 = x - 1 and Phi_2 = x + 1 give (0, -2) and (2, 0).  For d >= 2,
+    Phi_d(1) is p when d = p^k and 1 otherwise.  For odd d >= 3,
+    Phi_d(-1) = Phi_2d(1) = 1; for even d >= 4 it is Phi_(d/2)(1), as
+    Phi_d(x) = Phi_(d/2)(-x) when d = 2 (mod 4) and Phi_(d/2)(x^2) when
+    4 | d: so p when d = 2p^k with p odd, 2 when d = 2^k with k >= 2, and
+    1 otherwise.  ``primes`` are found when not given.
     """
-    ell, zeta = cyclotomic_root(d)
+    if d <= 2:
+        return ((0, -2), (2, 0))[d - 1]
+    if primes is None:
+        primes = _prime_divisors(d)
+    at_one = primes[0] if len(primes) == 1 else 1
+    if d % 2:
+        return at_one, 1
+    half = primes if d % 4 == 0 else primes[1:]  # the primes of d/2
+    return at_one, half[0] if len(half) == 1 else 1
+
+
+@lru_cache(maxsize=4096)
+def _order(d: int) -> tuple:
+    """(Phi_d(1), Phi_d(-1), ell, zeta, phi(rad d)) for an order d, from one factoring of d."""
+    primes = _prime_divisors(d)
+    return (*cyclotomic_ends(d, primes), *cyclotomic_root(d, primes), math.prod(p - 1 for p in primes))
+
+
+def cyclotomic_screen(terms, d: int, ends: tuple) -> bool:
+    """False when Phi_d provably does not divide the polynomial f with these nonzero terms.
+
+    ``ends`` is (f(1), f(-1)).  Phi_d | f in Z[x] makes Phi_d(a) divide
+    f(a) for every integer a, so Phi_d is ruled out at once when
+    Phi_d(1) or Phi_d(-1) (see cyclotomic_ends) does not divide f's value
+    there, 0 dividing only 0.  Only a d of the form p^k or 2p^k has a
+    value other than 1 to test.  Else the sparse terms are evaluated at
+    the root of unity of :func:`cyclotomic_root`, and a nonzero value mod
+    ell rules Phi_d out.  True only means that Phi_d may divide: exact
+    division decides.
+    """
+    phi_d_one, phi_d_minus_one, ell, zeta, _ = _order(d)
+    f_one, f_minus_one = ends
+    if ((f_one % phi_d_one if phi_d_one else f_one)
+            or (f_minus_one % phi_d_minus_one if phi_d_minus_one else f_minus_one)):
+        return False
     return sum([c * pow(zeta, k % d, ell) for k, c in terms]) % ell == 0
+
+
+def division_units(d: int, phi: int, width: int) -> int:
+    """The units charged for dividing a fold of this width by Phi_d, phi = phi(d).
+
+    Reading Phi_d's phi + 1 coefficients, and a step for each of its
+    nonzero terms at each of the width quotient degrees at most:
+    Phi_d(x) = Phi_rad(d)(x^(d/rad d)) has at most phi(rad d) + 1 of them.
+    """
+    return phi + 1 + width * (_order(d)[4] + 1)
 
 
 def graeffe_step(f: list) -> list:

@@ -9,8 +9,9 @@ Four families of questions about a finite rod set R:
   orders.  The candidate orders d are every d with phi(d) <= max R, or,
   when fewer, those that Mann's theorem on vanishing sums of roots of
   unity (1965) leaves, the divisors of m_t * k over the char's degrees k.
-  Each candidate Phi_d is screened at a root of unity of order d modulo
-  a prime, and only the survivors are divided exactly, each on the char's
+  Each candidate Phi_d is screened, first by its values at +-1, which
+  must divide the char's, then at a root of unity of order d modulo a
+  prime, and only the survivors are divided exactly, each on the char's
   fold mod x^d - 1, so the peel builds no dense char.  A period is
   proved by the counts, whose first max R-window repeats first at it.
   A non-periodic verdict is certified by the char's sparse terms when it
@@ -67,8 +68,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator
-from itertools import compress, repeat
-from operator import floordiv, mod, mul, not_, sub
+from itertools import compress, count, repeat
+from operator import add, floordiv, mod, mul, not_, sub
 
 from .counts import train_counts
 from .expansion import DEFAULT_HORIZON, _witness, expand
@@ -88,13 +89,17 @@ from .series import char_poly, char_terms, poly_divexact
 #   About 0.18 us a unit cold: [1, 2, ..., 40, 15000] (29,000 orders on the
 #   walk, 1.4e7) takes 2.2 to 2.7 s, and [1, 2, ..., 59, 7000000] and [1, 47#]
 #   (7.4e4 of Mann's orders) are refused at once.
-# * The peel's fold divisions: min(d, max R + 1) * (phi(d) + 1) units for each
-#   survivor d divided, summed.  A dense Phi_d costs about 30 ns a unit: dividing
-#   the char Phi_1009 * Phi_2018 (2.0e6 units) by Phi_2018 takes 0.06 s.  Sparse
-#   ones cost far less: 1 - x^4200 (24 orders) takes 0.002 s, and 1 - x^(10^9)
-#   is refused at Phi_3125 (1.8e7) after 0.002 s.  A char that is not
-#   +-self-reciprocal pays nothing more: [1, 10000^-1] takes 0.2 ms and
-#   [1, 10^9] 0.8 ms.
+# * The peel's fold divisions: phi(d) + 1 units for reading Phi_d and
+#   min(d, max R + 1) * (phi(rad d) + 1) for the division's steps, for each
+#   survivor d divided, summed; Phi_d(x) = Phi_rad(d)(x^(d / rad d)) has at most
+#   phi(rad d) + 1 nonzero terms.  A dense Phi_d costs about 23 ns a unit:
+#   dividing the fold of the char Phi_1009 * Phi_2018 by Phi_2018 (2.0e6 units)
+#   takes 0.047 s.  A fold that is zero divides by every Phi_d, which is then not
+#   built: 1 - x^6000, 1 - x^8000 and 1 - x^10000 (1.1e5 to 1.6e5 units) are
+#   periodic in 6 to 8 ms, cold, count pass included, and 1 - x^(10^9) is
+#   refused at Phi_400000 (1.6e7) after 0.03 to 0.05 s, peaking at 21 MB.  A
+#   char that is not +-self-reciprocal pays nothing more: [1, 10000^-1] takes
+#   0.2 ms and [1, 10^9] 0.8 ms.
 # * The Graeffe certificate, on +-self-reciprocal chars only: 4 * (max R)^2 units
 #   times the nonzero char terms, at most about (max R)^2 / 4 products a step,
 #   fewer while the iterates are sparse: [1, 433^-3, 865, 866^-1] (1.5e7) takes
@@ -213,13 +218,18 @@ def detect_period(rods: RodSet) -> PeriodReport:
     product of the primes <= t (Mann, Mathematika 12, 1965), whichever
     costs fewer orders to list.  Both hold every d whose Phi_d divides,
     in ascending order, so the peel finds the same factors on either.
-    Each candidate is first screened: the sparse char is evaluated at a
-    root of unity of order exactly d modulo a prime ell = 1 (mod d),
-    and a nonzero value proves Phi_d does not divide it.  Every survivor
+    Each candidate is first screened (_cyclotomic.cyclotomic_screen):
+    Phi_d | c in Z[x] makes Phi_d(a) divide c(a) at every integer a, so
+    Phi_d(1) not dividing c(1), or Phi_d(-1) not dividing c(-1), rules d
+    out, both values summed from the char's terms once per call; then
+    the sparse char is evaluated at a root of unity of order exactly d
+    modulo a prime ell = 1 (mod d), and a nonzero value proves Phi_d
+    does not divide it.  Every survivor
     d with phi(d) <= max R - sum of phi over the factors found is
     decided exactly on the char's fold mod x^d - 1, its terms summed by
     degree mod d into min(d, max R + 1) coefficients: Phi_d divides
-    x^d - 1, so it divides the char exactly when it divides the fold.
+    x^d - 1, so it divides the char exactly when it divides the fold, and
+    a zero fold needs no Phi_d built.
     Distinct Phi_d are coprime, so each factor is found once, in
     ascending order; a repeated cyclotomic factor means polynomial
     growth, not periodicity.  The product of the factors found divides
@@ -247,8 +257,8 @@ def detect_period(rods: RodSet) -> PeriodReport:
     does, before it runs: peel_orders, given _check_work, charges the
     factoring of the degrees, 2 units a rho step, and the screens of the orders
     it lists, before it lists them (see _cyclotomic._screen_units); each
-    fold division min(d, max R + 1) * (phi(d) + 1), summed over the
-    orders divided;
+    fold division phi(d) + 1 + min(d, max R + 1) * (phi(rad d) + 1),
+    summed over the orders divided (_cyclotomic.division_units);
     Graeffe, on a +-self-reciprocal char only, 4 * (max R)^2 units times
     the nonzero char terms; the count pass p + max R counted terms times
     the nonzero char terms.
@@ -261,19 +271,20 @@ def detect_period(rods: RodSet) -> PeriodReport:
     cyc = _cyclotomic
     top = rods.max_length
     terms = char_terms(rods)
+    ends = (sum([c for _, c in terms]), sum([-c if k % 2 else c for k, c in terms]))
     factors: list[int] = []
     found = spent = 0
     for d, phi in cyc.peel_orders(terms, top, _check_work):
-        if phi > top - found or not cyc.cyclotomic_screen(terms, d):
+        if phi > top - found or not cyc.cyclotomic_screen(terms, d, ends):
             continue
         width = min(d, top + 1)
-        spent += width * (phi + 1)
-        _check_work(spent, "peeling through Phi_{} needs fold length x (phi(d) + 1) "
+        spent += cyc.division_units(d, phi, width)
+        _check_work(spent, "peeling through Phi_{} needs phi(d) + 1 + fold length x (phi(rad d) + 1) "
                     "summed over the orders divided", d)
         fold = [0] * width
         for k, c in terms:
             fold[k % d] += c
-        if poly_divexact(fold, cyc.moebius_cyclotomic(d)) is not None:
+        if not any(fold) or poly_divexact(fold, cyc.moebius_cyclotomic(d)) is not None:
             factors.append(d)
             found += phi
             if found == top:
@@ -406,19 +417,35 @@ def _window_targets(counts: list[int], bound: int, w: int) -> Iterator[tuple[int
         members.append((b, scale_b))
 
 
-def _check_counts(rods: RodSet, counts: list[int], top: int) -> None:
-    """Raise unless char(R) * F = 1 through degree top, top >= 0.
+def _check_counts(rods: RodSet, counts: list[int], top: int) -> list[list[int]]:
+    """Raise unless char(R) * F = 1 through degree top, top >= 0; return R's tail columns.
 
-    One column pass per rod k subtracts m_k * F(n - k) from F(n) for all
-    k <= n <= top at once (map stops at the end of rest[k:], so the counts
-    need no slice), and what is left must be 1 at degree 0 and zero after.
-    It is a loop of its own, not the series kernel that made the counts.
+    With w = max R and A_t = sum of F(n)*x^n over n <= t, (1 - C_R)*A_t is
+    1 - E_t, and E_t lives on the degrees t+1..t+w: e_t(t+j) is the sum
+    over rods k >= j of m_k*F(t+j-k) for t >= 0, and E_t = 1 for t < 0
+    (A_t is empty).  Column j = 1..w holds e_(b-w)(b-w+j) at index b, for
+    every 1 <= b <= top + w, so two hits' tails are read by indexing.
+    The columns are suffix sums over R's rods, from k = w down, of the
+    products m_k*F(n - k), one column pass per rod over the counts padded
+    with w zeros, and a 1 at degree 0 stands for the t < 0 tails.  The
+    same sum over every rod, plus that 1, is F's recursion, so column 1
+    must reproduce the counts through top.  It is a loop of its own, not
+    the series kernel that made the counts.
     """
-    rest = counts[:top + 1]
-    for k, m in rods.pairs:
-        rest[k:] = map(sub, rest[k:], map(mul, counts, repeat(m)))
-    if rest[0] != 1 or any(rest[1:]):
+    w = rods.max_length
+    padded = [0] * w + counts[:top + 1]  # F(n) at index n + w
+    column = [0] * (top + 2 * w + 1)
+    column[w] = 1
+    mults = dict(rods.pairs)
+    columns = []
+    for j in range(w, 0, -1):
+        if j in mults:
+            column = column[:j] + list(map(add, column[j:], map(mul, padded, repeat(mults[j]))))
+        columns.append(column[j:])
+    columns.reverse()
+    if columns[0][w - 1:w + top] != counts[:top + 1]:
         raise StructureError(f"the counts of {rods} break its recursion; this is a bug")
+    return columns
 
 
 def _boundary(
@@ -426,46 +453,30 @@ def _boundary(
 ) -> Callable[[int, int, int, int], bool]:
     """The boundary check holds(a, b, alpha, mult_b) of hits with b - w <= top, w = max R.
 
-    With T = b - w and A_T = sum of F(n)*x^n over n <= T, the Q the counts
-    define is 1 + C_Q = A_T - alpha*x^a*A_(T-a) (A empty below degree 0).
-    Once char(R) * F = 1 is checked through top (_check_counts, here),
-    (1 - C_R)*A_T = 1 - E_T exactly, where E_T lives on the degrees
-    T+1..T+w with e_T(T+j) = sum over rods k >= j of m_k*F(T+j-k).  So
-    (1 - C_S) = (1 - C_R)(1 + C_Q) holds exactly when
-    E_T - alpha*x^a*E_(T-a) = mult_b*x^b, which is w comparisons; for
-    a > T it reads E_T = alpha*x^a + mult_b*x^b, and for T < 0 (Q empty)
-    S = R, which never holds, since R has a rod at w > b.  Each tail E_t is w sums of
-    R's reversed dense multiplicities against the counts ending at F(t),
-    made the first time a hit needs it and kept in a dict of this call.
-    A hit past top reads unchecked counts, a bug that raises.
+    With T = b - w the Q the counts define is 1 + C_Q = A_T - alpha*x^a*A_(T-a),
+    A_t the counts through degree t (empty below 0).  Once char(R) * F = 1
+    is checked through top, (1 - C_R)*A_t = 1 - E_t exactly for every
+    t <= top, E_t on the degrees t+1..t+w (see _check_counts, which makes
+    the tail columns).  So (1 - C_S) = (1 - C_R)(1 + C_Q) holds exactly
+    when E_T - alpha*x^a*E_(T-a) = mult_b*x^b.  Both tails live on the
+    degrees T+1..b, so that is w comparisons, entry j of column j at b
+    against alpha times the entry at b - a, the last one off by mult_b;
+    for a > T, E_(T-a) = 1 puts alpha at degree a.  For T < 0 (Q empty)
+    S = R, which never holds, since R has a rod at w > b.  A hit past top
+    reads unchecked counts, a bug that raises.
     """
-    _check_counts(rods, counts, top)
-    padded = [0] * (w - 1) + counts[:top + 1]
-    reversed_mults = [0] * w
-    for k, m in rods.pairs:
-        reversed_mults[w - k] = m
-    tails: dict[int, list[int]] = {}
-
-    def tail(t: int) -> list[int]:
-        """e_t(t+1), ..., e_t(t+w): padded[t:t + w] is F(t-w+1), ..., F(t)."""
-        if t not in tails:
-            window = padded[t:t + w]
-            tails[t] = [sum(map(mul, reversed_mults, window[j:])) for j in range(w)]
-        return tails[t]
+    *inner, last = _check_counts(rods, counts, top)
 
     def holds(a: int, b: int, alpha: int, mult_b: int) -> bool:
-        t = b - w
-        if t > top:
+        if b - w > top:
             raise StructureError(f"the hit at b = {b} reads counts past degree {top}; this is a bug")
-        if t < 0:  # Q is empty, so S would be R, but R has a rod at w > b
+        if b < w:  # Q is empty, so S would be R, but R has a rod at w > b
             return False
-        if a > t:
-            rest = list(tail(t))
-            rest[a - t - 1] -= alpha
-        else:
-            rest = list(map(sub, tail(t), map(mul, tail(t - a), repeat(alpha))))
-        rest[-1] -= mult_b
-        return not any(rest)
+        m = b - a
+        for column in inner:
+            if column[b] != alpha * column[m]:
+                return False
+        return last[b] - alpha * last[m] == mult_b
 
     return holds
 
@@ -485,17 +496,20 @@ def _scaling_hit(
     R's recursion from w zeros in a row and stays zero: Q is finite, of
     degree at most b - w.  The boundary check proves the exact witness
     (1 - C_S) = (1 - C_R)(1 + C_Q) for the Q the counts define; its
-    failure is a bug and raises StructureError.  Q's pairs are then built
-    from the same counts in one ascending pass and validated by RodSet.
+    failure is a bug and raises StructureError.  Q is then built from the
+    same counts at C speed: the slice F(1..a-1) (all of F(1..b-w) when
+    a > b - w), extended by F(n) - alpha*F(n - a) from two slices, and
+    compress keeps the (n, D(n)) with D(n) nonzero.  They go through a
+    list, so that the tuple RodSet makes of them has no spare room, and
+    RodSet validates them.
     """
     shape = RodSet(((a, alpha), (b, mult_b)))
     if not holds(a, b, alpha, mult_b):
         raise StructureError(f"the boundary check of {rods} -> {shape} failed; this is a bug")
     top = b - w
-    mults = counts[1:min(a, top + 1)] + [
-        f - alpha * g for f, g in zip(counts[a:top + 1], counts)
-    ]
-    q = RodSet(tuple([(n, m) for n, m in enumerate(mults, 1) if m]))
+    mults = counts[1:min(a, top + 1)]
+    mults += map(sub, counts[a:top + 1], map(mul, counts, repeat(alpha)))
+    q = RodSet(list(compress(zip(count(1), mults), mults)))
     return ScalingHit(a, b, alpha, mult_b, shape, q)
 
 
@@ -526,11 +540,11 @@ def scan_two_expansions(
     if bound < 2:
         raise StructureError("bound must be at least 2")
     counts = train_counts(rods, bound)
-    trivial = () if include_trivial else rods.pairs
-    targets = [
-        (b, a, alpha, mult_b) for b, a, alpha, mult_b in _window_targets(counts, bound, w)
-        if ((a, alpha), (b, mult_b)) != trivial
-    ]
+    targets = list(_window_targets(counts, bound, w))
+    if not include_trivial and len(rods.pairs) == 2:
+        (a, alpha), (b, mult_b) = rods.pairs
+        if (b, a, alpha, mult_b) in targets:
+            targets.remove((b, a, alpha, mult_b))
     if not targets:
         return []
     holds = _boundary(rods, counts, w, targets[-1][0] - w)

@@ -297,6 +297,8 @@ UNBOUNDED_PEELS = {
         "error: input too large to compute (OverflowError)\n",
     # 47#, the product of the primes <= 47: m_3 * 47# has 73728 divisors, each with a root to find.
     "[1,614889782588491410]": "error: screening Mann's orders needs 73732 divisors x ",
+    # 1 - x^(10^9) is periodic, but the fold divisions through its orders d | 10^9 pass the limit.
+    "[1000000000]": "error: peeling through Phi_400000 needs ",
 }
 
 
@@ -322,15 +324,19 @@ def test_period_accepts_a_long_chain(run):
 
 
 # The chains are not periodic: a root of unity z of 1 - a*z - b*z^k has |1 - a*z| = 1, so
-# order 3 or 6, and Phi_3 or Phi_6 alone cannot make up a degree k > 2.  And 1 - x^1400 is
-# -(the product of Phi_d over d | 1400).
+# order 3 or 6, and Phi_3 or Phi_6 alone cannot make up a degree k > 2.  And 1 - x^p is
+# -(the product of Phi_d over d | p); its folds are zero, and each Phi_d has at most
+# phi(rad d) + 1 terms to divide by.
 LONG_PERIOD_ANSWERS = {
     "[1,-1118]": "not periodic\n",
     "[-1,-1118]": "not periodic\n",
     "[1,-10000]": "not periodic\n",
     "[-1,-10000]": "not periodic\n",
     "[1,1000000000]": "not periodic\n",
-    "[1400]": f"periodic p=1400 factors={','.join(map(str, sympy.divisors(1400)))} Q=[]\n",
+    **{
+        f"[{p}]": f"periodic p={p} factors={','.join(map(str, sympy.divisors(p)))} Q=[]\n"
+        for p in (1400, 6000, 8000, 10000)
+    },
 }
 
 

@@ -43,6 +43,7 @@ from trainyard import (
 )
 from trainyard import _cyclotomic, expansion, structure
 from trainyard._cyclotomic import (
+    cyclotomic_ends,
     cyclotomic_orders,
     cyclotomic_screen,
     graeffe_certificate,
@@ -116,7 +117,7 @@ def test_detect_period_raises_when_a_division_claims_a_false_factor(monkeypatch)
     # survivor makes 1 - x - x^2 look like Phi_1 * Phi_2, of period 2.  The count pass's
     # window check (_least_repeat) catches it, since 1, 1, 2, 3 never repeats its first
     # window, and it must raise even under python -O.
-    monkeypatch.setattr(_cyclotomic, "cyclotomic_screen", lambda terms, d: True)
+    monkeypatch.setattr(_cyclotomic, "cyclotomic_screen", lambda terms, d, ends: True)
     monkeypatch.setattr(structure, "poly_divexact", lambda num, den: [2])
     with pytest.raises(StructureError, match="repeat nowhere up to the period 2; this is a bug"):
         detect_period(parse_rodset("[1,2]"))
@@ -126,6 +127,16 @@ def test_detect_period_raises_when_a_division_claims_a_false_factor(monkeypatch)
     monkeypatch.setattr(structure, "poly_divexact", lambda num, den: None if len(num) == 3 else [])
     with pytest.raises(StructureError, match="Phi_1 divides the fold but not the char; this is a bug"):
         detect_period(parse_rodset("[1^2,-2]"))
+
+
+@pytest.mark.parametrize("literal", ["[1,2]", "[1,-2]", "[1^2,-2]", "[-1,3,4,5,-7,-8]", "[12]", "[1,-3^2,4]"])
+def test_the_fold_division_alone_decides_every_order(monkeypatch, literal):
+    # The screens only save work: with every order let through, each fold division, a zero
+    # fold included, must still find exactly the factors and the verdict.
+    rods = parse_rodset(literal)
+    report = detect_period(rods)
+    monkeypatch.setattr(_cyclotomic, "cyclotomic_screen", lambda terms, d, ends: True)
+    assert detect_period(rods) == report
 
 
 def test_detect_period_refuses_past_the_length_limit():
@@ -166,7 +177,7 @@ def test_graeffe_certificate_catches_a_skipped_order(monkeypatch):
     rods = rodset_from_char_poly(_cyclotomic_product((3, 5, 7, 8, 11, 13)))
     screen = _cyclotomic.cyclotomic_screen
     monkeypatch.setattr(
-        _cyclotomic, "cyclotomic_screen", lambda terms, d: d != 13 and screen(terms, d)
+        _cyclotomic, "cyclotomic_screen", lambda terms, d, ends: d != 13 and screen(terms, d, ends)
     )
     # The certificate must not back the missed order: the verdict raises instead.
     with pytest.raises(StructureError, match="peel missed an order; this is a bug"):
@@ -466,15 +477,26 @@ def cyclotomic_products(draw):
 @given(cyclotomic_products())
 def test_cyclotomic_screen_never_rejects_a_factor(rods):
     char = sympy.Poly(1 - sum(m * X**k for k, m in rods.pairs), X)
+    terms, ends = char_terms(rods), (int(char.eval(1)), int(char.eval(-1)))
     dividing = set()
     for d, _ in cyclotomic_orders(rods.max_length):
         if sympy.div(char, _sympy_cyclotomic(d))[1].is_zero:
             dividing.add(d)
-            assert cyclotomic_screen(char_terms(rods), d), f"screen rejected Phi_{d} | {char}"
+            assert cyclotomic_screen(terms, d, ends), f"screen rejected Phi_{d} | {char}"
     report = detect_period(rods)
     assert set(report.cyclotomic_factors) == dividing
     for d in report.cyclotomic_factors:
         assert dup_cyclotomic_p(cyclotomic(d)[::-1], ZZ), f"peeled factor {d} is not cyclotomic"
+
+
+def test_cyclotomic_values_at_plus_and_minus_one_match_sympy():
+    for d in range(1, 2001):
+        phi = sympy.cyclotomic_poly(d, X, polys=True)
+        assert cyclotomic_ends(d) == (int(phi.eval(1)), int(phi.eval(-1))), f"Phi_{d}(+-1)"
+
+
+def _divides(value, n):
+    return n == 0 if value == 0 else n % value == 0
 
 
 # Sparse sets: max R <= 60, at most 7 char terms, multiplicities +-1 and +-2.
@@ -502,6 +524,30 @@ def test_every_product_of_distinct_cyclotomics_passes_the_reciprocity_test(order
     sign = coeffs[0]  # +-1: only Phi_1 has constant term -1
     terms = [(k, sign * c) for k, c in enumerate(coeffs) if c]
     assert self_reciprocal(terms), f"Phi_d for d in {sorted(orders)}"
+
+
+@st.composite
+def distinct_cyclotomic_products(draw):
+    """+-(a product of up to three distinct Phi_d, d < 60), as a rod set, built by sympy."""
+    orders = draw(st.sets(st.integers(1, 59), min_size=1, max_size=3))
+    product = sympy.Poly(sympy.prod(sympy.cyclotomic_poly(d, X) for d in orders), X)
+    coeffs = [int(c) for c in reversed(product.all_coeffs())]
+    return rodset_from_char_poly(coeffs if coeffs[0] == 1 else [-c for c in coeffs])
+
+
+@PROPERTY
+@given(sparse_sets | distinct_cyclotomic_products())
+@example(parse_rodset("[1,2]"))
+@example(parse_rodset("[1^2,-2]"))
+def test_an_order_ruled_out_at_plus_and_minus_one_is_never_a_factor(rods):
+    char = sympy.Poly(1 - sum(m * X**k for k, m in rods.pairs), X)
+    terms, ends = char_terms(rods), (int(char.eval(1)), int(char.eval(-1)))
+    for d, _ in cyclotomic_orders(rods.max_length):
+        at_one, at_minus_one = cyclotomic_ends(d)
+        if _divides(at_one, ends[0]) and _divides(at_minus_one, ends[1]):
+            continue
+        assert not sympy.div(char, _sympy_cyclotomic(d))[1].is_zero, f"Phi_{d} divides {char}"
+        assert not cyclotomic_screen(terms, d, ends), f"the screen let Phi_{d} through"
 
 
 @functools.cache
@@ -730,6 +776,28 @@ def test_scan_two_hits_agree_with_the_solver_and_sympy(rods, bound):
         assert quotient == _one_plus_c(hit.q, 1), (
             f"(1 - C_S) / (1 - C_R) is not 1 + C_Q for {hit.s}"
         )
+
+
+# Lucas-shaped sets [1^(+-s), 2^t], whose scans have the most hits, and sets of up to four
+# rods of length <= 8, which give tails with a < b - max R and with a > b - max R.
+lucas_sets = st.builds(
+    lambda s, t, sign: RodSet(((1, sign * s), (2, t))),
+    st.integers(1, 5), st.integers(1, 5), st.sampled_from((1, -1)),
+)
+wide_sets = st.dictionaries(
+    st.integers(1, 8), st.sampled_from((-3, -2, -1, 1, 2, 3)), min_size=2, max_size=4
+).map(RodSet.from_mults).filter(lambda rods: rods.max_length >= 2)
+
+
+@PROPERTY
+@given(lucas_sets | wide_sets, st.integers(2, 45))
+def test_every_scan_hit_is_the_exact_solvers_q(rods, bound):
+    # solve_Q reaches Q through the mediator, a series quotient and the dict witness,
+    # sharing no code with the scan's slices or its boundary check.
+    for hit in scan_two_expansions(rods, bound, include_trivial=True):
+        solved = solve_Q(rods, hit.s)
+        assert solved.q_finite is True, f"the solver finds no finite Q for {rods} -> {hit.s}"
+        assert solved.q == hit.q, f"the scan's Q for {rods} -> {hit.s} is not the solver's"
 
 
 def test_scan_two_hits_are_witnessed(monkeypatch):
