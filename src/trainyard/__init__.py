@@ -113,7 +113,6 @@ __all__ = [
     "solve_R",
     "train_counts",
     "union",
-    "window_period_scan",
     "__version__",
 ]
 

@@ -5,19 +5,20 @@ the candidate orders of a periodicity test are listed, with their phi,
 either by a walk over prime powers (every d with phi(d) <= max R) or by
 Mann's theorem on vanishing sums of roots of unity (the divisors of
 m_t * k over the sparse polynomial's degrees k), whichever counts fewer;
-and a candidate d is screened, first by Phi_d(+-1), which must divide
-the polynomial's values at +-1, then by evaluating the sparse polynomial
-at a root of unity of order exactly d modulo a prime.  Each order is
-factored, by trial division and Pollard's rho, when it is first needed,
-once for its values at +-1, its root and phi(rad d).  The peel's
-listing and screening are charged, through a check it passes in, before
-they run, and so is each division (division_units).
+and a candidate d is decided exactly on the sparse terms, first by
+Phi_d(+-1), which must divide the polynomial's values at +-1, then by
+reducing the polynomial times prod over the primes p | d of
+(x^(d/p) - 1) mod x^d - 1, which is zero exactly when Phi_d divides it.
+Each order is factored, by trial division and Pollard's rho, when it is
+first needed, once for its values at +-1 and those 2^omega(d) terms.
+The peel's listing is charged, through a check it passes in, before it
+runs, and each exact test charges its products through a check passed in.
 A polynomial that is not +-self-reciprocal is not +-(a product of
 cyclotomics), a test on its sparse terms; one that is, but is not
 +-(a product of distinct cyclotomics), is certified so by Graeffe root
 squaring, after Bradford & Davenport, "Effective tests for cyclotomic
-polynomials", ISSAC '88.  Nothing here runs at import: the orders, the
-polynomials and each order's root and values are cached.
+polynomials", ISSAC '88.  Nothing here runs at import: the orders and
+each order's values and terms are cached.
 """
 
 from __future__ import annotations
@@ -143,7 +144,7 @@ def cyclotomic_orders(top: int) -> tuple:
 
 
 def _unchecked(work: int, needs: str, *args) -> None:
-    """The check peel_orders makes when its caller passes none: nothing is refused."""
+    """The check peel_orders and cyclotomic_divides make when their caller passes none: nothing is refused."""
 
 
 def _rho_units(n: int) -> int:
@@ -163,8 +164,8 @@ def _mann_shapes(terms: list, check) -> tuple:
     below _PROOF_BOUND raises OverflowError, since _is_prime proves
     nothing there.  The composite ones are split by Pollard's rho, at
     _rho_units each, charged before any is split; ``rho`` is the most of
-    them, which a root of unity may spend again on an order that holds
-    two of a cofactor's primes (see peel_orders).
+    them, which factoring an order may spend again when it holds two of a
+    cofactor's primes (see _screen_units).
     """
     small = _primes_upto(len(terms))
     shapes, rests = [], []
@@ -214,19 +215,19 @@ def _add_divisors(shape: dict, top: int, found: dict) -> None:
     found.update(divisors)
 
 
-def _screen_units(t: int, top: int, rho: int) -> int:
-    """The units charged for screening one listed order of a t-term char: its powers and its root.
+def _screen_units(top: int, rho: int) -> int:
+    """The units charged for each order listed for a char of degree top: factoring it.
 
-    A term costs one pow.  A root of unity (cyclotomic_root) costs a few
-    Miller-Rabin tests of its prime ell and a few more pow calls, on
-    numbers of b bits, so b^3 // 64 units, and ``rho`` units to factor
-    the order.  b is the bits of 1024 * top, and at least 30: every order
-    listed has phi(d) <= top, and d / phi(d) stays below 16 far past any
-    order a list could hold, so d < 16 * top, and ell = 1 (mod d), the
-    first such prime above 2^29, passes d by a few bits at most.
+    An order is factored once (see _order) by trial division and a
+    Miller-Rabin test of the cofactor left, a dozen pow calls on numbers
+    of b bits, so b^2 // 2 units, and ``rho`` units when the cofactor is
+    split (see _mann_shapes), as an order may hold two of a degree's
+    cofactor primes.  Its values at +-1 then cost a few operations.  b is
+    the bits of 16 * top: every order listed has phi(d) <= top, and
+    d / phi(d) stays below 16 far past any order a list could hold.
     """
-    b = max(30, top.bit_length() + 10)
-    return t + (b * b * b >> 6) + rho
+    b = top.bit_length() + 4
+    return (b * b >> 1) + rho
 
 
 def peel_orders(terms: list, top: int, check=_unchecked) -> tuple:
@@ -257,40 +258,39 @@ def peel_orders(terms: list, top: int, check=_unchecked) -> tuple:
 
     ``check(work, needs, *args)`` is called before each step that could
     run long, and refuses it by raising: the factoring (see _mann_shapes),
-    and the screens of the orders listed, at _screen_units each: the
+    and the factoring of the orders listed, at _screen_units each: the
     walk's as _walk_unless_longer says, Mann's for its
     sum_j tau(m_t * k_j) divisors before they are listed.
     """
     t = len(terms)
     floor = (t - 1) << len(_primes_upto(t))
     if floor > top:
-        walk = _walk_unless_longer(check, t, top, floor)
+        walk = _walk_unless_longer(check, top, floor)
         if walk is not None:
             return walk
     shapes, rho = _mann_shapes(terms, check)
     count = sum(math.prod(e + 1 for e in shape.values()) for shape in shapes)
     if count > top + 1:
-        walk = _walk_unless_longer(check, t, top, count)
+        walk = _walk_unless_longer(check, top, count)
         if walk is not None:
             return walk
-    units = _screen_units(t, top, rho)
-    check(count * units, "screening Mann's orders needs {} divisors x {} units for the terms and a root",
-          count, units)
+    units = _screen_units(top, rho)
+    check(count * units, "screening Mann's orders needs {} divisors x {} units to factor each", count, units)
     found: dict = {}
     for shape in shapes:
         _add_divisors(shape, top, found)
     return tuple(sorted(found.items()))
 
 
-def _walk_unless_longer(check, t: int, top: int, rival: int) -> tuple | None:
-    """cyclotomic_orders(top) for a t-term char, or None when it lists more than ``rival`` > top orders.
+def _walk_unless_longer(check, top: int, rival: int) -> tuple | None:
+    """cyclotomic_orders(top), or None when it lists more than ``rival`` > top orders.
 
-    Its screens are charged twice: for top + 1 orders before it is built,
+    Its orders are charged twice: for top + 1 orders before it is built,
     the fewest that either list can hold, and for all it lists, at most
     about twice that, before it is returned.
     """
-    units = _screen_units(t, top, 0)
-    needs = "screening the orders of degree <= max R needs {} orders x {} units for the terms and a root"
+    units = _screen_units(top, 0)
+    needs = "screening the orders of degree <= max R needs {} orders x {} units to factor each"
     check((top + 1) * units, needs, top + 1, units)
     walk = cyclotomic_orders(top)
     if rival < len(walk):
@@ -299,7 +299,6 @@ def _walk_unless_longer(check, t: int, top: int, rival: int) -> tuple | None:
     return walk
 
 
-@lru_cache(maxsize=None)
 def moebius_cyclotomic(d: int) -> tuple:
     """Phi_d (d >= 1) as an ascending coefficient tuple; see series.cyclotomic.
 
@@ -331,31 +330,6 @@ def moebius_cyclotomic(d: int) -> tuple:
     return tuple(out)
 
 
-# Screening primes start here, so that a root of unity modulo them stays a
-# one-digit CPython int and a false survivor of the screen is rare.
-_SCREEN_PRIME_FLOOR = 1 << 29
-
-
-def cyclotomic_root(d: int, primes=None) -> tuple:
-    """(ell, zeta): a prime ell = 1 (mod d) and zeta of multiplicative order exactly d mod ell.
-
-    zeta is a root of Phi_d modulo ell, so a polynomial that Phi_d
-    divides vanishes at zeta; a nonzero value there proves that Phi_d
-    does not divide it.  ell is the least such prime above 2^29.
-    ``primes``, the distinct primes dividing d, are found when not given.
-    """
-    ell = ((_SCREEN_PRIME_FLOOR - 1) // d + 1) * d + 1
-    while not _is_prime(ell):
-        ell += d
-    if primes is None:
-        primes = _prime_divisors(d)
-    for g in range(2, ell):
-        zeta = pow(g, (ell - 1) // d, ell)
-        if all(pow(zeta, d // q, ell) != 1 for q in primes):
-            return ell, zeta
-    raise series.SeriesError("the multiplicative group mod a prime is cyclic; this is a bug")
-
-
 def cyclotomic_ends(d: int, primes=None) -> tuple:
     """(Phi_d(1), Phi_d(-1)) for d >= 1, read off the distinct primes dividing d.
 
@@ -379,39 +353,52 @@ def cyclotomic_ends(d: int, primes=None) -> tuple:
 
 @lru_cache(maxsize=4096)
 def _order(d: int) -> tuple:
-    """(Phi_d(1), Phi_d(-1), ell, zeta, phi(rad d)) for an order d, from one factoring of d."""
+    """(Phi_d(1), Phi_d(-1), plus, minus) for an order d, from one factoring of d.
+
+    plus and minus are the degrees, mod d, of the 2^omega(d) terms of
+    g_d = prod over the primes p | d of (x^(d/p) - 1) with sign + and -.
+    Building them is covered by the listing's charge: Mann's list charges
+    for tau(m_t * k) >= 2^omega(d) divisors, and the walk for
+    top + 1 > phi(d) >= 2^(omega(d) - 1) orders.
+    """
     primes = _prime_divisors(d)
-    return (*cyclotomic_ends(d, primes), *cyclotomic_root(d, primes), math.prod(p - 1 for p in primes))
+    plus, minus = [0], []
+    for p in primes:
+        step = d // p
+        plus, minus = [(e + step) % d for e in plus] + minus, [(e + step) % d for e in minus] + plus
+    return (*cyclotomic_ends(d, primes), tuple(plus), tuple(minus))
 
 
-def cyclotomic_screen(terms, d: int, ends: tuple) -> bool:
-    """False when Phi_d provably does not divide the polynomial f with these nonzero terms.
+def cyclotomic_divides(terms, d: int, ends: tuple, charge=_unchecked) -> bool:
+    """True exactly when Phi_d divides the polynomial f with these nonzero terms (k, c).
 
     ``ends`` is (f(1), f(-1)).  Phi_d | f in Z[x] makes Phi_d(a) divide
     f(a) for every integer a, so Phi_d is ruled out at once when
     Phi_d(1) or Phi_d(-1) (see cyclotomic_ends) does not divide f's value
-    there, 0 dividing only 0.  Only a d of the form p^k or 2p^k has a
-    value other than 1 to test.  Else the sparse terms are evaluated at
-    the root of unity of :func:`cyclotomic_root`, and a nonzero value mod
-    ell rules Phi_d out.  True only means that Phi_d may divide: exact
-    division decides.
+    there, 0 dividing only 0.  Else ``charge(units, d)`` is called with
+    the t * 2^omega(d) products still to add, and may refuse them by
+    raising; then f * g_d is reduced mod x^d - 1, with
+    g_d = prod over the primes p | d of (x^(d/p) - 1) (see _order): a
+    d-th root of unity of order e < d has e | d/p for some p, so g_d
+    vanishes there, and g_d does not vanish at a primitive d-th root.
+    x^d - 1 has no repeated roots, so it divides f * g_d exactly when f
+    vanishes at every primitive d-th root, that is, when Phi_d | f.
     """
-    phi_d_one, phi_d_minus_one, ell, zeta, _ = _order(d)
+    phi_d_one, phi_d_minus_one, plus, minus = _order(d)
     f_one, f_minus_one = ends
     if ((f_one % phi_d_one if phi_d_one else f_one)
             or (f_minus_one % phi_d_minus_one if phi_d_minus_one else f_minus_one)):
         return False
-    return sum([c * pow(zeta, k % d, ell) for k, c in terms]) % ell == 0
-
-
-def division_units(d: int, phi: int, width: int) -> int:
-    """The units charged for dividing a fold of this width by Phi_d, phi = phi(d).
-
-    Reading Phi_d's phi + 1 coefficients, and a step for each of its
-    nonzero terms at each of the width quotient degrees at most:
-    Phi_d(x) = Phi_rad(d)(x^(d/rad d)) has at most phi(rad d) + 1 of them.
-    """
-    return phi + 1 + width * (_order(d)[4] + 1)
+    charge(len(terms) * (len(plus) + len(minus)), d)
+    acc: dict = {}
+    for k, c in terms:
+        for e in plus:
+            e = (k + e) % d
+            acc[e] = acc.get(e, 0) + c
+        for e in minus:
+            e = (k + e) % d
+            acc[e] = acc.get(e, 0) - c
+    return not any(acc.values())
 
 
 def graeffe_step(f: list) -> list:

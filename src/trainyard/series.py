@@ -9,7 +9,7 @@ polynomial 1 - C(x, R), where C is the rod generating function
 (coefficient of x^k = net multiplicity of length k).  Its reciprocal
 power series enumerates net train counts, products of characteristic
 polynomials witness expansions, and its cyclotomic factors decide
-periodicity (the construction and the screen of those factors live in
+periodicity (the construction and the exact test of those factors live in
 ``_cyclotomic``, imported on first use).
 """
 
@@ -358,7 +358,7 @@ def cyclotomic(d: int) -> Poly:
     Built as the Moebius product Phi_d = prod over e | d of
     (1 - x^e)^mu(d/e) (for d > 1), cut at degree phi(d): only the
     squarefree d/e count, and each factor is one stride-e pass over
-    phi(d) + 1 coefficients.  Memoized, so a scan over many d is cheap.
+    phi(d) + 1 coefficients.
     """
     if d < 1:
         raise SeriesError("cyclotomic order must be at least 1")

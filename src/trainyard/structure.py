@@ -9,10 +9,10 @@ Four families of questions about a finite rod set R:
   orders.  The candidate orders d are every d with phi(d) <= max R, or,
   when fewer, those that Mann's theorem on vanishing sums of roots of
   unity (1965) leaves, the divisors of m_t * k over the char's degrees k.
-  Each candidate Phi_d is screened, first by its values at +-1, which
-  must divide the char's, then at a root of unity of order d modulo a
-  prime, and only the survivors are divided exactly, each on the char's
-  fold mod x^d - 1, so the peel builds no dense char.  A period is
+  Each candidate Phi_d is decided exactly on the char's sparse terms,
+  first by its values at +-1, which must divide the char's, then by
+  reducing the char times prod over the primes p | d of (x^(d/p) - 1)
+  mod x^d - 1, so the peel builds no dense char.  A period is
   proved by the counts, whose first max R-window repeats first at it.
   A non-periodic verdict is certified by the char's sparse terms when it
   is not +-self-reciprocal, as every product of cyclotomics is; else by
@@ -20,7 +20,7 @@ Four families of questions about a finite rod set R:
   (an iterate's coefficient passes C(m, floor(m/2)), m = max R) or a
   repeated cyclotomic factor.  One bound on the work (PERIOD_WORK_LIMIT)
   is charged for each step before it runs: the factoring of the char's
-  degrees, the screens of the orders listed, the folds, Graeffe and the
+  degrees and of the orders listed, the exact tests, Graeffe and the
   count pass.
 
 * **Expandability scans** — which one- and two-rod sets does R expand
@@ -83,23 +83,20 @@ from .series import char_poly, char_terms, poly_divexact
 #   A step costs 0.6 us on average, 0.4 to 1.4 us, over six splits of products
 #   of two primes near 5e11.  A cofactor past 3.2e23, where Miller-Rabin proves
 #   nothing, raises OverflowError instead.
-# * The screens: for each order listed, t powers for the t nonzero char terms
-#   and b^3 // 64 for its root of unity, b = max(30, bits of 1024 * max R), plus
-#   the rho units of the largest cofactor, as an order may be factored again.
-#   About 0.18 us a unit cold: [1, 2, ..., 40, 15000] (29,000 orders on the
-#   walk, 1.4e7) takes 2.2 to 2.7 s, and [1, 2, ..., 59, 7000000] and [1, 47#]
-#   (7.4e4 of Mann's orders) are refused at once.
-# * The peel's fold divisions: phi(d) + 1 units for reading Phi_d and
-#   min(d, max R + 1) * (phi(rad d) + 1) for the division's steps, for each
-#   survivor d divided, summed; Phi_d(x) = Phi_rad(d)(x^(d / rad d)) has at most
-#   phi(rad d) + 1 nonzero terms.  A dense Phi_d costs about 23 ns a unit:
-#   dividing the fold of the char Phi_1009 * Phi_2018 by Phi_2018 (2.0e6 units)
-#   takes 0.047 s.  A fold that is zero divides by every Phi_d, which is then not
-#   built: 1 - x^6000, 1 - x^8000 and 1 - x^10000 (1.1e5 to 1.6e5 units) are
-#   periodic in 6 to 8 ms, cold, count pass included, and 1 - x^(10^9) is
-#   refused at Phi_400000 (1.6e7) after 0.03 to 0.05 s, peaking at 21 MB.  A
-#   char that is not +-self-reciprocal pays nothing more: [1, 10000^-1] takes
-#   0.2 ms and [1, 10^9] 0.8 ms.
+# * The orders listed: for each, b^2 // 2 units to factor it, b the bits of
+#   16 * max R, plus the rho units of the largest cofactor, as an order may be
+#   factored again; its values at +-1 cost a few operations more.  A cold prime
+#   order of 12 to 80 bits took 0.25 to 0.45 units per bit squared, at about
+#   0.15 us a unit.  [1, 2, ..., 59, 7000000] and [1, 47#] (7.4e4 of Mann's
+#   orders) are refused at once.
+# * The exact tests: for each order d tested past its values at +-1, t * 2^omega(d)
+#   units for the products of the t nonzero char terms and the terms of
+#   prod over p | d of (x^(d/p) - 1), summed, before the test runs; 0.15 to 0.25
+#   us a unit.  [1, 2, ..., 40, 15000] (29,169 orders on the walk, 4.7e6 units
+#   listed and 1.05e7 tested) takes 2.1 to 2.6 s and peaks at 23 MB.
+#   1 - x^(10^9) is found periodic through its 110 orders in about a
+#   millisecond and then refused by the count pass.  A char that is not
+#   +-self-reciprocal pays nothing more: [1, 10^9] takes 3 ms.
 # * The Graeffe certificate, on +-self-reciprocal chars only: 4 * (max R)^2 units
 #   times the nonzero char terms, at most about (max R)^2 / 4 products a step,
 #   fewer while the iterates are sparse: [1, 433^-3, 865, 866^-1] (1.5e7) takes
@@ -179,23 +176,6 @@ def _least_repeat(counts: list, w: int, horizon: int) -> int | None:
             return p
 
 
-def window_period_scan(rods: RodSet, horizon: int) -> int | None:
-    """Least p <= horizon with F(n + p) = F(n) for all n, else None.
-
-    The counts obey a depth-max R recursion, so a repeat of the initial
-    max R-window propagates forever; scanning windows is therefore a
-    complete periodicity test up to the horizon.  The scan holds the
-    exact counts to horizon + max R - 1, so its memory follows their
-    bits: [1,2] (Fibonacci) at horizon 50,000 peaks at about 128 MB.
-    """
-    if not rods.pairs:
-        raise StructureError("periodicity is about nonempty rod sets")
-    if horizon < 1:
-        raise StructureError("horizon must be at least 1")
-    w = rods.max_length
-    return _least_repeat(train_counts(rods, horizon + w - 1), w, horizon)
-
-
 def _check_work(work: int, needs: str, *args) -> None:
     """Refuse work over PERIOD_WORK_LIMIT; needs.format(*args) says what for."""
     if work > PERIOD_WORK_LIMIT:
@@ -218,18 +198,14 @@ def detect_period(rods: RodSet) -> PeriodReport:
     product of the primes <= t (Mann, Mathematika 12, 1965), whichever
     costs fewer orders to list.  Both hold every d whose Phi_d divides,
     in ascending order, so the peel finds the same factors on either.
-    Each candidate is first screened (_cyclotomic.cyclotomic_screen):
-    Phi_d | c in Z[x] makes Phi_d(a) divide c(a) at every integer a, so
-    Phi_d(1) not dividing c(1), or Phi_d(-1) not dividing c(-1), rules d
-    out, both values summed from the char's terms once per call; then
-    the sparse char is evaluated at a root of unity of order exactly d
-    modulo a prime ell = 1 (mod d), and a nonzero value proves Phi_d
-    does not divide it.  Every survivor
-    d with phi(d) <= max R - sum of phi over the factors found is
-    decided exactly on the char's fold mod x^d - 1, its terms summed by
-    degree mod d into min(d, max R + 1) coefficients: Phi_d divides
-    x^d - 1, so it divides the char exactly when it divides the fold, and
-    a zero fold needs no Phi_d built.
+    Each candidate d with phi(d) <= max R - sum of phi over the factors
+    found is decided exactly (_cyclotomic.cyclotomic_divides): Phi_d | c
+    in Z[x] makes Phi_d(a) divide c(a) at every integer a, so Phi_d(1)
+    not dividing c(1), or Phi_d(-1) not dividing c(-1), rules d out, both
+    values summed from the char's terms once per call; else Phi_d divides
+    c exactly when c * prod over the primes p | d of (x^(d/p) - 1) is 0
+    mod x^d - 1, a sum over the char's t terms and that product's
+    2^omega(d) terms, with no Phi_d built.
     Distinct Phi_d are coprime, so each factor is found once, in
     ascending order; a repeated cyclotomic factor means polynomial
     growth, not periodicity.  The product of the factors found divides
@@ -255,13 +231,13 @@ def detect_period(rods: RodSet) -> PeriodReport:
     counts F(1..p - max R) are Q to [p], confirmed by the exact witness.
     Work is bounded by PERIOD_WORK_LIMIT, charged for the work each step
     does, before it runs: peel_orders, given _check_work, charges the
-    factoring of the degrees, 2 units a rho step, and the screens of the orders
-    it lists, before it lists them (see _cyclotomic._screen_units); each
-    fold division phi(d) + 1 + min(d, max R + 1) * (phi(rad d) + 1),
-    summed over the orders divided (_cyclotomic.division_units);
-    Graeffe, on a +-self-reciprocal char only, 4 * (max R)^2 units times
-    the nonzero char terms; the count pass p + max R counted terms times
-    the nonzero char terms.
+    factoring of the degrees, 2 units a rho step, and the factoring of the
+    orders it lists, before it lists them (see _cyclotomic._screen_units);
+    each exact test past the values at +-1 t * 2^omega(d), summed over
+    the orders tested (see _cyclotomic.cyclotomic_divides); Graeffe, on a
+    +-self-reciprocal char only, 4 * (max R)^2 units times the nonzero
+    char terms; the count pass p + max R counted terms times the nonzero
+    char terms.
     """
     global _cyclotomic
     if not rods.pairs:
@@ -274,17 +250,15 @@ def detect_period(rods: RodSet) -> PeriodReport:
     ends = (sum([c for _, c in terms]), sum([-c if k % 2 else c for k, c in terms]))
     factors: list[int] = []
     found = spent = 0
+
+    def charge(units: int, d: int) -> None:
+        nonlocal spent
+        spent += units
+        _check_work(spent, "testing the orders through Phi_{} needs nonzero char terms x 2^omega(d) "
+                    "summed over the orders tested", d)
+
     for d, phi in cyc.peel_orders(terms, top, _check_work):
-        if phi > top - found or not cyc.cyclotomic_screen(terms, d, ends):
-            continue
-        width = min(d, top + 1)
-        spent += cyc.division_units(d, phi, width)
-        _check_work(spent, "peeling through Phi_{} needs phi(d) + 1 + fold length x (phi(rad d) + 1) "
-                    "summed over the orders divided", d)
-        fold = [0] * width
-        for k, c in terms:
-            fold[k % d] += c
-        if not any(fold) or poly_divexact(fold, cyc.moebius_cyclotomic(d)) is not None:
+        if phi <= top - found and cyc.cyclotomic_divides(terms, d, ends, charge):
             factors.append(d)
             found += phi
             if found == top:
@@ -298,7 +272,9 @@ def detect_period(rods: RodSet) -> PeriodReport:
             for d in factors:
                 residual = poly_divexact(residual, cyc.moebius_cyclotomic(d))
                 if residual is None:
-                    raise StructureError(f"Phi_{d} divides the fold but not the char; this is a bug")
+                    raise StructureError(
+                        f"Phi_{d} passes the exact test but does not divide the dense char; this is a bug"
+                    )
             if cyc.graeffe_certificate(char, residual, factors)[0] is None:
                 raise StructureError("no Graeffe certificate: the peel missed an order; this is a bug")
         return PeriodReport(None, tuple(factors), None)

@@ -119,11 +119,19 @@ def oracle_scan_two(rods: RodSet, bound: int, include_trivial: bool = False) -> 
 
 
 def oracle_window_period(rods: RodSet, horizon: int) -> int | None:
-    """Least p <= horizon whose max R-window repeats the initial one, each p
-    tried in turn on the plain-recurrence counts to horizon + max R - 1."""
+    """Least p <= horizon whose max R-window repeats the initial one, on the
+    plain-recurrence counts to horizon + max R - 1.  list.index finds the
+    candidates, the p with F(p) = F(0) = 1, and each is tried in turn."""
     w = rods.max_length
     counts = _recurrence_counts(rods, horizon + w - 1)
-    return next((p for p in range(1, horizon + 1) if counts[p:p + w] == counts[:w]), None)
+    p = 0
+    while True:
+        try:
+            p = counts.index(1, p + 1, horizon + 1)
+        except ValueError:
+            return None
+        if counts[p:p + w] == counts[:w]:
+            return p
 
 
 def oracle_lucas_check(s: int, t: int, sign: int, horizon: int) -> tuple:

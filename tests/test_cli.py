@@ -269,14 +269,15 @@ def test_solveq_past_the_quotient_limit_fails_at_once(run):
 def test_period_past_the_length_limit_fails_at_once(run):
     # 1 - x - x^(10^9) is decided on its sparse terms, with no dense polynomial built.
     assert run(["period", "[1,1000000000]"]) == (0, "not periodic\n", "")
-    # 1 - x^(10^9) is periodic, but dividing the folds by its orders d | 10^9 is over the limit.
+    # 1 - x^(10^9) is periodic, found so on its sparse terms, but its count pass is over the limit.
     code, out, err = run(["period", "[1000000000]"])
     assert code == 1 and out == ""
-    assert err.startswith("error: peeling through Phi_") and "PERIOD_WORK_LIMIT" in err
+    assert err.startswith("error: confirming a periodic verdict needs 2000000000 counted terms x 2 nonzero "
+                          "char terms") and "PERIOD_WORK_LIMIT" in err
 
 
 def test_period_refusal_names_the_charge_not_a_verdict(run):
-    # 1 - x^1400 is periodic, and its 24 folds are cheap, though 4 * 1400^2 is over the limit.
+    # 1 - x^1400 is periodic, and its 24 exact tests are cheap, though 4 * 1400^2 is over the limit.
     code, out, err = run(["period", "[1400]"])
     assert (code, err) == (0, "") and out.startswith("periodic p=1400 factors=1,2,4,5,7,")
     # 1 - x + 3x^1000 - x^1999 + x^2000 is +-self-reciprocal, so only Graeffe could certify it.
@@ -286,7 +287,7 @@ def test_period_refusal_names_the_charge_not_a_verdict(run):
     assert "periodic" not in err
 
 
-# The peel lists and screens its candidate orders, and factors the char's degrees to list
+# The peel lists and factors its candidate orders, and factors the char's degrees to list
 # Mann's, so each of these is charged or refused before it starts.
 UNBOUNDED_PEELS = {
     # 61 terms: the walk over the orders of degree <= 7000000 would hold 1.4e7 orders.
@@ -295,10 +296,11 @@ UNBOUNDED_PEELS = {
     # (10^29 + 319) * (10^29 + 10^6 + 149), two primes: rho would take about 10^15 steps.
     "[1,10000000000000000000000100046800000000000000000000319047531]":
         "error: input too large to compute (OverflowError)\n",
-    # 47#, the product of the primes <= 47: m_3 * 47# has 73728 divisors, each with a root to find.
+    # 47#, the product of the primes <= 47: m_3 * 47# has 73728 divisors, each to factor.
     "[1,614889782588491410]": "error: screening Mann's orders needs 73732 divisors x ",
-    # 1 - x^(10^9) is periodic, but the fold divisions through its orders d | 10^9 pass the limit.
-    "[1000000000]": "error: peeling through Phi_400000 needs ",
+    # 1 - x^(10^9) is periodic, but its count pass, 2 * 10^9 counted terms, is over the limit.
+    "[1000000000]":
+        "error: confirming a periodic verdict needs 2000000000 counted terms x 2 nonzero char terms",
 }
 
 
@@ -325,8 +327,8 @@ def test_period_accepts_a_long_chain(run):
 
 # The chains are not periodic: a root of unity z of 1 - a*z - b*z^k has |1 - a*z| = 1, so
 # order 3 or 6, and Phi_3 or Phi_6 alone cannot make up a degree k > 2.  And 1 - x^p is
-# -(the product of Phi_d over d | p); its folds are zero, and each Phi_d has at most
-# phi(rad d) + 1 terms to divide by.
+# -(the product of Phi_d over d | p); its 2 terms times the 2^omega(d) terms of each
+# exact test cancel mod x^d - 1.
 LONG_PERIOD_ANSWERS = {
     "[1,-1118]": "not periodic\n",
     "[-1,-1118]": "not periodic\n",
@@ -342,7 +344,7 @@ LONG_PERIOD_ANSWERS = {
 
 @pytest.mark.parametrize("literal", LONG_PERIOD_ANSWERS)
 def test_period_of_the_longest_chain_in_range_answers_at_once(literal):
-    # No dense char is built: Mann's theorem leaves a few dozen orders to screen and fold, the
+    # No dense char is built: Mann's theorem leaves a few dozen orders to test, the
     # chains then fail the reciprocity test, and [1400] is confirmed by its count pass.
     proc = _period_at_once(literal)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, LONG_PERIOD_ANSWERS[literal], "")

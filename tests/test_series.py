@@ -21,7 +21,7 @@ from trainyard import (
     series_inverse,
     series_mul,
 )
-from trainyard._cyclotomic import _prime_divisors, cyclotomic_orders, cyclotomic_root
+from trainyard._cyclotomic import _prime_divisors, cyclotomic_orders
 from trainyard.series import poly_trim
 
 from conftest import PROPERTY
@@ -219,11 +219,3 @@ def test_cyclotomic_orders_are_every_degree_bounded_order():
         want = tuple((d, t) for d, t in phi.items() if t <= top)
         assert cyclotomic_orders(top) == want, f"orders of degree <= {top}"
 
-
-def test_cyclotomic_roots_have_exact_order():
-    for d, _ in cyclotomic_orders(256):
-        ell, zeta = cyclotomic_root(d)
-        assert sympy.isprime(ell) and (ell - 1) % d == 0, f"bad screening prime {ell} for order {d}"
-        assert pow(zeta, d, ell) == 1, f"zeta^{d} != 1 mod {ell}"
-        for q in sympy.primefactors(d):
-            assert pow(zeta, d // q, ell) != 1, f"zeta has order dividing {d // q}, not {d}"

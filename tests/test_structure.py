@@ -39,13 +39,12 @@ from trainyard import (
     scan_two_expansions,
     solve_Q,
     train_counts,
-    window_period_scan,
 )
 from trainyard import _cyclotomic, expansion, structure
 from trainyard._cyclotomic import (
+    cyclotomic_divides,
     cyclotomic_ends,
     cyclotomic_orders,
-    cyclotomic_screen,
     graeffe_certificate,
     graeffe_step,
     peel_orders,
@@ -113,29 +112,31 @@ def test_detect_period_negative_and_errors():
 
 
 def test_detect_period_raises_when_a_division_claims_a_false_factor(monkeypatch):
-    # A screen that passes every order is still sound; a division that then claims every
-    # survivor makes 1 - x - x^2 look like Phi_1 * Phi_2, of period 2.  The count pass's
-    # window check (_least_repeat) catches it, since 1, 1, 2, 3 never repeats its first
-    # window, and it must raise even under python -O.
-    monkeypatch.setattr(_cyclotomic, "cyclotomic_screen", lambda terms, d, ends: True)
-    monkeypatch.setattr(structure, "poly_divexact", lambda num, den: [2])
+    # An exact test that claims every order makes 1 - x - x^2 look like Phi_1 * Phi_2, of
+    # period 2.  The count pass's window check (_least_repeat) catches it, since 1, 1, 2, 3
+    # never repeats its first window, and it must raise even under python -O.
+    monkeypatch.setattr(_cyclotomic, "cyclotomic_divides", lambda terms, d, ends, charge: True)
     with pytest.raises(StructureError, match="repeat nowhere up to the period 2; this is a bug"):
         detect_period(parse_rodset("[1,2]"))
-    # (1 - x)^2 is +-self-reciprocal: a fold division that claims Phi_1 while the dense
+    # (1 - x)^2 is +-self-reciprocal: a Phi_1 that the exact test finds while the dense
     # char's division denies it is caught where the residual for Graeffe is built.
-    monkeypatch.setattr(_cyclotomic, "cyclotomic_screen", cyclotomic_screen)
+    monkeypatch.setattr(_cyclotomic, "cyclotomic_divides", cyclotomic_divides)
     monkeypatch.setattr(structure, "poly_divexact", lambda num, den: None if len(num) == 3 else [])
-    with pytest.raises(StructureError, match="Phi_1 divides the fold but not the char; this is a bug"):
+    with pytest.raises(StructureError, match="Phi_1 passes the exact test but does not divide the dense"):
         detect_period(parse_rodset("[1^2,-2]"))
 
 
 @pytest.mark.parametrize("literal", ["[1,2]", "[1,-2]", "[1^2,-2]", "[-1,3,4,5,-7,-8]", "[12]", "[1,-3^2,4]"])
 def test_the_fold_division_alone_decides_every_order(monkeypatch, literal):
-    # The screens only save work: with every order let through, each fold division, a zero
-    # fold included, must still find exactly the factors and the verdict.
+    # The values at +-1 only save work: with every order let past them (every value divides
+    # 0), the sparse test alone, x^d - 1 dividing the fold times g_d, must still find
+    # exactly the factors and the verdict.
     rods = parse_rodset(literal)
     report = detect_period(rods)
-    monkeypatch.setattr(_cyclotomic, "cyclotomic_screen", lambda terms, d, ends: True)
+    monkeypatch.setattr(
+        _cyclotomic, "cyclotomic_divides",
+        lambda terms, d, ends, charge: cyclotomic_divides(terms, d, (0, 0), charge),
+    )
     assert detect_period(rods) == report
 
 
@@ -145,9 +146,22 @@ def test_detect_period_refuses_past_the_length_limit():
     # 1 - x + x^k is not +-self-reciprocal: its sparse terms and folds decide it.
     k = math.isqrt(limit // 12) + 1
     assert str(detect_period(RodSet(((1, 1), (k, -1))))) == "not periodic"
-    # 1 - x^(10^9) is periodic, but dividing the folds by its orders d | 10^9 passes the limit.
-    with pytest.raises(StructureError, match="peeling through Phi_.* PERIOD_WORK_LIMIT"):
+    # 1 - x^(10^9) is periodic, found so on its sparse terms, but its count pass is over the limit.
+    with pytest.raises(StructureError, match="PERIOD_WORK_LIMIT") as refused:
         detect_period(RodSet(((10**9, 1),)))
+    assert str(refused.value).startswith(
+        "confirming a periodic verdict needs 2000000000 counted terms x 2 nonzero char terms"
+    )
+
+
+def test_detect_period_charges_each_exact_test_before_it_runs(monkeypatch):
+    # 41 char terms over the 790 orders of degree <= 400: listing and factoring them is
+    # charged 66,360 units, testing them 189,672, so a limit between refuses the tests.
+    monkeypatch.setattr(structure, "PERIOD_WORK_LIMIT", 10**5)
+    _refuse_dense(monkeypatch)
+    with pytest.raises(StructureError, match="PERIOD_WORK_LIMIT = 100000") as refused:
+        detect_period(parse_rodset("[" + ",".join(map(str, range(1, 41))) + ",400]"))
+    assert str(refused.value).startswith("testing the orders through Phi_")
 
 
 def _cyclotomic_product(orders):
@@ -173,17 +187,17 @@ def test_detect_period_long_period_is_witnessed():
 
 
 def test_graeffe_certificate_catches_a_skipped_order(monkeypatch):
-    # A screen that wrongly rejects order 13 makes the p = 120120 set look non-periodic.
+    # A test that wrongly rejects order 13 makes the p = 120120 set look non-periodic.
     rods = rodset_from_char_poly(_cyclotomic_product((3, 5, 7, 8, 11, 13)))
-    screen = _cyclotomic.cyclotomic_screen
     monkeypatch.setattr(
-        _cyclotomic, "cyclotomic_screen", lambda terms, d, ends: d != 13 and screen(terms, d, ends)
+        _cyclotomic, "cyclotomic_divides",
+        lambda terms, d, ends, charge: d != 13 and cyclotomic_divides(terms, d, ends, charge),
     )
     # The certificate must not back the missed order: the verdict raises instead.
     with pytest.raises(StructureError, match="peel missed an order; this is a bug"):
         detect_period(rods)
-    # The window scan it replaces stops at 4 * 38^2, far short of the period.
-    assert window_period_scan(rods, 4 * 38 * 38) is None
+    # A window scan up to 4 * 38^2 stops far short of the period.
+    assert oracle_window_period(rods, 4 * 38 * 38) is None
 
 
 def _binomial_power(m):
@@ -425,7 +439,7 @@ _HARD_TO_FACTOR = [
         # 61 terms make Mann's floor 60 * 2^18 pass max R, so the walk would list 1.4e7 orders.
         ("[" + ",".join(map(str, range(1, 60))) + ",7000000]", StructureError,
          "screening the orders of degree <= max R needs 7000001 orders x ", ("_mann_shapes",)),
-        # The degree 47# is factored at once, but m_3 * 47# has 73728 divisors to screen.
+        # The degree 47# is factored at once, but m_3 * 47# has 73728 divisors to factor.
         (f"[1,{_PRIMORIAL_47}]", StructureError, "screening Mann's orders needs 73732 divisors x ",
          ("_add_divisors",)),
         ("[" + ",".join(map(str, _HARD_TO_FACTOR)) + "]", StructureError,
@@ -438,7 +452,7 @@ _HARD_TO_FACTOR = [
 )
 def test_detect_period_refuses_an_unbounded_peel_before_it_runs(monkeypatch, literal, error, needs, unrun):
     rods = parse_rodset(literal)
-    _refuse_dense(monkeypatch, "cyclotomic_orders", "cyclotomic_root", *unrun)
+    _refuse_dense(monkeypatch, "cyclotomic_orders", "_order", *unrun)
     with pytest.raises(error) as refused:
         detect_period(rods)
     assert str(refused.value).startswith(needs)
@@ -475,14 +489,22 @@ def cyclotomic_products(draw):
 
 @PROPERTY
 @given(cyclotomic_products())
+@example(parse_rodset("[1,2]"))
+@example(parse_rodset("[1,-2]"))
+@example(parse_rodset("[1^2,-2]"))
+@example(parse_rodset("[-1,3,4,5,-7,-8]"))
+@example(parse_rodset("[12]"))
+@example(parse_rodset("[1,-3^2,4]"))
 def test_cyclotomic_screen_never_rejects_a_factor(rods):
+    # The exact test agrees with sympy's division both ways, on every order of the walk.
     char = sympy.Poly(1 - sum(m * X**k for k, m in rods.pairs), X)
     terms, ends = char_terms(rods), (int(char.eval(1)), int(char.eval(-1)))
     dividing = set()
     for d, _ in cyclotomic_orders(rods.max_length):
-        if sympy.div(char, _sympy_cyclotomic(d))[1].is_zero:
+        divides = sympy.div(char, _sympy_cyclotomic(d))[1].is_zero
+        assert cyclotomic_divides(terms, d, ends) == divides, f"Phi_{d} | {char} is {divides}"
+        if divides:
             dividing.add(d)
-            assert cyclotomic_screen(terms, d, ends), f"screen rejected Phi_{d} | {char}"
     report = detect_period(rods)
     assert set(report.cyclotomic_factors) == dividing
     for d in report.cyclotomic_factors:
@@ -493,6 +515,67 @@ def test_cyclotomic_values_at_plus_and_minus_one_match_sympy():
     for d in range(1, 2001):
         phi = sympy.cyclotomic_poly(d, X, polys=True)
         assert cyclotomic_ends(d) == (int(phi.eval(1)), int(phi.eval(-1))), f"Phi_{d}(+-1)"
+
+
+def test_the_exact_tests_terms_are_the_product_over_the_primes_of_d():
+    # g_d = prod over p | d of (x^(d/p) - 1), 2^omega(d) terms, reduced mod x^d - 1 by sympy.
+    for d in range(1, 301):
+        primes = sympy.primefactors(d)
+        g = sympy.Poly(sympy.prod(X ** (d // p) - 1 for p in primes), X)
+        want = sympy.rem(g, sympy.Poly(X**d - 1, X))
+        _, _, plus, minus = _cyclotomic._order(d)
+        assert len(plus) + len(minus) == 2 ** len(primes), f"g_{d} has {len(plus) + len(minus)} terms"
+        assert all(0 <= e < d for e in plus + minus), f"g_{d} has a degree outside 0..{d - 1}"
+        got = sympy.Poly(sum(X**e for e in plus) - sum(X**e for e in minus), X)
+        assert got == want, f"g_{d}: {got} != {want}"
+
+
+_PRIME_POWERS = [d for d in range(2, 2311) if len(sympy.primefactors(d)) == 1]
+
+
+@st.composite
+def sparse_multiples(draw):
+    """(terms, d): 1 to 6 terms of degree up to about 10^6, often a multiple of Phi_d.
+
+    d is a prime power, twice an odd prime power, or has 3 to 5 primes, up to 2310.  Each
+    block is a stray monomial, a binomial x^a * (1 - x^(m*d)), or, for a prime p | d, the
+    p-term x^a * (1 + x^(d/p) + ... + x^((p-1)*d/p)) with each degree shifted by a multiple
+    of d: Phi_d divides both, as it divides x^d - 1 and not x^(d/p) - 1.
+    """
+    d = draw(st.sampled_from(_PRIME_POWERS)
+             | st.sampled_from([2 * q for q in _PRIME_POWERS if q % 2 and 2 * q <= 2310])
+             | st.sampled_from([d for d in range(30, 2311) if 3 <= len(sympy.primefactors(d))]))
+    coeffs: dict = {}
+    degree, sign = st.integers(0, 10**6), st.sampled_from((1, -1, 2, -3))
+    for _ in range(draw(st.integers(1, 3))):
+        kind, a, c = draw(st.sampled_from(("monomial", "binomial", "cycle"))), draw(degree), draw(sign)
+        if kind == "monomial":
+            block = {a: c}
+        elif kind == "binomial":
+            block = {a: c, a + d * draw(st.integers(1, 10**6 // d)): -c}
+        else:
+            p = draw(st.sampled_from(sympy.primefactors(d)))
+            block = {a + j * (d // p) + d * draw(st.integers(0, 50)): c for j in range(p)}
+        for k, c in block.items():
+            coeffs[k] = coeffs.get(k, 0) + c
+    terms = sorted((k, c) for k, c in coeffs.items() if c)
+    assume(0 < len(terms) <= 6)
+    return terms, d
+
+
+@PROPERTY
+@given(sparse_multiples())
+@example(([(0, 1), (10**6, -1)], 1000))  # the fold is zero
+@example(([(0, 1), (1155, 1)], 2310))  # x^2310 - 1 = (x^1155 - 1)(x^1155 + 1)
+@example(([(0, 1), (1155, -1)], 2310))  # past the values at +-1, which are 0 and 2
+def test_the_exact_test_agrees_with_sympy_on_the_fold(case):
+    terms, d = case
+    fold = [0] * d
+    for k, c in terms:
+        fold[k % d] += c
+    divides = not dup_rem(dup_strip([ZZ(c) for c in reversed(fold)]), _sympy_cyclotomic_dup(d), ZZ)
+    ends = (sum(c for _, c in terms), sum(-c if k % 2 else c for k, c in terms))
+    assert cyclotomic_divides(terms, d, ends) == divides, f"Phi_{d} | {terms} is {divides}"
 
 
 def _divides(value, n):
@@ -547,7 +630,7 @@ def test_an_order_ruled_out_at_plus_and_minus_one_is_never_a_factor(rods):
         if _divides(at_one, ends[0]) and _divides(at_minus_one, ends[1]):
             continue
         assert not sympy.div(char, _sympy_cyclotomic(d))[1].is_zero, f"Phi_{d} divides {char}"
-        assert not cyclotomic_screen(terms, d, ends), f"the screen let Phi_{d} through"
+        assert not cyclotomic_divides(terms, d, ends), f"the test let Phi_{d} through"
 
 
 @functools.cache
@@ -606,51 +689,17 @@ def test_detect_period_cyclotomic_rod_set():
     assert report.cyclotomic_factors == (105,)
 
 
-def test_window_period_scan():
-    assert window_period_scan(parse_rodset("[1,-2]"), 60) == 6
-    assert window_period_scan(parse_rodset("[2]"), 50) == 2
-    assert window_period_scan(parse_rodset("[-1,-2]"), 50) == 3
-    assert window_period_scan(parse_rodset("[1,1,-2]"), 200) is None
-    assert window_period_scan(parse_rodset("[1,2]"), 200) is None
-    with pytest.raises(StructureError, match="at least 1"):
-        window_period_scan(parse_rodset("[1]"), 0)
-    with pytest.raises(StructureError, match="nonempty"):
-        window_period_scan(RodSet(), 10)
-
-
-SIGNED_SETS = st.lists(st.tuples(st.integers(1, 6), st.sampled_from((-1, 1))),
-                       min_size=1, max_size=4, unique_by=lambda t: t[0])
-
-
-@PROPERTY
-@given(
-    rods=st.one_of(
-        # Periods 6, 3, 30, 12 and 20.
-        st.sampled_from(
-            ["[1,-2]", "[-1,-2]", "[-1,3,4,5,-7,-8]", "[2,-4]", "[-1,-2^2,-3^2,-4^2,-5,-6]"]
-        ).map(parse_rodset),
-        SIGNED_SETS.map(lambda pairs: RodSet(tuple(sorted(pairs)))),
-        cyclotomic_products(),
-    ),
-    horizon=st.integers(1, 150),
-)
-def test_window_period_scan_matches_the_recurrence_oracle(rods, horizon):
-    assert window_period_scan(rods, horizon) == oracle_window_period(rods, horizon), f"{rods}"
-
-
 def test_algebraic_and_window_verdicts_agree():
     rng = random.Random(800)
     for _ in range(60):
         lengths = rng.sample(range(1, 6), rng.randint(1, 4))
         rods = RodSet(tuple(sorted((k, rng.choice((-1, 1))) for k in lengths)))
         report = detect_period(rods)
-        scanned = window_period_scan(rods, 800)
+        scanned = oracle_window_period(rods, 800)
         if report.periodic:
             assert scanned == report.least_period, f"window missed the period of {rods}"
         else:
-            assert window_period_scan(rods, 300) is None, (
-                f"window found a period the algebra denies for {rods}"
-            )
+            assert scanned is None, f"window found a period the algebra denies for {rods}"
 
 
 def test_periodic_counts_actually_repeat():
